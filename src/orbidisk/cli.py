@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .fanfile import FanFile, FanFileError, parse_fan_file
@@ -21,8 +20,6 @@ from .mirror import (
     assemble_potential,
     disk_generating_function,
     extract_invariant,
-    potential_entry,
-    potential_symbols,
 )
 from .oracle import NonRationalCoefficientError, oracle_generating_functions
 from .stacky import (
@@ -307,21 +304,8 @@ def cmd_potential(args) -> int:
         )
         return EXIT_COMPUTE
     seq = fan_sequence(fan, ff.basis_p)
-    if args.parallel:
-        symbols = potential_symbols(fan)
-        with ProcessPoolExecutor() as pool:
-            entries = list(
-                pool.map(
-                    _potential_worker,
-                    [(fan, seq, cone_number, sym, order) for sym in symbols],
-                )
-            )
-        entries.sort(key=lambda e: e.z_monomial)
-        entries = tuple(entries)
-        sigma0 = fan.max_cones[cone_number]
-    else:
-        data = assemble_potential(fan, cone_number, order, parent_seq=seq)
-        entries, sigma0 = data.entries, data.normalization_cone
+    data = assemble_potential(fan, cone_number, order, parent_seq=seq)
+    entries, sigma0 = data.entries, data.normalization_cone
     payload = {
         "normalization_cone": list(sigma0),
         "order": frac(order),
@@ -363,11 +347,6 @@ def cmd_potential(args) -> int:
         rows.append((point_key(e.z_monomial), " ".join(frac(x) for x in e.area), lead))
     _emit(payload, args.format, rows, ("z", "area", "series"))
     return EXIT_OK
-
-
-def _potential_worker(job):
-    fan, seq, cone_number, sym, order = job
-    return potential_entry(fan, seq, cone_number, sym, order)
 
 
 def verify_quotient_plane(amax: int, bmax: int, out=print):
@@ -527,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cone", type=int, default=None, metavar="K")
     p.add_argument("--order", default="6", metavar="Q")
     p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser(

@@ -9,7 +9,7 @@ inputs as read-only and return fresh lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class AmbiguousSolutionError(ValueError):
@@ -31,22 +31,6 @@ def matmul(a, b) -> list[list]:
 
 def matvec(a, v) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(u, s):
-    return [s * x for x in u]
 
 
 def primitive_vector(v) -> tuple[int, ...]:
@@ -82,11 +66,21 @@ def _gcdext(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _integer_copy(a) -> list[list[int]]:
+    """Fresh integer copy of a matrix; a non-integral entry raises ValueError."""
+    out = [[int(x) for x in row] for row in a]
+    for row, ints in zip(a, out):
+        if any(x != y for x, y in zip(row, ints)):
+            raise ValueError(f"non-integral entry in row {list(row)}")
+    return out
+
+
 def hermite_normal_form(a) -> tuple[list[list[int]], list[list[int]]]:
     """Row Hermite normal form.
 
     Args:
-      a: integer matrix, m x n, nonempty.
+      a: integer matrix, m x n, nonempty; a non-integral entry raises
+        ValueError.
 
     Returns:
       (h, u) with u unimodular (|det u| = 1), u @ a = h, h in row HNF:
@@ -97,7 +91,7 @@ def hermite_normal_form(a) -> tuple[list[list[int]], list[list[int]]]:
     if m == 0 or len(a[0]) == 0:
         raise ValueError("hermite_normal_form needs a nonempty matrix")
     n = len(a[0])
-    h = [[int(x) for x in row] for row in a]
+    h = _integer_copy(a)
     u = identity_matrix(m)
     row = 0
     for col in range(n):
@@ -145,10 +139,10 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
     """Smith normal form: returns (s, d, t) with s @ a @ t = d diagonal.
 
     s and t are unimodular; the diagonal entries are nonnegative and each
-    divides the next.
+    divides the next.  A non-integral entry raises ValueError.
     """
     m, n = len(a), len(a[0]) if a else 0
-    d = [[int(x) for x in row] for row in a]
+    d = _integer_copy(a)
     s = identity_matrix(m)
     t = identity_matrix(n)
 
@@ -255,7 +249,16 @@ def elementary_divisors(a) -> list[int]:
 
 
 def rank(a) -> int:
-    return len(elementary_divisors(a))
+    """Rank over Q.
+
+    Each row is scaled by the lcm of its entries' denominators first, which
+    keeps the rank and makes the matrix integral.
+    """
+    rows = []
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([int(x * den) for x in row])
+    return len(elementary_divisors(rows))
 
 
 def det(a) -> Fraction:
@@ -400,7 +403,7 @@ def fm_solve(n_vars: int, constraints) -> list[Fraction] | None:
     for v in range(n_vars - 1, -1, -1):
         eq = next((c for c in system if c[2] and c[0][v] != 0), None)
         if eq is not None:
-            # substitute v = (rhs - rest)/coef into every other constraint
+            # replace v by (rhs - rest)/coef in every other constraint
             coef = eq[0][v]
             steps.append((v, "eq", eq))
             new_system = []
@@ -456,7 +459,7 @@ def fm_solve(n_vars: int, constraints) -> list[Fraction] | None:
             return None
         if not is_eq and rhs > 0:
             return None
-    # back-substitute
+    # back-substitution
     sol = [Fraction(0)] * n_vars
     for v, kind, payload in reversed(steps):
         if kind == "eq":
@@ -513,7 +516,7 @@ def cone_contains(generators, point) -> tuple[bool, list[Fraction] | None]:
         raise ValueError("cone_contains needs at least one generator")
     pt = list(point)
     k = len(gens)
-    if rank_rational(gens) == k:
+    if rank(gens) == k:
         cols = transpose(gens)
         try:
             lam = solve_rational(cols, pt)
@@ -537,24 +540,3 @@ def cone_contains(generators, point) -> tuple[bool, list[Fraction] | None]:
         return False, None
     return True, sol
 
-
-def rank_rational(a) -> int:
-    """Rank over Q (cheap elimination; works for rational entries)."""
-    if not a:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    n_cols = len(m[0])
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r

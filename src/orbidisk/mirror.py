@@ -753,5 +753,5 @@ def _relabel_to_parent(
 
 def tau_zero_slice(series: TruncatedSeries, n_leading: int) -> TruncatedSeries:
     """Set every variable after the first n_leading to zero."""
-    kept = series.drop_variables(lambda i: i < n_leading)
+    kept = {k: v for k, v in series._terms.items() if not any(k[n_leading:])}
     return series.ring.from_scaled_terms(kept)

@@ -9,7 +9,6 @@ integral.  Coefficients are ``fractions.Fraction``; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
@@ -20,10 +19,6 @@ class RingMismatchError(ValueError):
 
 
 class NonzeroConstantTermError(ValueError):
-    pass
-
-
-class DegreeDecreasingSubstitutionError(ValueError):
     pass
 
 
@@ -270,14 +265,6 @@ class TruncatedSeries:
                 out[nk] = v
         return TruncatedSeries(self.ring, out)
 
-    def drop_variables(self, keep: Callable[[int], bool]) -> dict:
-        """Terms with all dropped-variable exponents zero; internal keys."""
-        out = {}
-        for k, v in self._terms.items():
-            if all(x == 0 for i, x in enumerate(k) if not keep(i)):
-                out[k] = v
-        return out
-
 
 def exp_series(f: TruncatedSeries) -> TruncatedSeries:
     """exp(f) = sum f^k / k!, requires zero constant term."""
@@ -309,116 +296,6 @@ def log1p(f: TruncatedSeries) -> TruncatedSeries:
     for k in range(kmax - 1, 0, -1):
         acc = ring.scalar(Fraction((-1) ** (k + 1), k)) + f * acc
     return f * acc
-
-
-def unit_power(u: TruncatedSeries, e) -> TruncatedSeries:
-    """u^e for a unit series (constant term 1) and rational exponent e."""
-    if u.constant_term != 1:
-        raise ValueError("unit_power needs constant term exactly 1")
-    e = Fraction(e)
-    if e == 0:
-        return u.ring.one()
-    if e.denominator == 1 and e > 0:
-        return u ** int(e)
-    return exp_series(log1p(u - 1) * e)
-
-
-@dataclass(frozen=True)
-class SubstitutionImage:
-    """Image of one variable: scalar * monomial * unit series.
-
-    The monomial is given by target-ring exponents; the unit series must have
-    constant term 1 and live in the target ring.
-    """
-
-    scalar: Fraction
-    monomial: tuple
-    unit: TruncatedSeries
-
-    @staticmethod
-    def of(unit: TruncatedSeries, monomial=None, scalar=1) -> "SubstitutionImage":
-        mono = tuple(
-            Fraction(x) for x in (monomial if monomial is not None else ())
-        ) or (Fraction(0),) * unit.ring.nvars
-        return SubstitutionImage(Fraction(scalar), mono, unit)
-
-
-def substitute(
-    f: TruncatedSeries,
-    images: Sequence[SubstitutionImage],
-    target: SeriesRing | None = None,
-) -> TruncatedSeries:
-    """Substitute one image per variable of f and re-expand in the target ring.
-
-    Substitution must be filtration-non-decreasing: the weighted degree of
-    each image has to be at least the weight of the variable it replaces,
-    otherwise the truncated result would be wrong and the call raises.
-    """
-    src = f.ring
-    if len(images) != src.nvars:
-        raise ValueError("need exactly one image per variable")
-    if target is None:
-        if not images:
-            raise ValueError("target ring required when f has no variables")
-        target = images[0].unit.ring
-    mono_keys = []
-    for a, img in enumerate(images):
-        if img.unit.ring != target:
-            raise RingMismatchError("image units must live in the target ring")
-        if img.unit.constant_term != 1:
-            raise ValueError("image unit series must have constant term 1")
-        if img.scalar == 0:
-            raise ValueError("image scalar must be nonzero")
-        key = target.scale_exponents(img.monomial)
-        mono_keys.append(key)
-        # weighted degree of the image (the unit part only adds to it)
-        img_w = sum(
-            w * Fraction(k, target.modulus) for w, k in zip(target.weights, key)
-        )
-        if img_w < src.weights[a]:
-            raise DegreeDecreasingSubstitutionError(
-                f"image of variable {src.names[a]} has weighted degree "
-                f"{img_w} < its weight {src.weights[a]}"
-            )
-    m = src.modulus
-    roots = [unit_power(img.unit, Fraction(1, m)) for img in images]
-    powers: list[list[TruncatedSeries]] = [[target.one()] for _ in images]
-
-    def root_power(a: int, k: int) -> TruncatedSeries:
-        cache = powers[a]
-        while len(cache) <= k:
-            cache.append(cache[-1] * roots[a])
-        return cache[k]
-
-    out = target.zero()
-    for key, coeff in f._terms.items():
-        c = Fraction(coeff)
-        shift = [0] * target.nvars
-        for a, ka in enumerate(key):
-            if ka == 0:
-                continue
-            if images[a].scalar != 1:
-                if ka % m != 0:
-                    raise ValueError(
-                        "fractional power of a non-unit scalar prefactor"
-                    )
-                c *= images[a].scalar ** (ka // m)
-            for cidx, mk in enumerate(mono_keys[a]):
-                v = ka * mk
-                if v % m != 0:
-                    raise ValueError(
-                        "substituted exponent leaves the target lattice"
-                    )
-                shift[cidx] += v // m
-        if not target.in_bounds(tuple(shift)):
-            continue
-        term = target.scalar(c)
-        for a, ka in enumerate(key):
-            if ka:
-                term = term * root_power(a, ka)
-        term = term.shift(tuple(shift))
-        out = out + term
-    return out
 
 
 def solve_fixed_point(

@@ -22,7 +22,7 @@ from .lattice import (
     fm_solve,
     integer_kernel,
     primitive_vector,
-    rank_rational,
+    rank,
     solve_integer,
     solve_rational,
     transpose,
@@ -141,7 +141,7 @@ def validate(fan: StackyFan) -> ValidationReport:
             issues.append(f"cone {c} references a missing ray")
             return ValidationReport(False, tuple(issues))
         vecs = fan.cone_vectors(c)
-        if rank_rational(vecs) != len(c):
+        if rank(vecs) != len(c):
             issues.append(f"cone {c} is not simplicial (generators dependent)")
     for a, b in combinations(range(len(fan.max_cones)), 2):
         ca, cb = fan.max_cones[a], fan.max_cones[b]
@@ -553,8 +553,7 @@ def _fan_sequence_uncached(fan: StackyFan, basis_p) -> FanSequenceData:
     kernel = [list(r) for r in integer_kernel(phi)]
     r = len(kernel)
     m = fan.n_rays
-    ray_rank = rank_rational(fan.stacky_vectors) if m else 0
-    r_prime = m - ray_rank
+    r_prime = m - rank(fan.stacky_vectors)
     divisors = [tuple(kernel[k][i] for k in range(r)) for i in range(fan.n_vectors)]
     extras = list(range(m, fan.n_vectors))
     if r == 0:
@@ -624,15 +623,17 @@ def _validate_basis(fan, divisors, extras, p, r_prime, inside_kahler):
                 )
 
 
-def _dual_kernel_coords(fan, divisors, j) -> list[Fraction]:
-    """Kernel-basis coordinates of the dual class of extra vector j."""
+def _dual_class_solve(fan, divisors, j):
+    """Carrier, cone coefficients, pairings and kernel-basis coordinates of
+    the dual class of extra vector j.
+    """
     b = fan.vectors[j]
-    carrier = coeffs = None
+    carrier = None
     for mc in fan.max_cones:
         ok, lam = cone_contains(fan.cone_vectors(mc), b)
         if ok:
-            carrier = [i for i, l in zip(mc, lam) if l != 0]
-            coeffs = [l for l in lam if l != 0]
+            carrier = tuple(i for i, l in zip(mc, lam) if l != 0)
+            coeffs = tuple(l for l in lam if l != 0)
             break
     if carrier is None:
         raise FanError(f"extra vector {b} lies outside the support")
@@ -647,7 +648,7 @@ def _dual_kernel_coords(fan, divisors, j) -> list[Fraction]:
     sol = solve_rational([list(map(Fraction, d)) for d in divisors], rhs)
     if sol is None:
         raise FanError("dual class system inconsistent")
-    return sol
+    return carrier, coeffs, tuple(rhs), sol
 
 
 def _search_basis(fan, divisors, extras, r, r_prime, inside_kahler):
@@ -699,7 +700,7 @@ def _search_basis(fan, divisors, extras, r, r_prime, inside_kahler):
     # Kahler cone lift when the image of x is nef; taking floors instead of
     # the exact pairings keeps the candidate integral while only adding
     # nonnegative multiples of extra divisor classes.
-    duals = [_dual_kernel_coords(fan, divisors, j) for j in extras]
+    duals = [_dual_class_solve(fan, divisors, j)[3] for j in extras]
     nef_pool: list[tuple[int, ...]] = []
     nef_seen = set()
 
@@ -730,12 +731,18 @@ def _search_basis(fan, divisors, extras, r, r_prime, inside_kahler):
             add_nef([a + b for a, b in zip(divisors[i], divisors[j])])
 
     # staged effort: the small combination range covers low torsion cheaply;
-    # widen it only when the assembly fails.  A pool that does not even
-    # generate the saturated extra-divisor lattice cannot contain a basis of
-    # it, so such stages are skipped without searching.
+    # widen it only when the assembly fails.  The last stage also adds sums
+    # of three ray divisors to the nef pool: on the hexagon (dP6) the pairwise
+    # sums reach only H - E_i and -K, which are linearly dependent.  A pool
+    # that does not even generate the saturated extra-divisor lattice cannot
+    # contain a basis of it, so such stages are skipped without searching.
     spans = [3] if max_span <= 3 else [3, max_span]
+    stages = [(span, ()) for span in spans]
+    stages.append((spans[-1], combinations(range(fan.n_rays), 3)))
     found = None
-    for span in spans:
+    for span, nef_sums in stages:
+        for idx in nef_sums:
+            add_nef([sum(divisors[i][k] for i in idx) for k in range(r)])
         pool = ext_pool_with_span(span)
         if n_extra and elementary_divisors(
             [list(v) for v in pool]
@@ -774,7 +781,7 @@ def _assemble_basis(ext_pool, nef_pool, r, r_prime, n_extra, node_budget=200000)
             if budget[0] <= 0:
                 return None
             cand = chosen + [list(pool[idx])]
-            if rank_rational(cand) != len(cand) or not saturated(cand):
+            if not saturated(cand):
                 continue
             rest = extend(cand, pool, count - 1, idx + 1)
             if rest is not None:
@@ -794,7 +801,7 @@ def _assemble_basis(ext_pool, nef_pool, r, r_prime, n_extra, node_budget=200000)
             if budget[0] <= 0:
                 return
             cand = [list(v) for v in chosen] + [list(ext_pool[idx])]
-            if rank_rational(cand) != len(cand) or not saturated(cand):
+            if not saturated(cand):
                 continue
             collect_ext(chosen + [ext_pool[idx]], idx + 1)
 
@@ -847,35 +854,10 @@ def dual_class_data(fan: StackyFan, seq: FanSequenceData, j: int) -> DualClassDa
     relation pairing to 1 with the j-th divisor class, to -c_i with the
     carrier-ray classes, and to 0 with everything else.
     """
-    m = fan.n_rays
-    if j < m or j >= fan.n_vectors:
+    if j < fan.n_rays or j >= fan.n_vectors:
         raise FanError(f"index {j} is not an extra vector")
-    b = fan.vectors[j]
-    carrier = None
-    for mc in fan.max_cones:
-        ok, lam = cone_contains(fan.cone_vectors(mc), b)
-        if ok:
-            carrier = tuple(i for i, l in zip(mc, lam) if l != 0)
-            coeffs = tuple(l for l in lam if l != 0)
-            break
-    if carrier is None:
-        raise FanError(f"extra vector {b} lies outside the support")
-    full = frozenset(range(fan.n_vectors))
-    anticone = full - frozenset(carrier)
-    rhs = []
-    for i in range(fan.n_vectors):
-        if i == j:
-            rhs.append(Fraction(1))
-        elif i in carrier:
-            rhs.append(-coeffs[carrier.index(i)])
-        else:
-            rhs.append(Fraction(0))
-    sol = solve_rational(
-        [list(map(Fraction, d)) for d in seq.divisors], rhs
-    )
-    if sol is None:
-        raise FanError("dual class system inconsistent")
-    ambient = tuple(rhs)
+    carrier, coeffs, ambient, sol = _dual_class_solve(fan, seq.divisors, j)
+    anticone = frozenset(range(fan.n_vectors)) - frozenset(carrier)
     pcoords = tuple(
         sum(Fraction(p) * c for p, c in zip(row, sol)) for row in seq.basis_p
     )

@@ -188,13 +188,6 @@ def test_verify_small_window(capsys):
     assert "FAIL" not in out
 
 
-def test_potential_parallel_matches_serial(capsys):
-    args = ("potential", str(FANS / "p2z3.json"), "--order", "2")
-    _, serial, _ = run(capsys, *args)
-    _, parallel, _ = run(capsys, *args, "--parallel")
-    assert serial == parallel
-
-
 def test_invariant_output_round_trip(capsys):
     code, out, _ = run(
         capsys,

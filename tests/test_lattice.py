@@ -140,6 +140,22 @@ def test_rank_nullity(a):
         assert elementary_divisors(k) == [1] * len(k)
 
 
+def test_normal_forms_reject_non_integral_entries():
+    a = [[1, Fraction(1, 2)], [0, 1]]
+    with pytest.raises(ValueError):
+        hermite_normal_form(a)
+    with pytest.raises(ValueError):
+        smith_normal_form(a)
+    assert hermite_normal_form([[Fraction(2), 0], [0, 1]])[0] == [[2, 0], [0, 1]]
+
+
+def test_rank_of_rational_rows():
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    assert rank([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == 2
+    ok, lam = cone_contains([(Fraction(1, 2), 0), (0, Fraction(1, 3))], (1, 1))
+    assert ok and lam == [2, 3]
+
+
 def test_solve_rational_examples():
     x = solve_rational([[2, -1], [-1, 2]], [1, 0])
     assert x == [Fraction(2, 3), Fraction(1, 3)]

@@ -442,6 +442,16 @@ def test_potential_f2_exceptional_correction():
         assert terms[0][0] == by_z[z].area
 
 
+def test_potential_hexagon_is_bare_areas():
+    # smooth dP6: its grading basis needs a sum of three ray divisors
+    rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    fan = StackyFan.make(2, rays, [(i, (i + 1) % 6) for i in range(6)])
+    data = assemble_potential(fan, 0, 6)
+    assert sorted(e.z_monomial for e in data.entries) == sorted(rays)
+    for e in data.entries:
+        assert list(e.series.terms()) == [(e.area, 1)]
+
+
 def test_random_cy_charts_round_trip():
     # fresh 2d charts: cone over a height-one segment with all of its
     # interior lattice points as sectors

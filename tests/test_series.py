@@ -9,18 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbidisk.series import (
-    DegreeDecreasingSubstitutionError,
     NoConvergenceError,
     NonzeroConstantTermError,
     RingMismatchError,
     SeriesRing,
-    SubstitutionImage,
     TruncatedSeries,
     exp_series,
     log1p,
     solve_fixed_point,
-    substitute,
-    unit_power,
 )
 
 R2 = SeriesRing(2, 1, 6, names=("y0", "y1"))
@@ -119,55 +115,6 @@ def test_exp_inverse_identities(f):
     assert exp_series(f) * exp_series(-f) == one
     assert exp_series(log1p(f)) == one + f
     assert log1p(exp_series(f) - 1) == f
-
-
-def test_unit_power_roots():
-    r = SeriesRing(1, 1, 4)
-    u = r.one() + r.variable(0)
-    cube = unit_power(u, 3)
-    assert cube == u * u * u
-    back = unit_power(cube, Fraction(1, 3))
-    assert back == u
-
-
-def test_substitute_identity():
-    r = SeriesRing(2, 1, 4, names=("a", "b"))
-    f = r.monomial((2, 1), Fraction(5, 3)) + r.one()
-    images = [
-        SubstitutionImage.of(r.one(), monomial=(1, 0)),
-        SubstitutionImage.of(r.one(), monomial=(0, 1)),
-    ]
-    assert substitute(f, images) == f
-
-
-def test_substitute_example():
-    # f = y0^2 under y0 -> q (1 + t)
-    src = SeriesRing(1, 1, 4, names=("y0",))
-    tgt = SeriesRing(2, 1, 4, names=("q", "t"))
-    f = src.monomial((2,))
-    img = SubstitutionImage.of(tgt.one() + tgt.variable(1), monomial=(1, 0))
-    out = substitute(f, [img])
-    expect = tgt.monomial((2, 0)) * (tgt.one() + tgt.variable(1)) ** 2
-    assert out == expect
-
-
-def test_substitute_fractional_exponents():
-    # y^(1/3) -> t * u^(1/3) needs the unit root machinery
-    src = SeriesRing(1, 3, 2, names=("y",))
-    tgt = SeriesRing(1, 3, 2, names=("t",))
-    u = tgt.one() + tgt.monomial((1,))
-    f = src.monomial((Fraction(1, 3),))
-    out = substitute(f, [SubstitutionImage.of(u, monomial=(1,))])
-    expect = tgt.monomial((Fraction(1, 3),)) * unit_power(u, Fraction(1, 3))
-    assert out == expect
-
-
-def test_substitute_degree_guard():
-    src = SeriesRing(1, 1, 4)
-    tgt = SeriesRing(1, 1, 4)
-    img = SubstitutionImage.of(tgt.one() + tgt.variable(0), monomial=(0,))
-    with pytest.raises(DegreeDecreasingSubstitutionError):
-        substitute(src.variable(0), [img])
 
 
 def test_fixed_point_constant_map():
