@@ -26,7 +26,7 @@ from .mirror import (
     disk_generating_function,
     extract_invariant,
 )
-from .oracle import Cyclotomic6, oracle_generating_functions, oracle_table
+from .oracle import oracle_generating_functions, sector_generating_functions
 from .series import SeriesRing, TruncatedSeries, exp_series, log1p, solve_fixed_point
 from .stacky import (
     BoxElement,
@@ -51,7 +51,6 @@ __all__ = [
     "BoxElement",
     "ChartPipeline",
     "ComputationError",
-    "Cyclotomic6",
     "DiskClassSymbol",
     "DiskGeneratingFunction",
     "FanError",
@@ -78,7 +77,7 @@ __all__ = [
     "log1p",
     "maslov_index",
     "oracle_generating_functions",
-    "oracle_table",
+    "sector_generating_functions",
     "semifano_check",
     "smith_normal_form",
     "solve_fixed_point",

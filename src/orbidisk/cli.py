@@ -364,14 +364,6 @@ def verify_quotient_plane(amax: int, bmax: int, out=print):
     g122 = disk_generating_function(
         fan, DiskClassSymbol.orbi((1, -1)), degree, pipeline_cache=cache
     )
-    tau_w = g112.series.ring.weights
-    if any(w != 1 for w in tau_w):  # pragma: no cover - canonical basis
-        g112 = disk_generating_function(
-            fan, DiskClassSymbol.orbi((0, -1)), degree * max(tau_w)
-        )
-        g122 = disk_generating_function(
-            fan, DiskClassSymbol.orbi((1, -1)), degree * max(tau_w)
-        )
     try:
         oracle112, oracle122 = oracle_generating_functions(degree)
         checks.append(("oracle coefficients rational, root product is -1", True))
@@ -454,7 +446,6 @@ def verify_quotient_plane(amax: int, bmax: int, out=print):
 
 
 def _series_matches(dgf: DiskGeneratingFunction, table, degree) -> bool:
-    ring = dgf.series.ring
     got = {}
     for exps, coeff in dgf.series.terms():
         key = tuple(int(e) for e in exps)

@@ -232,7 +232,7 @@ class ChartPipeline:
             lead = self.y_ring.scale_exponents(dual.pcoords)
             # the leading term can only be checked when the truncation order
             # reaches the sector's weight at all
-            if self.y_ring.in_bounds(lead) and series._terms.get(lead) != 1:
+            if self.y_ring.in_bounds(lead) and series.scaled_coefficient(lead) != 1:
                 raise ComputationError(
                     f"leading coefficient of the sector series at "
                     f"{self.fan.vectors[j]} is not 1"
@@ -582,7 +582,7 @@ def extract_invariant(
         raise OrderTooLowError(
             "requested coefficient lies beyond the truncation order"
         )
-    return dgf.series._terms.get(key, Fraction(0))
+    return dgf.series.scaled_coefficient(key)
 
 
 # ---------------------------------------------------------------------------

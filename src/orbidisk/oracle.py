@@ -1,18 +1,28 @@
-"""Closed-form reference values for the quotient-plane example.
+"""Closed-form reference values for the local models C^2/Z_n.
 
-The local model C^2/Z_3 has a closed-form disk potential built from three
-root-of-unity deformations kappa_k; the compact quotient plane inherits it
-chart by chart.  This module expands those closed forms in exact cyclotomic
-arithmetic (Q[zeta] with zeta^2 = zeta - 1, a primitive sixth root of unity)
-and recovers the rational invariant table from them.  It is deliberately
-self-contained: the only thing it shares with the mirror pipeline is the
-fractions module, so it can serve as an independent cross-check.
+The deformed local potential of C^2/Z_n is prod_k (z - kappa_k) over the n
+deformed roots
+
+    kappa_k = zeta^(2k+1) exp((1/n) sum_r zeta^((2k+1) r) t_r),  k = 0..n-1,
+
+with zeta = exp(i pi / n) and t_r the variable of the twisted sector at
+position r on the edge (r = 1..n-1).  The z^m coefficient, the signed
+elementary symmetric function (-1)^(n-m) e_(n-m) of the roots, is the
+generating function of sector m.  The compact quotient plane inherits its two
+edge sectors chart by chart from the n=3 member.
+
+This module expands the e_m in exact arithmetic in Q(zeta) and recovers the
+rational tables from them.  It is deliberately self-contained: it shares
+nothing with the mirror pipeline but the standard library, so it can serve as
+an independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 
@@ -20,161 +30,172 @@ class NonRationalCoefficientError(ArithmeticError):
     """A coefficient kept a cyclotomic part that should have cancelled."""
 
 
-@dataclass(frozen=True)
-class Cyclotomic6:
-    """a + b*zeta with zeta^2 = zeta - 1 (so zeta^3 = -1, zeta^6 = 1)."""
+def _divide_exactly(num, den) -> list[int]:
+    """Quotient of integer polynomials by a monic divisor, ascending coefficients."""
+    num = list(num)
+    k = len(den) - 1
+    quot = [0] * (len(num) - k)
+    for i in range(len(quot) - 1, -1, -1):
+        f = quot[i] = num[i + k]
+        for j, c in enumerate(den):
+            num[i + j] -= f * c
+    if any(num):
+        raise ArithmeticError("polynomial division left a remainder")
+    return quot
 
-    a: Fraction
-    b: Fraction
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Ascending coefficients of Phi_m: x^m - 1 over Phi_d for every proper divisor d."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _divide_exactly(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+def _reduce(poly: list, n: int) -> tuple:
+    """Coordinates of a polynomial in zeta modulo the monic Phi_2n."""
+    phi = cyclotomic_polynomial(2 * n)
+    d = len(phi) - 1
+    poly = poly + [0] * (d - len(poly))
+    for i in range(len(poly) - 1, d - 1, -1):
+        f = poly[i]
+        if f:
+            for j in range(d + 1):
+                poly[i - d + j] -= f * phi[j]
+    return tuple(poly[:d])
+
+
+@dataclass(frozen=True)
+class Cyclotomic:
+    """An element of Q(zeta), zeta = exp(i pi / n).
+
+    `coords` are the coordinates in the power basis 1, zeta, ...,
+    zeta^(d-1) modulo Phi_2n, d = deg Phi_2n; `a` and `b` are the first two.
+    """
+
+    n: int
+    coords: tuple
 
     @staticmethod
-    def of(a, b=0) -> "Cyclotomic6":
-        return Cyclotomic6(Fraction(a), Fraction(b))
+    def of(n: int, value) -> "Cyclotomic":
+        return Cyclotomic(n, _reduce([value], n))
+
+    @staticmethod
+    def zeta(n: int, j: int = 1) -> "Cyclotomic":
+        """zeta^j."""
+        return Cyclotomic(n, _reduce([0] * (j % (2 * n)) + [1], n))
+
+    @property
+    def a(self):
+        return self.coords[0]
+
+    @property
+    def b(self):
+        return self.coords[1]
 
     def __add__(self, other):
-        return Cyclotomic6(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return Cyclotomic6(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return Cyclotomic6(-self.a, -self.b)
+        return Cyclotomic(self.n, tuple(x + y for x, y in zip(self.coords, other.coords)))
 
     def __mul__(self, other):
-        if isinstance(other, Cyclotomic6):
-            # (a + b z)(c + d z) = ac + (ad + bc) z + bd (z - 1)
-            return Cyclotomic6(
-                self.a * other.a - self.b * other.b,
-                self.a * other.b + self.b * other.a + self.b * other.b,
-            )
-        return Cyclotomic6(self.a * Fraction(other), self.b * Fraction(other))
-
-    __rmul__ = __mul__
+        if not isinstance(other, Cyclotomic):
+            return Cyclotomic(self.n, tuple(x * other for x in self.coords))
+        prod = [0] * (2 * len(self.coords) - 1)
+        for i, x in enumerate(self.coords):
+            if x:
+                for j, y in enumerate(other.coords):
+                    prod[i + j] += x * y
+        return Cyclotomic(self.n, _reduce(prod, self.n))
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not any(self.coords)
 
     def rational(self) -> Fraction:
-        if self.b != 0:
-            raise NonRationalCoefficientError(f"zeta part {self.b} survived")
-        return self.a
+        if any(self.coords[1:]):
+            raise NonRationalCoefficientError(f"zeta part {self.coords[1:]} survived")
+        return Fraction(self.coords[0])
 
 
-ZETA = Cyclotomic6.of(0, 1)
+@dataclass(frozen=True)
+class CyclotomicSeries:
+    """A truncated series in t_1..t_(n-1): exponent tuple -> nonzero coefficient."""
+
+    terms: dict[tuple[int, ...], Cyclotomic]
 
 
-def zeta_power(k: int) -> Cyclotomic6:
-    out = Cyclotomic6.of(1)
-    for _ in range(k % 6):
-        out = out * ZETA
-    return out
+def elementary_symmetric(order: int, n: int = 3) -> tuple[CyclotomicSeries, ...]:
+    """(e_1, ..., e_n) of the deformed roots of C^2/Z_n, to total degree `order`.
+
+    e_m is a sum over the m-subsets S of the roots,
+
+        e_m = sum_S zeta^(sum_S (2k+1)) exp((1/n) sum_r c_(S,r) t_r),
+        c_(S,r) = sum_(k in S) zeta^((2k+1) r),
+
+    so the coefficient of t^a is sum_S zeta^(...) prod_r c_(S,r)^(a_r) / a_r!
+    over n^|a|, and no series products are needed.
+    """
+    if n < 2:
+        raise ValueError("C^2/Z_n needs n >= 2")
+    zero = Cyclotomic.of(n, 0)
+    out = []
+    for m in range(1, n + 1):
+        acc: dict = {}
+        for subset in combinations(range(n), m):
+            terms = {(): Cyclotomic.zeta(n, sum(2 * k + 1 for k in subset))}
+            for r in range(1, n):
+                c = zero
+                for k in subset:
+                    c = c + Cyclotomic.zeta(n, (2 * k + 1) * r)
+                powers = [Cyclotomic.of(n, 1)]
+                for _ in range(order):
+                    powers.append(powers[-1] * c)
+                terms = {
+                    key + (j,): v * powers[j]
+                    for key, v in terms.items()
+                    for j in range(order + 1 - sum(key))
+                }
+            for key, v in terms.items():
+                acc[key] = acc[key] + v if key in acc else v
+        series = {}
+        for key, v in acc.items():
+            if not v.is_zero():
+                den = n ** sum(key)
+                for e in key:
+                    den *= factorial(e)
+                series[key] = v * Fraction(1, den)
+        out.append(CyclotomicSeries(series))
+    return tuple(out)
 
 
-class CycloSeries:
-    """Dense series in two variables with Cyclotomic6 coefficients."""
+def sector_generating_functions(
+    n: int, order: int
+) -> dict[int, dict[tuple[int, ...], Fraction]]:
+    """Rational generating function of every sector m = 1..n-1 of C^2/Z_n.
 
-    def __init__(self, order: int, terms=None):
-        self.order = order
-        self.terms: dict[tuple[int, int], Cyclotomic6] = dict(terms or {})
-
-    @staticmethod
-    def constant(order: int, c: Cyclotomic6) -> "CycloSeries":
-        s = CycloSeries(order)
-        if not c.is_zero():
-            s.terms[(0, 0)] = c
-        return s
-
-    def coefficient(self, a: int, b: int) -> Cyclotomic6:
-        return self.terms.get((a, b), Cyclotomic6.of(0))
-
-    def __add__(self, other):
-        out = CycloSeries(self.order, self.terms)
-        for k, v in other.terms.items():
-            w = out.terms.get(k, Cyclotomic6.of(0)) + v
-            if w.is_zero():
-                out.terms.pop(k, None)
-            else:
-                out.terms[k] = w
-        return out
-
-    def __neg__(self):
-        return CycloSeries(self.order, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = CycloSeries(self.order)
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                if a1 + a2 + b1 + b2 > self.order:
-                    continue
-                k = (a1 + a2, b1 + b2)
-                w = out.terms.get(k, Cyclotomic6.of(0)) + c1 * c2
-                if w.is_zero():
-                    out.terms.pop(k, None)
-                else:
-                    out.terms[k] = w
-        return out
-
-
-def _exp_linear(order: int, c1: Cyclotomic6, c2: Cyclotomic6) -> CycloSeries:
-    """exp(c1 t1 + c2 t2) truncated at total order."""
-    out = CycloSeries(order)
-    pow1 = [Cyclotomic6.of(1)]
-    pow2 = [Cyclotomic6.of(1)]
-    for _ in range(order):
-        pow1.append(pow1[-1] * c1)
-        pow2.append(pow2[-1] * c2)
-    for a in range(order + 1):
-        for b in range(order + 1 - a):
-            coeff = pow1[a] * pow2[b] * Fraction(1, factorial(a) * factorial(b))
-            if not coeff.is_zero():
-                out.terms[(a, b)] = coeff
-    return out
-
-
-def kappa(k: int, order: int) -> CycloSeries:
-    """The k-th root deformation zeta^(2k+1) exp(zeta^(2k+1) t1 / 3) exp(zeta^(4k+2) t2 / 3)."""
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
-    pref = zeta_power(2 * k + 1)
-    c1 = zeta_power(2 * k + 1) * Fraction(1, 3)
-    c2 = zeta_power(2 * (2 * k + 1)) * Fraction(1, 3)
-    e = _exp_linear(order, c1, c2)
-    return CycloSeries(order, {key: pref * v for key, v in e.terms.items()})
-
-
-def elementary_symmetric(order: int) -> tuple[CycloSeries, CycloSeries, CycloSeries]:
-    """(sigma1, sigma2, sigma3) of kappa_0, kappa_1, kappa_2."""
-    k0, k1, k2 = kappa(0, order), kappa(1, order), kappa(2, order)
-    s1 = k0 + k1 + k2
-    s2 = k0 * k1 + k0 * k2 + k1 * k2
-    s3 = k0 * k1 * k2
-    return s1, s2, s3
+    Each maps exponent tuples (t_1, ..., t_(n-1)) of total degree at most
+    `order` to nonzero coefficients.  The product of the roots must be
+    exactly (-1)^n and every coefficient rational (the cyclotomic parts
+    cancel by the Galois symmetry), otherwise NonRationalCoefficientError is
+    raised.
+    """
+    e = elementary_symmetric(order, n)
+    if e[-1].terms != {(0,) * (n - 1): Cyclotomic.of(n, (-1) ** n)}:
+        raise NonRationalCoefficientError(
+            f"product of the deformed roots of Z{n} is not (-1)^{n}"
+        )
+    return {
+        m: {k: (-1) ** (n - m) * v.rational() for k, v in e[n - m - 1].terms.items()}
+        for m in range(1, n)
+    }
 
 
 def oracle_generating_functions(order: int):
-    """Rational generating functions of the two edge sectors.
+    """Rational generating functions of the quotient plane's two edge sectors.
 
-    Expanding z^-1 w^-1 (z - kappa_0)(z - kappa_1)(z - kappa_2) and reading
-    the w^-1 and z w^-1 coefficients gives sigma2 and -sigma1; both must be
-    rational term by term (the cyclotomic parts cancel by the Galois
-    symmetry), otherwise NonRationalCoefficientError is raised.
+    These are sectors 1 and 2 of C^2/Z_3: sigma2 and -sigma1 of the three
+    deformed roots, the coefficients of w^-1 and z w^-1 in
+    z^-1 w^-1 (z - kappa_0)(z - kappa_1)(z - kappa_2).
     """
-    s1, s2, s3 = elementary_symmetric(order)
-    for key, v in s3.terms.items():
-        expect = Fraction(-1) if key == (0, 0) else Fraction(0)
-        if v.a != expect or v.b != 0:
-            raise NonRationalCoefficientError("product of the roots is not -1")
-    g112 = {k: v.rational() for k, v in s2.terms.items() if not v.is_zero()}
-    g122 = {k: (-v).rational() for k, v in s1.terms.items() if not v.is_zero()}
-    return g112, g122
-
-
-def oracle_table(amax: int, bmax: int) -> dict[tuple[int, int], Fraction]:
-    """Invariant table n_(a,b): coefficients of t1^a t2^b in the 112 sector."""
-    order = amax + bmax
-    g112, _ = oracle_generating_functions(order)
-    return {
-        (a, b): g112.get((a, b), Fraction(0))
-        for a in range(amax + 1)
-        for b in range(bmax + 1)
-    }
+    sectors = sector_generating_functions(3, order)
+    return sectors[1], sectors[2]

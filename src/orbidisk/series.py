@@ -143,7 +143,10 @@ class TruncatedSeries:
         return self._terms.get((0,) * self.ring.nvars, Fraction(0))
 
     def coefficient(self, exponents) -> Fraction:
-        key = self.ring.scale_exponents(exponents)
+        return self.scaled_coefficient(self.ring.scale_exponents(exponents))
+
+    def scaled_coefficient(self, key) -> Fraction:
+        """Coefficient at an exponent key already scaled by the ring modulus."""
         return self._terms.get(key, Fraction(0))
 
     def terms(self):

@@ -1,177 +1,26 @@
 """Closed-form cross-check for the whole local family C^2/Z_n.
 
-The deformed local potential is a product of n root-of-unity factors; the
-m-th sector's generating function is the signed elementary symmetric
-function (-1)^(n-m) e_{n-m} of the deformed roots
-
-    kappa_k = zeta^(2k+1) exp((1/n) sum_r zeta^((2k+1) r) tau_r),
-
-with zeta a primitive 2n-th root of unity.  This file expands those closed
-forms exactly in Q[x]/(x^n + 1) (with rationality checked modulo the minimal
-polynomial of zeta) and compares them against the mirror pipeline.  The n=2
-and n=3 members reproduce 2 sin(tau/2) and the quotient-plane oracle; the
-larger n exercise sectors of different weights and the rank-refined
-inversion.
+The m-th sector's generating function of C^2/Z_n is the signed elementary
+symmetric function (-1)^(n-m) e_(n-m) of the deformed roots (see
+`orbidisk.oracle`).  This file compares those closed forms against the mirror
+pipeline; the larger n exercise sectors of different weights and the
+rank-refined inversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
-from math import factorial
 
 import pytest
 
 from orbidisk.mirror import ChartPipeline
+from orbidisk.oracle import sector_generating_functions
 from orbidisk.stacky import DiskClassSymbol, StackyFan
-
-# minimal polynomials of exp(i pi / n), ascending coefficients
-MINIMAL_POLY = {
-    2: (1, 0, 1),
-    3: (1, -1, 1),
-    4: (1, 0, 0, 0, 1),
-    5: (1, -1, 1, -1, 1),
-}
-
-
-class RootOfMinusOne:
-    """Exact arithmetic in Q[x]/(x^n + 1), x a primitive 2n-th root of unity."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs=None):
-        self.n = n
-        self.coeffs = (
-            tuple(coeffs) if coeffs is not None else (Fraction(0),) * n
-        )
-
-    @staticmethod
-    def const(n, v) -> "RootOfMinusOne":
-        return RootOfMinusOne(n, (Fraction(v),) + (Fraction(0),) * (n - 1))
-
-    @staticmethod
-    def root_power(n, j) -> "RootOfMinusOne":
-        j %= 2 * n
-        sign = 1
-        if j >= n:
-            j -= n
-            sign = -1
-        c = [Fraction(0)] * n
-        c[j] = Fraction(sign)
-        return RootOfMinusOne(n, c)
-
-    def __add__(self, other):
-        return RootOfMinusOne(
-            self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        return RootOfMinusOne(self.n, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RootOfMinusOne(
-                self.n, tuple(a * Fraction(other) for a in self.coeffs)
-            )
-        n = self.n
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        k = i + j
-                        if k >= n:
-                            out[k - n] -= a * b
-                        else:
-                            out[k] += a * b
-        return RootOfMinusOne(n, out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs)
-
-    def rational(self) -> Fraction:
-        """Value as a rational, reducing modulo the minimal polynomial."""
-        phi = [Fraction(x) for x in MINIMAL_POLY[self.n]]
-        d = len(phi) - 1
-        rem = list(self.coeffs)
-        for i in range(len(rem) - 1, d - 1, -1):
-            f = rem[i]
-            if f:
-                for j, pc in enumerate(phi):
-                    rem[i - d + j] -= f * pc
-        assert all(v == 0 for v in rem[1:d]), rem
-        return rem[0]
-
-
-def local_closed_forms(n: int, degree: int):
-    """Sector generating functions of C^2/Z_n to the given tau degree."""
-    nv = n - 1
-    keys = [
-        k for k in iproduct(range(degree + 1), repeat=nv) if sum(k) <= degree
-    ]
-
-    def series_mul(f, g):
-        out: dict = {}
-        for k1, c1 in f.items():
-            for k2, c2 in g.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                if sum(k) <= degree:
-                    out[k] = out.get(k, RootOfMinusOne.const(n, 0)) + c1 * c2
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    kappas = []
-    for k in range(n):
-        linear = [
-            RootOfMinusOne.root_power(n, (2 * k + 1) * r) * Fraction(1, n)
-            for r in range(1, n)
-        ]
-        terms = {}
-        for key in keys:
-            c = RootOfMinusOne.const(n, 1)
-            den = 1
-            for r, e in enumerate(key):
-                for _ in range(e):
-                    c = c * linear[r]
-                den *= factorial(e)
-            c = c * Fraction(1, den)
-            if not c.is_zero():
-                terms[key] = c
-        pref = RootOfMinusOne.root_power(n, 2 * k + 1)
-        kappas.append({k2: pref * v for k2, v in terms.items()})
-
-    # expand prod_k (z - kappa_k) in z; the z^m coefficient is the m-th
-    # sector's generating function
-    polys = [{(0,) * nv: RootOfMinusOne.const(n, 1)}]
-    for kap in kappas:
-        new = [dict() for _ in range(len(polys) + 1)]
-        for j, coef in enumerate(polys):
-            for kk, v in coef.items():
-                new[j + 1][kk] = new[j + 1].get(
-                    kk, RootOfMinusOne.const(n, 0)
-                ) + v
-            for kk, v in series_mul(coef, kap).items():
-                new[j][kk] = new[j].get(kk, RootOfMinusOne.const(n, 0)) - v
-        polys = [
-            {k: v for k, v in d.items() if not v.is_zero()} for d in new
-        ]
-    out = {}
-    for m in range(1, n):
-        out[m] = {}
-        for k, v in polys[m].items():
-            r = v.rational()
-            if r:
-                out[m][k] = r
-    return out
 
 
 @pytest.mark.parametrize("n,degree", [(2, 6), (3, 6), (4, 5), (5, 5)])
 def test_local_family_matches_closed_forms(n, degree):
-    closed = local_closed_forms(n, degree)
+    closed = sector_generating_functions(n, degree)
     fan = StackyFan.make(
         2, [(0, 1), (n, 1)], [(0, 1)], [(m, 1) for m in range(1, n)]
     )

@@ -164,3 +164,13 @@ def test_stored_terms_stay_legal(f, g):
             assert coeff != 0
             assert ring.in_bounds(key)
             assert all(k >= 0 for k in key)
+
+
+@settings(max_examples=40)
+@given(series_in(SeriesRing(2, 2, 3)))
+def test_scaled_coefficient_agrees_with_coefficient(f):
+    listed = dict(f.terms())
+    for key in ((a, b) for a in range(8) for b in range(8)):
+        exps = tuple(Fraction(k, 2) for k in key)
+        want = listed.get(exps, Fraction(0))
+        assert f.scaled_coefficient(key) == f.coefficient(exps) == want
