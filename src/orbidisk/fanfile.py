@@ -136,21 +136,3 @@ def parse_fan_file(path) -> FanFile:
     except OSError as exc:
         raise FanFileError(f"cannot read {path}: {exc}") from exc
     return parse_fan_text(text)
-
-
-def serialize_fan(ff: FanFile) -> str:
-    doc = {
-        "dim": ff.dim,
-        "rays": [list(v) for v in ff.rays],
-        "max_cones": [list(c) for c in ff.max_cones],
-        "extra_vectors": (
-            ff.extra_vectors
-            if isinstance(ff.extra_vectors, str)
-            else [list(v) for v in ff.extra_vectors]
-        ),
-    }
-    if ff.basis_p is not None:
-        doc["basis_p"] = [list(v) for v in ff.basis_p]
-    if ff.normalization_cone is not None:
-        doc["normalization_cone"] = ff.normalization_cone
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -24,15 +24,6 @@ def transpose(a) -> list[list]:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def matmul(a, b) -> list[list]:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def matvec(a, v) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def primitive_vector(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector.
 

@@ -1,9 +1,10 @@
 """Mirror-map pipeline: correction series, map inversion, disk potentials.
 
 All invariant computations run on a toric Calabi-Yau chart.  The chart's
-effective classes are enumerated on the exponent grid of its grading basis;
-each ray or extra vector contributes a hypergeometric-type correction series
-A_j.  The map
+effective classes up to the truncation order are enumerated cone by cone: for
+each maximal cone, the classes pairing to nonnegative integers with the
+vectors outside it, under the weight budget of the order.  Each ray or extra
+vector contributes a hypergeometric-type correction series A_j.  The map
 
     q_a = y_a exp(sum_j Q_ja A_j(y)),   tau_j = A_j(y)
 
@@ -149,23 +150,73 @@ class ChartPipeline:
     # -- grid and omega sets ------------------------------------------------
 
     def grid(self) -> dict[tuple[int, ...], GridPoint]:
-        """All grading-grid exponents up to the truncation order."""
+        """Effective classes up to the truncation order, by scaled key.
+
+        A class is effective exactly when, for some maximal cone, it pairs to
+        a nonnegative integer with each of the r vectors outside the cone, so
+        the grid is the union over the maximal cones of `_cone_keys`.  Every
+        key found is classified again and must come out effective.
+        """
         if self._grid is not None:
             return self._grid
         out: dict[tuple[int, ...], GridPoint] = {}
-        bound = self.y_ring._bound
-
-        def scan(pos, acc, left):
-            if pos == self.r:
-                key = tuple(acc)
-                out[key] = self._classify(key)
-                return
-            for k in range(left + 1):
-                scan(pos + 1, acc + [k], left - k)
-
-        scan(0, [], bound)
+        for cone in self.fan.max_cones:
+            for key in self._cone_keys(cone):
+                if key in out:
+                    continue
+                gp = self._classify(key)
+                if not gp.effective:
+                    raise ComputationError(
+                        f"enumerated class {key} is not effective"
+                    )
+                out[key] = gp
         self._grid = out
         return out
+
+    def _cone_keys(self, cone):
+        """Keys within the order pairing to nonnegative integers with every
+        vector outside the cone.
+
+        Those r pairings k_e fix the class: inverting the r x r block of
+        gamma_basis on the outside columns gives the scaled key col_e of the
+        class pairing to 1 with e and to 0 with the other outside vectors,
+        and its weight w_e = sum(col_e).  The vectors k >= 0 with
+        sum_e w_e k_e within the order are enumerated, and sum_e k_e col_e is
+        yielded when it is integral and nonnegative.  The budget bounds the
+        enumeration only when every w_e > 0; otherwise ComputationError.
+        """
+        outside = [e for e in range(self.fan.n_vectors) if e not in cone]
+        if len(outside) != self.r:
+            raise ComputationError(
+                f"maximal cone {tuple(cone)} is not full-dimensional"
+            )
+        gamma = self.seq.gamma_basis
+        block = [[gamma[a][e] for a in range(self.r)] for e in outside]
+        cols = []
+        for idx in range(self.r):
+            unit = [int(i == idx) for i in range(self.r)]
+            cols.append([x * self.modulus for x in solve_rational(block, unit)])
+        # integer arithmetic throughout: every key scaled by den
+        den = lcm(1, *(x.denominator for col in cols for x in col))
+        cols = [[int(x * den) for x in col] for col in cols]
+        weights = [sum(col) for col in cols]
+        if any(w <= 0 for w in weights):
+            raise ComputationError(
+                f"cone {tuple(cone)} has a nonpositive enumeration weight"
+            )
+
+        def walk(pos, acc, left):
+            if pos == self.r:
+                if all(x >= 0 and x % den == 0 for x in acc):
+                    yield tuple(x // den for x in acc)
+                return
+            col, w = cols[pos], weights[pos]
+            for k in range(left // w + 1):
+                yield from walk(
+                    pos + 1, [x + k * c for x, c in zip(acc, col)], left - k * w
+                )
+
+        yield from walk(0, [0] * self.r, self.y_ring._bound * den)
 
     def _classify(self, key) -> GridPoint:
         pcoords = tuple(Fraction(k, self.modulus) for k in key)
@@ -182,7 +233,7 @@ class ChartPipeline:
         out = []
         origin = (0,) * self.r
         for key, gp in self.grid().items():
-            if key == origin or not gp.effective:
+            if key == origin:
                 continue
             cs = gp.pairings
             if j < self.fan.n_rays:
@@ -261,9 +312,6 @@ class ChartPipeline:
             mono = self.y_ring.variable(a)
             out.append(mono * exp_series(l))
         return out
-
-    def forward_tau(self) -> list[TruncatedSeries]:
-        return [self.a_series(j) for j in self.extras]
 
     # -- the triangular inversion ----------------------------------------------
 

@@ -37,10 +37,6 @@ class NotCompleteError(FanError):
     pass
 
 
-class PointNotOnBoundaryError(FanError):
-    pass
-
-
 class NoValidBasisError(FanError):
     """Automatic search for the grading basis failed; supply basis_p."""
 
@@ -423,19 +419,6 @@ def fan_polytope_facets(fan: StackyFan) -> tuple[PolytopeFacet, ...]:
     return tuple(out)
 
 
-def minimal_face(fan: StackyFan, point) -> tuple[int, ...]:
-    """Vertex set of the smallest fan-polytope face containing the point."""
-    facets = facets_containing(fan, point)
-    if not facets:
-        raise PointNotOnBoundaryError(
-            f"{tuple(point)} is interior to the fan polytope"
-        )
-    verts = set(facets[0].vertices)
-    for f in facets[1:]:
-        verts &= set(f.vertices)
-    return tuple(sorted(verts))
-
-
 def facets_containing(fan: StackyFan, point) -> tuple[PolytopeFacet, ...]:
     pt = list(point)
     return tuple(
@@ -443,21 +426,6 @@ def facets_containing(fan: StackyFan, point) -> tuple[PolytopeFacet, ...]:
         for f in fan_polytope_facets(fan)
         if sum(x * y for x, y in zip(f.normal, pt)) == f.height
     )
-
-
-def all_faces(fan: StackyFan) -> list[tuple[int, ...]]:
-    """Proper nonempty faces of the fan polytope, as vertex index sets."""
-    current = {frozenset(f.vertices) for f in fan_polytope_facets(fan)}
-    while True:
-        new = set(current)
-        for a in current:
-            for b in current:
-                c = a & b
-                if c:
-                    new.add(c)
-        if new == current:
-            return sorted(tuple(sorted(f)) for f in current)
-        current = new
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,76 @@ def random_single_cone_fan(rng: random.Random, dim: int) -> StackyFan:
         d = det(vecs)
         if d != 0 and abs(d) <= 20:
             return StackyFan.make(dim, vecs, [tuple(range(dim))])
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def example_fans(bench: bool = True) -> list[tuple[str, StackyFan]]:
+    """The fan files in fans/ and, with bench, perfbench/fans/, by name."""
+    from orbidisk.fanfile import parse_fan_file
+
+    paths = sorted((REPO / "fans").glob("*.json"))
+    if bench:
+        paths += sorted((REPO / "perfbench" / "fans").glob("*.json"))
+    return [(p.stem, parse_fan_file(p).resolve_fan()) for p in paths]
+
+
+def basic_class_charts(fan: StackyFan) -> list[StackyFan]:
+    """The distinct charts of every basic class over every facet holding it.
+
+    A fan file that is a chart itself (not complete) is its own only chart;
+    facets whose cone holds a ray off the facet give no chart and are skipped.
+    """
+    from orbidisk.mirror import potential_symbols
+    from orbidisk.stacky import FanError, facets_containing, is_complete
+    from orbidisk.suborbifold import build_suborbifold
+
+    if not is_complete(fan):
+        return [fan]
+    out: list[StackyFan] = []
+    for sym in potential_symbols(fan):
+        point = fan.stacky_vectors[sym.ray] if sym.kind == "ray" else sym.point
+        for facet in facets_containing(fan, point):
+            try:
+                chart = build_suborbifold(fan, sym, facet).fan
+            except FanError:
+                continue
+            if chart not in out:
+                out.append(chart)
+    return out
+
+
+def brute_force_grid(pipe) -> dict:
+    """Effective classes found by classifying every point of the exponent
+    simplex {key >= 0 : sum(key) <= bound}: the reference for the grid."""
+    out = {}
+
+    def scan(pos, acc, left):
+        if pos == pipe.r:
+            gp = pipe._classify(tuple(acc))
+            if gp.effective:
+                out[gp.key] = gp
+            return
+        for k in range(left + 1):
+            scan(pos + 1, acc + [k], left - k)
+
+    scan(0, [], pipe.y_ring._bound)
+    return out
+
+
+def assert_grid_is_brute_force(fan: StackyFan, order) -> int:
+    """The chart's enumerated grid equals the simplex scan, and so does every
+    omega set; returns the number of effective classes."""
+    from orbidisk.mirror import ChartPipeline
+
+    pipe = ChartPipeline(fan, order)
+    ref = ChartPipeline(fan, order)
+    ref._grid = brute_force_grid(ref)
+    assert pipe.grid() == ref._grid, f"grid of {fan} at order {order}"
+    for j in range(fan.n_vectors):
+        assert pipe.omega(j) == ref.omega(j), f"omega({j}) of {fan}"
+    return len(ref._grid)
 
 
 @pytest.fixture(scope="session")

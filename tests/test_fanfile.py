@@ -7,7 +7,6 @@ import pytest
 from orbidisk.fanfile import (
     FanFileError,
     parse_fan_text,
-    serialize_fan,
 )
 
 
@@ -28,14 +27,6 @@ def test_parse_and_resolve():
     fan = ff.resolve_fan()
     assert len(fan.extra_vectors) == 6  # auto age-1 sectors
     assert fan.n_vectors == 9
-
-
-def test_round_trip():
-    ff = parse_fan_text(GOOD)
-    again = parse_fan_text(serialize_fan(ff))
-    assert again == ff
-    # byte-identical re-serialization
-    assert serialize_fan(again) == serialize_fan(ff)
 
 
 def test_explicit_extras():

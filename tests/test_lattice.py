@@ -17,8 +17,6 @@ from orbidisk.lattice import (
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
-    matmul,
-    matvec,
     primitive_vector,
     rank,
     smith_normal_form,
@@ -26,6 +24,16 @@ from orbidisk.lattice import (
     solve_rational,
     transpose,
 )
+
+
+# plain matrix products, to check the transforms below
+def matvec(a, v) -> list:
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def matmul(a, b) -> list[list]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(

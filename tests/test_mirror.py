@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    assert_grid_is_brute_force,
+    basic_class_charts,
     c2z3_chart,
     c3z3_chart,
+    example_fans,
     f2_fan,
     om2_chart,
     p1xp1_fan,
@@ -247,6 +250,69 @@ def test_facet_independence_at_vertex():
         assert list(s.items()) == [((Fraction(0), Fraction(0)), Fraction(1))]
 
 
+def untwisted_invariants(dgf):
+    """(ambient class, value) of every invariant without insertions."""
+    return sorted((alpha, v) for alpha, ins, v in dgf.invariants() if not ins)
+
+
+def test_facet_independence_every_vertex_class():
+    # every ray on several facets gets the same untwisted invariants from
+    # each facet's chart; f3's long edge holds the ray (0,1) inside its cone
+    # off the facet, so that edge gives no chart
+    from orbidisk.stacky import FanError, facets_containing, is_complete
+
+    compared = 0
+    for name, fan in example_fans(bench=False):
+        if not is_complete(fan):
+            continue
+        for i, b in enumerate(fan.stacky_vectors):
+            facets = facets_containing(fan, b)
+            if len(facets) < 2:
+                continue
+            found = []
+            for f in facets:
+                try:
+                    dgf = disk_generating_function(
+                        fan, DiskClassSymbol.smooth(i), 6, f
+                    )
+                except FanError:
+                    continue
+                found.append(untwisted_invariants(dgf))
+            assert found, f"no chart for ray {i} of {name}"
+            zero = (Fraction(0),) * fan.n_vectors
+            assert (zero, 1) in found[0]
+            assert all(x == found[0] for x in found), f"ray {i} of {name}"
+            compared += len(found) - 1
+    assert compared >= 14
+
+
+def test_smooth_generating_functions_are_one():
+    from orbidisk.stacky import facets_containing
+
+    fans = dict(example_fans())
+    for name in ("p2", "p1xp1"):
+        fan = fans[name]
+        for sym in potential_symbols(fan):
+            for f in facets_containing(fan, fan.stacky_vectors[sym.ray]):
+                dgf = disk_generating_function(fan, sym, 6, f)
+                assert dgf.series == dgf.series.ring.one(), (name, sym, f)
+
+
+def test_f2_invariants_per_class():
+    # only the mid-edge ray (0,1) carries the 1 + q correction, q the
+    # degree-zero exceptional curve (pairings (1,-2,1,0))
+    fan = dict(example_fans())["f2"]
+    zero = (Fraction(0),) * 4
+    curve = tuple(Fraction(x) for x in (1, -2, 1, 0))
+    for sym in potential_symbols(fan):
+        dgf = disk_generating_function(fan, sym, 6)
+        want = [(zero, 1)]
+        if fan.stacky_vectors[sym.ray] == (0, 1):
+            want = sorted([(zero, 1), (curve, 1)])
+        assert untwisted_invariants(dgf) == want, sym
+        assert [ins for _, ins, _ in dgf.invariants()] == [{}] * len(want)
+
+
 def test_denominator_support(quotient_plane_tables):
     # denominators of extracted values only involve the chart torsion and
     # insertion factorials: every prime factor divides M * l!
@@ -415,14 +481,20 @@ def test_mixed_chart_pipeline():
     assert len(list(g2.terms())) == len(got2)
 
 
-def test_grid_size_formula():
-    from math import comb
-
-    pipe = ChartPipeline(c2z3_chart(), 1)
-    # the candidate grid is the standard simplex of the scaled lattice
-    assert len(pipe.grid()) == comb(pipe.modulus * 1 + pipe.r, pipe.r)
-    pipe4 = ChartPipeline(c2z3_chart(), 4)
-    assert len(pipe4.grid()) == comb(3 * 4 + 2, 2)
+def test_grid_matches_brute_force_scan():
+    # the cone-by-cone enumeration finds exactly the effective points of the
+    # exponent simplex; the Z5 chart runs at order 3 to keep the scan short
+    charts = {}
+    for _, fan in example_fans():
+        for chart in basic_class_charts(fan):
+            charts[chart] = 3 if len(chart.extra_vectors) >= 4 else 6
+    for chart in basic_class_charts(p2z3_extended()):
+        charts[chart] = 20
+    for chart in list(random_segment_charts()) + list(random_triangle_charts()):
+        charts.setdefault(chart, 2)
+    assert len(charts) > 40
+    for chart, order in charts.items():
+        assert assert_grid_is_brute_force(chart, order) >= 1
 
 
 def test_potential_f2_exceptional_correction():
@@ -452,40 +524,26 @@ def test_potential_hexagon_is_bare_areas():
         assert list(e.series.terms()) == [(e.area, 1)]
 
 
-def test_random_cy_charts_round_trip():
-    # fresh 2d charts: cone over a height-one segment with all of its
-    # interior lattice points as sectors
+def random_segment_charts():
+    """Cones over height-one segments with every interior point a sector."""
     import random
 
-    rng = random.Random(77)
     from orbidisk.stacky import validate
-    from orbidisk.suborbifold import cy_support_vector
 
+    rng = random.Random(77)
     for _ in range(10):
         a = rng.randint(-4, 2)
         b = a + rng.randint(1, 5)
         rays = [(a, 1), (b, 1)]
         extras = [(c, 1) for c in range(a + 1, b)]
         fan = StackyFan.make(2, rays, [(0, 1)], extras)
-        if not validate(fan).ok:  # pragma: no cover - always valid here
-            continue
-        assert cy_support_vector(fan) == (0, 1)
-        pipe = ChartPipeline(fan, 2)
-        assert pipe.round_trip_identity()
-        for jdx, j in enumerate(pipe.extras):
-            g = pipe.generating_function(
-                DiskClassSymbol.orbi(fan.vectors[j])
-            )
-            lead = tuple(
-                Fraction(1) if t == pipe.r_prime + jdx else Fraction(0)
-                for t in range(pipe.qt_ring.nvars)
-            )
-            assert g.coefficient(lead) == 1
+        if validate(fan).ok:  # always valid here
+            yield fan
 
 
-def test_random_3d_triangle_charts():
-    # cones over height-one lattice triangles; sectors are the interior
-    # and edge points of the triangle
+def random_triangle_charts():
+    """Cones over four height-one lattice triangles; the sectors are the
+    interior and edge points of the triangle."""
     import random
 
     from orbidisk.stacky import box_elements, validate
@@ -509,6 +567,29 @@ def test_random_3d_triangle_charts():
         if not validate(fan).ok:
             continue
         built += 1
+        yield fan
+
+
+def test_random_cy_charts_round_trip():
+    from orbidisk.suborbifold import cy_support_vector
+
+    for fan in random_segment_charts():
+        assert cy_support_vector(fan) == (0, 1)
+        pipe = ChartPipeline(fan, 2)
+        assert pipe.round_trip_identity()
+        for jdx, j in enumerate(pipe.extras):
+            g = pipe.generating_function(
+                DiskClassSymbol.orbi(fan.vectors[j])
+            )
+            lead = tuple(
+                Fraction(1) if t == pipe.r_prime + jdx else Fraction(0)
+                for t in range(pipe.qt_ring.nvars)
+            )
+            assert g.coefficient(lead) == 1
+
+
+def test_random_3d_triangle_charts():
+    for fan in random_triangle_charts():
         pipe = ChartPipeline(fan, 2)
         assert pipe.round_trip_identity()
         # sector normalization wherever the order reaches the sector weight
@@ -522,3 +603,27 @@ def test_random_3d_triangle_charts():
                     for t in range(pipe.qt_ring.nvars)
                 )
                 assert g.coefficient(lead) == 1
+
+
+def test_grid_guards():
+    from dataclasses import replace
+
+    from orbidisk.stacky import fan_sequence
+
+    fan = c2z3_chart()
+    seq = fan_sequence(fan)
+    # negated dual basis: every enumeration weight turns negative
+    flipped = replace(
+        seq, gamma_basis=tuple(tuple(-g for g in row) for row in seq.gamma_basis)
+    )
+    with pytest.raises(ComputationError, match="nonpositive enumeration weight"):
+        ChartPipeline(fan, 4, flipped).grid()
+    # no anticone at all: the enumerated classes fail their classification
+    pipe = ChartPipeline(fan, 4)
+    pipe._anticones = set()
+    with pytest.raises(ComputationError, match="not effective"):
+        pipe.grid()
+    # a lower-dimensional maximal cone leaves more than r vectors outside it
+    lopsided = StackyFan.make(2, [(0, 1), (1, 1), (2, 1)], [(0, 1), (2,)])
+    with pytest.raises(ComputationError, match="not full-dimensional"):
+        ChartPipeline(lopsided, 3).grid()

@@ -12,7 +12,6 @@ from conftest import (
     f2_fan,
     f3_fan,
     om2_chart,
-    p1xp1_fan,
     p2_fan,
     p2z3_bare,
     p2z3_extended,
@@ -20,13 +19,11 @@ from conftest import (
     random_single_cone_fan,
 )
 
-from orbidisk.lattice import matvec
 from orbidisk.stacky import (
     DiskClassSymbol,
     FanError,
     NoValidBasisError,
     NotCompleteError,
-    PointNotOnBoundaryError,
     StackyFan,
     age_one_box_points,
     anticones,
@@ -34,12 +31,10 @@ from orbidisk.stacky import (
     cone_index,
     dual_class_data,
     facets_containing,
-    fan_polytope_facets,
     fan_sequence,
     gorenstein_check,
     is_complete,
     maslov_index,
-    minimal_face,
     nu_of_class,
     semifano_check,
     validate,
@@ -252,30 +247,18 @@ def test_maslov_examples():
 
 def test_polytope_faces_quotient_plane():
     fan = p2z3_bare()
-    assert minimal_face(fan, (1, 0)) == (1, 2)
-    assert len(facets_containing(fan, (1, 0))) == 1
-    assert minimal_face(fan, (-1, 2)) == (2,)
+    assert [f.vertices for f in facets_containing(fan, (1, 0))] == [(1, 2)]
     assert sorted(f.vertices for f in facets_containing(fan, (-1, 2))) == [
         (0, 2),
         (1, 2),
     ]
-    with pytest.raises(PointNotOnBoundaryError):
-        minimal_face(fan, (0, 0))
+    # an interior point lies on no facet
+    assert facets_containing(fan, (0, 0)) == ()
 
 
 def test_polytope_faces_p2():
     fan = p2_fan()
-    assert minimal_face(fan, (1, 0)) == (0,)
     assert len(facets_containing(fan, (1, 0))) == 2
-
-
-def test_minimal_face_inside_its_facets():
-    for fan in (p2z3_bare(), f2_fan(), p1xp1_fan()):
-        for f in fan_polytope_facets(fan):
-            for b in (fan.stacky_vectors[i] for i in f.vertices):
-                mf = set(minimal_face(fan, b))
-                for g in facets_containing(fan, b):
-                    assert mf <= set(g.vertices)
 
 
 # -- fan sequence -----------------------------------------------------------------
@@ -294,9 +277,9 @@ def test_fan_sequence_quotient_chart():
     seq = fan_sequence(fan)
     assert seq.r == 2 and seq.r_prime == 0
     # the divisor pairings reproduce the kernel-basis coordinates
-    phi_t = [list(v) for v in fan.vectors]
+    phi = list(zip(*fan.vectors))
     for row in seq.kernel_basis:
-        assert matvec(list(zip(*phi_t)), list(row)) == [0, 0]
+        assert [sum(x * y for x, y in zip(line, row)) for line in phi] == [0, 0]
         for i in range(4):
             pair = sum(d * c for d, c in zip(seq.divisors[i], _coords(seq, row)))
             assert pair == row[i]
@@ -377,16 +360,3 @@ def test_dual_class_nu_identity():
 def test_age_one_listing():
     assert age_one_box_points(p2_fan()) == []
     assert len(age_one_box_points(p2z3_bare())) == 6
-
-
-def test_all_faces_closure():
-    from orbidisk.stacky import all_faces
-
-    fan = p2z3_bare()
-    faces = all_faces(fan)
-    assert (1, 2) in faces and (2,) in faces
-    face_set = {frozenset(f) for f in faces}
-    for a in face_set:
-        for b in face_set:
-            if a & b:
-                assert a & b in face_set
