@@ -126,34 +126,25 @@ def hermite_normal_form(a) -> tuple[list[list[int]], list[list[int]]]:
     return h, u
 
 
-def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form: returns (s, d, t) with s @ a @ t = d diagonal.
+def _smith(d, m: int, n: int) -> None:
+    """Bring the top-left m x n block of d to Smith normal form, in place.
 
-    s and t are unimodular; the diagonal entries are nonnegative and each
-    divides the next.  A non-integral entry raises ValueError.
+    Row operations act on whole rows and column operations on whole columns,
+    while pivots are read from the block only; so columns appended to the
+    block's rows record the left transform and rows appended below it record
+    the right one.
     """
-    m, n = len(a), len(a[0]) if a else 0
-    d = _integer_copy(a)
-    s = identity_matrix(m)
-    t = identity_matrix(n)
 
     def row_op(i, j, x, y, pp, qq):
         d[i], d[j] = (
             [x * di + y * dj for di, dj in zip(d[i], d[j])],
             [-qq * di + pp * dj for di, dj in zip(d[i], d[j])],
         )
-        s[i], s[j] = (
-            [x * si + y * sj for si, sj in zip(s[i], s[j])],
-            [-qq * si + pp * sj for si, sj in zip(s[i], s[j])],
-        )
 
     def col_op(i, j, x, y, pp, qq):
-        for r in range(m):
-            di, dj = d[r][i], d[r][j]
-            d[r][i], d[r][j] = x * di + y * dj, -qq * di + pp * dj
-        for r in range(n):
-            ti, tj = t[r][i], t[r][j]
-            t[r][i], t[r][j] = x * ti + y * tj, -qq * ti + pp * tj
+        for row in d:
+            di, dj = row[i], row[j]
+            row[i], row[j] = x * di + y * dj, -qq * di + pp * dj
 
     def diagonalize():
         k = 0
@@ -170,12 +161,9 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
                 break
             if pr != k:
                 d[k], d[pr] = d[pr], d[k]
-                s[k], s[pr] = s[pr], s[k]
             if pc != k:
-                for r in range(m):
-                    d[r][k], d[r][pc] = d[r][pc], d[r][k]
-                for r in range(n):
-                    t[r][k], t[r][pc] = t[r][pc], t[r][k]
+                for row in d:
+                    row[k], row[pc] = row[pc], row[k]
             while True:
                 # plain subtraction when the pivot divides (keeps the pivot
                 # row clean); gcd transform otherwise (shrinks the pivot,
@@ -185,7 +173,6 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
                         if d[i][k] % d[k][k] == 0:
                             q = d[i][k] // d[k][k]
                             d[i] = [di - q * dk for di, dk in zip(d[i], d[k])]
-                            s[i] = [si - q * sk for si, sk in zip(s[i], s[k])]
                         else:
                             g, x, y = _gcdext(d[k][k], d[i][k])
                             row_op(k, i, x, y, d[k][k] // g, d[i][k] // g)
@@ -193,10 +180,8 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
                     if d[k][j] != 0:
                         if d[k][j] % d[k][k] == 0:
                             q = d[k][j] // d[k][k]
-                            for r in range(m):
-                                d[r][j] -= q * d[r][k]
-                            for r in range(n):
-                                t[r][j] -= q * t[r][k]
+                            for row in d:
+                                row[j] -= q * row[k]
                         else:
                             g, x, y = _gcdext(d[k][k], d[k][j])
                             col_op(k, j, x, y, d[k][k] // g, d[k][j] // g)
@@ -208,7 +193,6 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
         for i in range(min(m, n)):
             if d[i][i] < 0:
                 d[i] = [-x for x in d[i]]
-                s[i] = [-x for x in s[i]]
 
     diagonalize()
     # enforce the divisibility chain; adding column i+1 to column i breaks
@@ -223,20 +207,43 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
                 bad = i
                 break
         if bad is None:
-            return s, d, t
-        for r in range(m):
-            d[r][bad] += d[r][bad + 1]
-        for r in range(n):
-            t[r][bad] += t[r][bad + 1]
+            return
+        for row in d:
+            row[bad] += row[bad + 1]
         diagonalize()
 
 
+def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form: returns (s, d, t) with s @ a @ t = d diagonal.
+
+    s and t are unimodular; the diagonal entries are nonnegative and each
+    divides the next.  A non-integral entry raises ValueError.
+    """
+    m, n = len(a), len(a[0]) if a else 0
+    # [[a, 1_m], [1_n, 0]]: the block's row and column operations turn the
+    # appended identities into s and t
+    d = [row + e for row, e in zip(_integer_copy(a), identity_matrix(m))]
+    d += [e + [0] * m for e in identity_matrix(n)]
+    _smith(d, m, n)
+    return (
+        [row[n:] for row in d[:m]],
+        [row[:n] for row in d[:m]],
+        [row[:n] for row in d[m:]],
+    )
+
+
 def elementary_divisors(a) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form."""
+    """Nonzero diagonal entries of the Smith normal form.
+
+    Runs the Smith loop on a copy of a alone, without the transforms, so time
+    and memory stay linear in the number of rows.
+    """
     if not a or not a[0]:
         return []
-    _, d, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0]
+    d = _integer_copy(a)
+    m, n = len(d), len(d[0])
+    _smith(d, m, n)
+    return [d[i][i] for i in range(min(m, n)) if d[i][i] != 0]
 
 
 def rank(a) -> int:

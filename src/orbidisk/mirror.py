@@ -145,7 +145,9 @@ class ChartPipeline:
         self._anticones = anticones(fan)
         self._a_series: dict[int, TruncatedSeries] = {}
         self._relabel_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._s_bases: dict = {}
+        self._log_corrections: list[TruncatedSeries] | None = None
+        # per (q, tau) variable: powers of the forward image of one step
+        self._powers: dict[int, list[TruncatedSeries]] = {}
 
     # -- grid and omega sets ------------------------------------------------
 
@@ -295,15 +297,17 @@ class ChartPipeline:
 
     def log_corrections(self) -> list[TruncatedSeries]:
         """sum_j Q_ja A_j(y) over the rays, for each nef direction a."""
-        out = []
-        for a in range(self.r_prime):
-            acc = self.y_ring.zero()
-            for j in range(self.fan.n_rays):
-                qja = self.seq.q_matrix[j][a]
-                if qja:
-                    acc = acc + self.a_series(j) * qja
-            out.append(acc)
-        return out
+        if self._log_corrections is None:
+            out = []
+            for a in range(self.r_prime):
+                acc = self.y_ring.zero()
+                for j in range(self.fan.n_rays):
+                    qja = self.seq.q_matrix[j][a]
+                    if qja:
+                        acc = acc + self.a_series(j) * qja
+                out.append(acc)
+            self._log_corrections = out
+        return self._log_corrections
 
     def forward_q(self) -> list[TruncatedSeries]:
         """q_a(y) = y_a exp(sum_j Q_ja A_j(y)) as series in y."""
@@ -360,48 +364,34 @@ class ChartPipeline:
         self._relabel_cache[key] = target
         return target
 
-    def _s_base(self, kind, idx):
-        """Cached power lists for the forward substitution."""
-        tag = (kind, idx)
-        if tag not in self._s_bases:
-            if kind == "q":
-                root = exp_series(
-                    self.log_corrections()[idx] * Fraction(1, self.modulus)
-                )
-            else:
-                root = self.a_series(self.extras[idx])
-            self._s_bases[tag] = [self.y_ring.one(), root]
-        return self._s_bases[tag]
+    def _image(self, tkey) -> TruncatedSeries:
+        """Forward image in y of the (q, tau) monomial with scaled key tkey.
 
-    def _s_power(self, kind, idx, k) -> TruncatedSeries:
-        cache = self._s_base(kind, idx)
-        while len(cache) <= k:
-            cache.append(cache[-1] * cache[1])
-        return cache[k]
-
-    def substitute_forward(self, x: TruncatedSeries) -> TruncatedSeries:
-        """S[X]: plug the forward map into a series in (q, tau)."""
-        if x.ring != self.qt_ring:
-            raise ComputationError("series is not in the chart (q, tau) ring")
-        out = self.y_ring.zero()
-        m = self.modulus
-        for key, coeff in x._terms.items():
-            term = self.y_ring.scalar(coeff)
-            shift = [0] * self.r
-            for a in range(self.r_prime):
-                ka = key[a]
-                if ka:
-                    shift[a] += ka
-                    term = term * self._s_power("q", a, ka)
-            for jdx in range(len(self.extras)):
-                kt = key[self.r_prime + jdx]
-                if kt:
-                    if kt % m:
-                        raise ComputationError("fractional sector exponent")
-                    term = term * self._s_power("tau", jdx, kt // m)
-            term = term.shift(tuple(shift))
-            out = out + term
-        return out
+        A product of per-variable power lists: one step q_a^(1/M) maps to
+        y_a^(1/M) exp(L_a/M), one step tau_j to A_j.
+        """
+        out = None
+        for v, k in enumerate(tkey):
+            if v >= self.r_prime:
+                if k % self.modulus:
+                    raise ComputationError("fractional sector exponent")
+                k //= self.modulus
+            if not k:
+                continue
+            powers = self._powers.get(v)
+            if powers is None:
+                if v < self.r_prime:
+                    root = [Fraction(int(a == v), self.modulus) for a in range(self.r)]
+                    step = self.y_ring.monomial(root) * exp_series(
+                        self.log_corrections()[v] * Fraction(1, self.modulus)
+                    )
+                else:
+                    step = self.a_series(self.extras[v - self.r_prime])
+                powers = self._powers[v] = [self.y_ring.one(), step]
+            while len(powers) <= k:
+                powers.append(powers[-1] * powers[1])
+            out = powers[k] if out is None else out * powers[k]
+        return self.y_ring.one() if out is None else out
 
     def _rank(self, key) -> tuple[int, int]:
         """(weight, total sector multiplicity) of a class, both scaled.
@@ -418,44 +408,35 @@ class ChartPipeline:
     def solve_against(self, f: TruncatedSeries) -> TruncatedSeries:
         """The unique X(q, tau) with X(forward(y)) = f(y) up to the order.
 
-        Triangular in the rank filtration (weight, then sector count): the
-        relabeled lowest residual level is peeled off each round and its
-        forward image subtracted, so the residual's minimal rank strictly
-        increases.
+        Triangular in the rank filtration (weight, then sector count): each
+        round relabels the residual's lowest level into X and subtracts its
+        forward image from the residual in place, so the residual's lowest
+        level strictly rises; there are finitely many levels.
         """
         if f.ring != self.y_ring:
             raise ComputationError("series is not in the chart y ring")
-        x = self.qt_ring.zero()
-        sx = self.y_ring.zero()
+        residual = dict(f.scaled_terms())
+        x: dict[tuple[int, ...], Fraction] = {}
         last = (-1, -1)
-        rounds = (self.y_ring._bound + 2) ** 2
-        for _ in range(rounds):
-            residual = f - sx
-            if residual.is_zero():
-                return x
-            ranked: dict[tuple[int, int], dict] = {}
-            for key, coeff in residual._terms.items():
-                ranked.setdefault(self._rank(key), {})[key] = coeff
-            level = min(ranked)
+        while residual:
+            ranks = {key: self._rank(key) for key in residual}
+            level = min(ranks.values())
             if level <= last:
                 raise ComputationError(
                     "inversion is not contracting; malformed mirror data"
                 )
             last = level
-            delta_terms: dict[tuple[int, ...], Fraction] = {}
-            for key, coeff in ranked[level].items():
+            peel = [(key, residual[key]) for key, r in ranks.items() if r == level]
+            for key, coeff in peel:
                 tkey = self.relabel_key(key)
-                delta_terms[tkey] = delta_terms.get(tkey, Fraction(0)) + coeff
-            delta = self.qt_ring.from_scaled_terms(delta_terms)
-            if delta.is_zero():  # pragma: no cover - relabel is injective
-                raise ComputationError(
-                    "residual level relabels to zero; malformed mirror data"
-                )
-            x = x + delta
-            sx = sx + self.substitute_forward(delta)
-        raise ComputationError(
-            "inversion exceeded its round bound"
-        )  # pragma: no cover
+                x[tkey] = coeff
+                for k, v in self._image(tkey).scaled_terms().items():
+                    w = residual.get(k, 0) - coeff * v
+                    if w:
+                        residual[k] = w
+                    else:
+                        del residual[k]
+        return self.qt_ring.from_scaled_terms(x)
 
     # -- generating functions --------------------------------------------------
 
@@ -801,5 +782,7 @@ def _relabel_to_parent(
 
 def tau_zero_slice(series: TruncatedSeries, n_leading: int) -> TruncatedSeries:
     """Set every variable after the first n_leading to zero."""
-    kept = {k: v for k, v in series._terms.items() if not any(k[n_leading:])}
+    kept = {
+        k: v for k, v in series.scaled_terms().items() if not any(k[n_leading:])
+    }
     return series.ring.from_scaled_terms(kept)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class RingMismatchError(ValueError):
@@ -149,6 +150,10 @@ class TruncatedSeries:
         """Coefficient at an exponent key already scaled by the ring modulus."""
         return self._terms.get(key, Fraction(0))
 
+    def scaled_terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only view of the nonzero terms: scaled key -> coefficient."""
+        return MappingProxyType(self._terms)
+
     def terms(self):
         """Sorted (exponents, coefficient) pairs; exponents as Fractions."""
         m = self.ring.modulus
@@ -258,15 +263,6 @@ class TruncatedSeries:
             base = base * base if n > 1 else base
             n >>= 1
         return out
-
-    def shift(self, scaled_key) -> "TruncatedSeries":
-        """Multiply by the monomial with the given internal scaled exponent."""
-        out = {}
-        for k, v in self._terms.items():
-            nk = tuple(x + y for x, y in zip(k, scaled_key))
-            if self.ring.in_bounds(nk):
-                out[nk] = v
-        return TruncatedSeries(self.ring, out)
 
 
 def exp_series(f: TruncatedSeries) -> TruncatedSeries:

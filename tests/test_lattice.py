@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,23 @@ def test_snf_properties(a):
         for j, x in enumerate(row):
             if i != j:
                 assert x == 0
+    # the transform-free run of the same loop reads the same diagonal
+    assert elementary_divisors(a) == [x for x in divisors if x != 0]
+
+
+def test_elementary_divisors_memory_is_linear_in_rows():
+    # a tall matrix: the m x m left transform of smith_normal_form alone
+    # would take about 30 MB here
+    rng = random.Random(1)
+    tall = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        divisors = elementary_divisors(tall)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert divisors == [1] * 6
+    assert peak < 5_000_000
 
 
 def test_kernel_p1():

@@ -166,6 +166,38 @@ def test_round_trips():
     assert ChartPipeline(c3z3_chart(), 2).round_trip_identity()
 
 
+def test_inversion_of_multi_variable_monomials():
+    # f = X(forward(y)) built with plain series arithmetic from the forward
+    # coordinates; solve_against must give X back.  c2z3 mixes its two
+    # tau's, om2 raises q to powers, the mixed chart multiplies q and tau's
+    cases = [
+        (
+            c2z3_chart(),
+            6,
+            {(0, 0): 1, (2, 1): 2, (1, 3): Fraction(-1, 5), (3, 3): 7, (0, 4): 1},
+        ),
+        (om2_chart(), 8, {(2,): 3, (5,): -1, (8,): Fraction(1, 2)}),
+        (
+            mixed_chart(),
+            6,
+            {(1, 1, 0): 1, (1, 0, 1): 2, (2, 1, 1): -3, (0, 1, 2): 1, (3, 0, 4): 5},
+        ),
+    ]
+    for chart, order, poly in cases:
+        pipe = ChartPipeline(chart, order)
+        coords = pipe.forward_q() + [pipe.a_series(j) for j in pipe.extras]
+        f = pipe.y_ring.zero()
+        x = pipe.qt_ring.zero()
+        for exps, c in poly.items():
+            term = pipe.y_ring.scalar(c)
+            for coord, e in zip(coords, exps):
+                term = term * coord**e
+            f = f + term
+            x = x + pipe.qt_ring.monomial(exps, c)
+        assert len(list(x.terms())) == len(poly)
+        assert pipe.solve_against(f) == x
+
+
 def test_trivial_inverse_when_no_corrections():
     chart = StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1)])
     pipe = ChartPipeline(chart, 4)

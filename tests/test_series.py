@@ -160,7 +160,7 @@ def test_terms_are_sorted_and_exact():
 def test_stored_terms_stay_legal(f, g):
     for series in (f * g, f + g, f - g):
         ring = series.ring
-        for key, coeff in series._terms.items():
+        for key, coeff in series.scaled_terms().items():
             assert coeff != 0
             assert ring.in_bounds(key)
             assert all(k >= 0 for k in key)
