@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .lattice import AmbiguousSolutionError, solve_rational, transpose
+from .lattice import AmbiguousSolutionError, det, solve_rational, transpose
 from .series import SeriesRing, TruncatedSeries, exp_series
 from .stacky import (
     DiskClassSymbol,
@@ -135,8 +135,6 @@ class ChartPipeline:
                 [self.duals[j].pcoords[self.r_prime + b] for j in range(nex)]
                 for b in range(nex)
             ]
-            from .lattice import det
-
             if det(e) == 0:  # pragma: no cover - excluded by basis validity
                 raise ComputationError(
                     "degenerate exponent matrix; rerun the basis search"
@@ -416,17 +414,18 @@ class ChartPipeline:
         if f.ring != self.y_ring:
             raise ComputationError("series is not in the chart y ring")
         residual = dict(f.scaled_terms())
+        # rank of every key that has entered the residual, computed once
+        ranks = {key: self._rank(key) for key in residual}
         x: dict[tuple[int, ...], Fraction] = {}
         last = (-1, -1)
         while residual:
-            ranks = {key: self._rank(key) for key in residual}
-            level = min(ranks.values())
+            level = min(ranks[key] for key in residual)
             if level <= last:
                 raise ComputationError(
                     "inversion is not contracting; malformed mirror data"
                 )
             last = level
-            peel = [(key, residual[key]) for key, r in ranks.items() if r == level]
+            peel = [(key, c) for key, c in residual.items() if ranks[key] == level]
             for key, coeff in peel:
                 tkey = self.relabel_key(key)
                 x[tkey] = coeff
@@ -434,6 +433,8 @@ class ChartPipeline:
                     w = residual.get(k, 0) - coeff * v
                     if w:
                         residual[k] = w
+                        if k not in ranks:
+                            ranks[k] = self._rank(k)
                     else:
                         del residual[k]
         return self.qt_ring.from_scaled_terms(x)
@@ -776,7 +777,7 @@ def _relabel_to_parent(
             key[r_prime + jdx] += scaled(exps[len(dgf.q_classes) + jdx])
         k = tuple(key)
         if ring.in_bounds(k):
-            out[k] = out.get(k, Fraction(0)) + coeff
+            out[k] = out.get(k, 0) + coeff
     return ring.from_scaled_terms(out)
 
 

@@ -5,6 +5,11 @@ kept when its weighted degree (sum of per-variable weight times exponent) is
 at most the ring's truncation order T.  Internally every exponent vector is
 stored as a tuple of integers scaled by M, so all exponent arithmetic is
 integral.  Coefficients are ``fractions.Fraction``; no floats anywhere.
+
+Products run on a second, private view of a series: each key packed into one
+int (one base-R digit per variable) and each coefficient written as an integer
+numerator over the series' common denominator, so the inner loop adds and
+multiplies plain ints.  Fractions are made once per output term.
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ class SeriesRing:
         # term iff that is <= T * M * wden
         bound = self.truncation * modulus * wden
         self._bound = bound.numerator // bound.denominator
+        # one digit per variable: an in-bound key has every component at most
+        # bound // min(wnum), so the sum of two packed keys whose degrees add
+        # up to at most the bound carries no digit into the next
+        self._radix = self._bound // min(self._wnum) + 1 if nvars else 1
 
     def __eq__(self, other):
         return (
@@ -78,6 +87,18 @@ class SeriesRing:
 
     def in_bounds(self, key) -> bool:
         return self.scaled_degree(key) <= self._bound
+
+    def _pack(self, key) -> int:
+        p = 0
+        for k in key:
+            p = p * self._radix + k
+        return p
+
+    def _unpack(self, p: int) -> tuple[int, ...]:
+        key = [0] * self.nvars
+        for i in range(self.nvars - 1, -1, -1):
+            p, key[i] = divmod(p, self._radix)
+        return tuple(key)
 
     def scale_exponents(self, exponents) -> tuple[int, ...]:
         """Convert public exponents (rationals) to the internal integer key."""
@@ -127,12 +148,12 @@ class SeriesRing:
 class TruncatedSeries:
     """Immutable truncated series; build through SeriesRing constructors."""
 
-    __slots__ = ("ring", "_terms", "_sorted")
+    __slots__ = ("ring", "_terms", "_packed")
 
     def __init__(self, ring: SeriesRing, terms: dict):
         self.ring = ring
         self._terms = terms
-        self._sorted = None
+        self._packed = None
 
     # -- inspection ---------------------------------------------------------
 
@@ -160,17 +181,24 @@ class TruncatedSeries:
         for key in sorted(self._terms, key=lambda k: (self.ring.scaled_degree(k), k)):
             yield tuple(Fraction(x, m) for x in key), self._terms[key]
 
-    def scaled_items_sorted(self):
-        if self._sorted is None:
-            deg = self.ring.scaled_degree
-            self._sorted = sorted(
-                ((deg(k), k, v) for k, v in self._terms.items()),
-                key=lambda t: (t[0], t[1]),
+    def _packed_view(self) -> tuple[list[tuple[int, int, int]], int]:
+        """(sorted (scaled degree, packed key, numerator) triples, D): each
+        coefficient is numerator / D, with D the lcm of the denominators."""
+        if self._packed is None:
+            ring = self.ring
+            den = lcm(*(v.denominator for v in self._terms.values()))
+            deg, pack = ring.scaled_degree, ring._pack
+            self._packed = (
+                sorted(
+                    (deg(k), pack(k), v.numerator * (den // v.denominator))
+                    for k, v in self._terms.items()
+                ),
+                den,
             )
-        return self._sorted
+        return self._packed
 
     def min_scaled_degree(self):
-        return self.scaled_items_sorted()[0][0] if self._terms else None
+        return self._packed_view()[0][0][0] if self._terms else None
 
     def __eq__(self, other):
         return (
@@ -203,7 +231,7 @@ class TruncatedSeries:
         self._check(other)
         out = dict(self._terms)
         for k, v in other._terms.items():
-            w = out.get(k, Fraction(0)) + v
+            w = out.get(k, 0) + v
             if w:
                 out[k] = w
             else:
@@ -227,27 +255,30 @@ class TruncatedSeries:
                 self.ring, {k: v * c for k, v in self._terms.items()}
             )
         self._check(other)
-        bound = self.ring._bound
-        fa, fb = self.scaled_items_sorted(), other.scaled_items_sorted()
+        ring = self.ring
+        (fa, da), (fb, db) = self._packed_view(), other._packed_view()
         if not fa or not fb:
-            return self.ring.zero()
+            return ring.zero()
         if len(fa) > len(fb):
             fa, fb = fb, fa
-        out: dict = {}
+        bound = ring._bound
+        acc: dict[int, int] = {}
+        get = acc.get
         b_min = fb[0][0]
-        for wa, ka, ca in fa:
-            if wa + b_min > bound:
+        for wa, ka, na in fa:
+            room = bound - wa
+            if room < b_min:
                 break
-            for wb, kb, cb in fb:
-                if wa + wb > bound:
+            for wb, kb, nb in fb:
+                if wb > room:
                     break
-                key = tuple(x + y for x, y in zip(ka, kb))
-                w = out.get(key, Fraction(0)) + ca * cb
-                if w:
-                    out[key] = w
-                else:
-                    del out[key]
-        return TruncatedSeries(self.ring, out)
+                k = ka + kb
+                acc[k] = get(k, 0) + na * nb
+        den = da * db
+        unpack = ring._unpack
+        return TruncatedSeries(
+            ring, {unpack(k): Fraction(v, den) for k, v in acc.items() if v}
+        )
 
     __rmul__ = __mul__
     __radd__ = __add__

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -180,6 +181,20 @@ def brute_force_grid(pipe) -> dict:
 
     scan(0, [], pipe.y_ring._bound)
     return out
+
+
+def schoolbook_product(f, g) -> dict:
+    """Scaled key -> coefficient of f * g, multiplied term by term in
+    Fraction on tuple keys and truncated to the ring: the reference for
+    TruncatedSeries.__mul__."""
+    ring = f.ring
+    out: dict = {}
+    for ka, ca in f.scaled_terms().items():
+        for kb, cb in g.scaled_terms().items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if ring.in_bounds(key):
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v}
 
 
 def assert_grid_is_brute_force(fan: StackyFan, order) -> int:

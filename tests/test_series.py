@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import schoolbook_product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,47 @@ R13 = SeriesRing(1, 3, 4, names=("y",))
 coeffs = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
+
+
+# the C2/Z6 twisted-sector weights: not units, denominators 2, 3 and 6
+Z6_TAU = SeriesRing(
+    5,
+    6,
+    3,
+    weights=(Fraction(11, 6), Fraction(5, 3), Fraction(3, 2), Fraction(1, 3), Fraction(7, 6)),
+)
+WEIGHTED = SeriesRing(2, 6, 1, weights=(Fraction(11, 6), Fraction(1, 3)))
+PRODUCT_RINGS = (
+    SeriesRing(0, 1, 3),
+    R13,
+    R2,
+    SeriesRing(2, 6, Fraction(5, 2), weights=(1, Fraction(1, 3))),
+    WEIGHTED,
+    Z6_TAU,
+    SeriesRing(2, 3, 0),
+)
+# pairwise coprime and far above any denominator the rings produce
+BIG_PRIMES = (2**31 - 1, 2**61 - 1, 1_000_000_007, 998_244_353)
+wide_coeffs = st.one_of(
+    coeffs,
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.sampled_from(BIG_PRIMES)),
+)
+
+
+@st.composite
+def wide_series(draw, ring):
+    """Up to 8 in-bound terms anywhere under the truncation, often on its
+    boundary, with coefficients that may carry large coprime denominators."""
+    top = int(ring.truncation * ring.modulus / min(ring.weights)) if ring.nvars else 0
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        key = [0] * ring.nvars
+        for i in draw(st.permutations(range(ring.nvars))):
+            key[i] = draw(st.integers(0, top))
+            while not ring.in_bounds(key):
+                key[i] -= 1
+        terms[tuple(key)] = draw(wide_coeffs)
+    return ring.from_scaled_terms(terms)
 
 
 @st.composite
@@ -62,6 +104,9 @@ def test_mul_examples():
     a = R13.monomial((Fraction(1, 3),))
     b = R13.monomial((Fraction(2, 3),))
     assert a * b == R13.monomial((1,))
+    # a cancelled cross term is not stored
+    x, y = R2.variable(0), R2.variable(1)
+    assert dict(((x + y) * (x - y)).scaled_terms()) == {(2, 0): 1, (0, 2): -1}
 
 
 def test_ring_mismatch():
@@ -98,9 +143,28 @@ def test_log_examples():
         log1p(r.one())
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_product_matches_schoolbook(data):
+    ring = data.draw(st.sampled_from(PRODUCT_RINGS))
+    f = data.draw(wide_series(ring))
+    if data.draw(st.booleans()):
+        # f with some signs flipped: cross terms of f * g cancel in pairs
+        g = ring.from_scaled_terms(
+            {k: -v if data.draw(st.booleans()) else v for k, v in f.scaled_terms().items()}
+        )
+    else:
+        g = data.draw(wide_series(ring))
+    got = dict((f * g).scaled_terms())
+    assert got == schoolbook_product(f, g)
+    assert all(type(v) is Fraction and v != 0 for v in got.values())
+
+
 @settings(max_examples=60)
-@given(series_in(SeriesRing(2, 2, 3)), series_in(SeriesRing(2, 2, 3)), series_in(SeriesRing(2, 2, 3)))
-def test_ring_laws(f, g, h):
+@given(st.data())
+def test_ring_laws(data):
+    ring = data.draw(st.sampled_from((SeriesRing(2, 2, 3), WEIGHTED)))
+    f, g, h = (data.draw(series_in(ring)) for _ in range(3))
     assert f + g == g + f
     assert (f + g) + h == f + (g + h)
     assert f * g == g * f
