@@ -29,6 +29,11 @@ def primitive_vector(v) -> tuple[int, ...]:
 
     The direction is preserved (the scaling factor is positive).
     """
+    if all(isinstance(x, int) for x in v):
+        g = gcd(*v)
+        if g == 0:
+            raise ValueError("zero vector has no primitive representative")
+        return tuple(x // g for x in v)
     fracs = [Fraction(x) for x in v]
     if all(x == 0 for x in fracs):
         raise ValueError("zero vector has no primitive representative")
@@ -278,6 +283,35 @@ def det(a) -> Fraction:
                 f = m[r][c] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return out
+
+
+def integer_inverse(a) -> tuple[list[list[int]], int]:
+    """Inverse of a nonsingular square integer matrix as (m, d): a^-1 = m / d.
+
+    d = |det a| > 0, so m is plus or minus the adjugate.  One fraction-free
+    (Bareiss) Gauss-Jordan elimination of [a | 1] computes both: every
+    division in it is exact, so no Fraction is built.  A singular or
+    non-square matrix, or a non-integral entry, raises ValueError.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("integer_inverse needs a square matrix")
+    w = [row + e for row, e in zip(_integer_copy(a), identity_matrix(n))]
+    prev = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if w[r][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        w[c], w[piv] = w[piv], w[c]
+        p = w[c][c]
+        # after this step the first c + 1 columns are p times the identity
+        for r in range(n):
+            if r != c:
+                f = w[r][c]
+                w[r] = [(p * x - f * y) // prev for x, y in zip(w[r], w[c])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[n:]] for row in w], sign * prev
 
 
 def integer_kernel(a) -> list[list[int]]:

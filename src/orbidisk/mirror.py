@@ -24,6 +24,7 @@ from math import factorial, lcm
 from .lattice import AmbiguousSolutionError, det, solve_rational, transpose
 from .series import SeriesRing, TruncatedSeries, exp_series
 from .stacky import (
+    BoxElement,
     DiskClassSymbol,
     DualClassData,
     FanError,
@@ -644,9 +645,16 @@ class PotentialData:
 
 def potential_symbols(parent: StackyFan) -> list[DiskClassSymbol]:
     """One symbol per basic class: every ray, every age-one box element."""
+    return [sym for sym, _ in _basic_classes(parent)]
+
+
+def _basic_classes(
+    parent: StackyFan,
+) -> list[tuple[DiskClassSymbol, BoxElement | None]]:
+    """Each basic class with its box element (None for a ray)."""
     boxes = [b for b in box_elements(parent) if b.age == 1]
-    return [DiskClassSymbol.smooth(i) for i in range(parent.n_rays)] + [
-        DiskClassSymbol.orbi(b.point) for b in boxes
+    return [(DiskClassSymbol.smooth(i), None) for i in range(parent.n_rays)] + [
+        (DiskClassSymbol.orbi(b.point), b) for b in boxes
     ]
 
 
@@ -657,8 +665,12 @@ def potential_entry(
     sym: DiskClassSymbol,
     order,
     pipeline_cache: dict | None = None,
+    box: BoxElement | None = None,
 ) -> PotentialEntry:
-    """One disk-potential term: generating function times the area monomial."""
+    """One disk-potential term: generating function times the area monomial.
+
+    box is the box element of an orbi class; it is looked up when omitted.
+    """
     sigma0 = parent.max_cones[cone_number]
     dgf = disk_generating_function(
         parent, sym, order, pipeline_cache=pipeline_cache
@@ -668,9 +680,8 @@ def potential_entry(
         vec = {sym.ray: Fraction(1)}
     else:
         boundary = tuple(sym.point)
-        box = next(
-            b for b in box_elements(parent) if b.point == boundary
-        )
+        if box is None:
+            box = next(b for b in box_elements(parent) if b.point == boundary)
         vec = dict(zip(box.carrier, box.coords))
     sigma_cols = transpose([parent.stacky_vectors[i] for i in sigma0])
     a_sol = solve_rational(sigma_cols, list(boundary))
@@ -720,8 +731,8 @@ def assemble_potential(
     seq = parent_seq if parent_seq is not None else fan_sequence(parent)
     cache: dict = {}
     entries = [
-        potential_entry(parent, seq, cone_number, sym, order, cache)
-        for sym in potential_symbols(parent)
+        potential_entry(parent, seq, cone_number, sym, order, cache, box)
+        for sym, box in _basic_classes(parent)
     ]
     entries.sort(key=lambda e: e.z_monomial)
     return PotentialData(parent, sigma0, Fraction(order), tuple(entries))

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
+from operator import mul
 
 from .lattice import (
-    AmbiguousSolutionError,
+    _gcdext,
     cone_contains,
     det,
     elementary_divisors,
     fm_solve,
+    identity_matrix,
+    integer_inverse,
     integer_kernel,
     primitive_vector,
     rank,
@@ -226,29 +230,53 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
     for mc in fan.max_cones:
         vecs = fan.cone_vectors(mc)
         cols = transpose(vecs)
+        inverse = _cone_coordinates(cols, fan.dim, len(mc))
+        if inverse is None:  # pragma: no cover - validated cones are simplicial
+            continue
+        m, d = inverse
         lo = [sum(min(0, v[j]) for v in vecs) for j in range(fan.dim)]
         hi = [sum(max(0, v[j]) for v in vecs) for j in range(fan.dim)]
-
-        def scan(j, point):
-            if j == fan.dim:
-                pt = tuple(point)
-                try:
-                    t = solve_rational(cols, list(pt))
-                except AmbiguousSolutionError:  # pragma: no cover
-                    return
-                if t is None or any(x < 0 or x >= 1 for x in t):
-                    return
-                if pt in found:
-                    return
+        for pt in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            # y = d * (the cone coordinates of pt); inside the box is
+            # 0 <= y < d, and pt must lie in the span of the cone
+            y = []
+            for row in m:
+                v = sum(map(mul, row, pt))
+                if v < 0 or v >= d:
+                    break
+                y.append(v)
+            else:
+                if pt in found or any(
+                    sum(map(mul, c, y)) != d * x
+                    for c, x in zip(cols, pt)
+                ):
+                    continue
+                t = [Fraction(v, d) for v in y]
                 carrier = tuple(i for i, x in zip(mc, t) if x != 0)
                 coords = tuple(x for x in t if x != 0)
                 found[pt] = BoxElement(pt, carrier, coords, sum(coords, Fraction(0)))
-                return
-            for x in range(lo[j], hi[j] + 1):
-                scan(j + 1, point + [x])
-
-        scan(0, [])
     return sorted(found.values(), key=lambda b: (b.age, b.point))
+
+
+def _cone_coordinates(cols, dim: int, k: int):
+    """(m, d) with m @ x = d * t whenever cols @ t = x, for k independent
+    columns in Z^dim; m reads only k coordinates of x on which the columns
+    are independent (all of them for a full-dimensional cone).  None when
+    the columns are dependent.
+    """
+    for sel in combinations(range(dim), k):
+        try:
+            m, d = integer_inverse([cols[j] for j in sel])
+        except ValueError:
+            continue
+        full = []
+        for row in m:
+            out = [0] * dim
+            for j, x in zip(sel, row):
+                out[j] = x
+            full.append(out)
+        return full, d
+    return None
 
 
 @dataclass(frozen=True)
@@ -476,15 +504,44 @@ class FanSequenceData:
 
 
 def _kahler_closure_test(fan: StackyFan, divisors):
-    antis = minimal_anticones(fan)
+    """Membership in the closed extended Kahler cone: the intersection of
+    the cones spanned by the divisor classes of each minimal anticone.
+
+    An anticone of r independent classes spans a simplicial cone, which is
+    cut out by the rows of its integer inverse (`_anticone_inequalities`);
+    the rows of all such anticones are pooled and deduplicated.  Any other
+    anticone is tested with cone_contains.
+    """
+    rows: dict[tuple[int, ...], None] = {}
+    general = []
+    for anti in minimal_anticones(fan):
+        gens = [divisors[i] for i in sorted(anti)]
+        ineqs = _anticone_inequalities(gens)
+        if ineqs is None:
+            general.append(gens)
+        else:
+            rows.update(dict.fromkeys(primitive_vector(row) for row in ineqs))
+    pooled = list(rows)
 
     def inside(x) -> bool:
-        return all(
-            cone_contains([divisors[i] for i in sorted(anti)], x)[0]
-            for anti in antis
+        return all(sum(map(mul, row, x)) >= 0 for row in pooled) and all(
+            cone_contains(gens, x)[0] for gens in general
         )
 
     return inside
+
+
+def _anticone_inequalities(gens) -> list[list[int]] | None:
+    """Rows m of the integer inverse (m, d) of the generator columns, so
+    that x lies in cone(gens) exactly when m @ x >= 0; None unless the
+    generators are len(x) independent vectors.
+    """
+    if not gens:
+        return None
+    try:
+        return integer_inverse(transpose(gens))[0]
+    except ValueError:
+        return None
 
 
 def fan_sequence(fan: StackyFan, basis_p=None) -> FanSequenceData:
@@ -626,40 +683,6 @@ def _search_basis(fan, divisors, extras, r, r_prime, inside_kahler):
         raise NoValidBasisError(
             "extra-vector divisor classes do not span the expected rank"
         )
-    # candidates for the extra block: primitive points of the extra-divisor
-    # cone built from small nonnegative combinations; the coefficient range
-    # scales with the torsion of the fan (box coordinates have denominators
-    # dividing the cone indices)
-    def ext_pool_with_span(span: int) -> list[tuple[int, ...]]:
-        pool: list[tuple[int, ...]] = []
-        seen = set()
-        for d in extra_divs:
-            v = primitive_vector(d)
-            if v not in seen:
-                seen.add(v)
-                pool.append(v)
-        while span > 2 and span**n_extra > 100000:
-            span -= 1
-
-        def combos(idx, acc):
-            if idx == n_extra:
-                if any(acc):
-                    v = primitive_vector(acc)
-                    if v not in seen:
-                        seen.add(v)
-                        pool.append(v)
-                return
-            for k in range(span):
-                combos(
-                    idx + 1,
-                    [a + k * b for a, b in zip(acc, extra_divs[idx])],
-                )
-
-        if n_extra:
-            combos(0, [0] * r)
-        pool.sort(key=lambda v: (sum(abs(x) for x in v), v))
-        return pool
-
     max_span = 1 + (
         max(cone_index(fan, mc) for mc in fan.max_cones) if fan.max_cones else 2
     )
@@ -701,20 +724,23 @@ def _search_basis(fan, divisors, extras, r, r_prime, inside_kahler):
     # staged effort: the small combination range covers low torsion cheaply;
     # widen it only when the assembly fails.  The last stage also adds sums
     # of three ray divisors to the nef pool: on the hexagon (dP6) the pairwise
-    # sums reach only H - E_i and -K, which are linearly dependent.  A pool
-    # that does not even generate the saturated extra-divisor lattice cannot
-    # contain a basis of it, so such stages are skipped without searching.
+    # sums reach only H - E_i and -K, which are linearly dependent.  Each
+    # span's extra pool is built once; stages whose pool cannot hold a basis
+    # are skipped without searching.
     spans = [3] if max_span <= 3 else [3, max_span]
     stages = [(span, ()) for span in spans]
     stages.append((spans[-1], combinations(range(fan.n_rays), 3)))
+    pools: dict[int, list[tuple[int, ...]] | None] = {}
     found = None
     for span, nef_sums in stages:
         for idx in nef_sums:
             add_nef([sum(divisors[i][k] for i in idx) for k in range(r)])
-        pool = ext_pool_with_span(span)
-        if n_extra and elementary_divisors(
-            [list(v) for v in pool]
-        ) != [1] * n_extra:
+        while span > 2 and span**n_extra > 100000:
+            span -= 1
+        if span not in pools:
+            pools[span] = _extra_pool(extra_divs, span)
+        pool = pools[span]
+        if pool is None:
             continue
         found = _assemble_basis(pool, nef_pool, r, r_prime, n_extra)
         if found is not None:
@@ -727,19 +753,64 @@ def _search_basis(fan, divisors, extras, r, r_prime, inside_kahler):
     return nef_part + ext_part
 
 
+def _extra_pool(extra_divs, span: int) -> list[tuple[int, ...]] | None:
+    """Candidates for the extra block, or None when they hold no basis.
+
+    The candidates are the primitive points of the extra-divisor cone built
+    from the classes and their combinations with coefficients in
+    range(span), smallest first; the range scales with the torsion of the
+    fan (box coordinates have denominators dividing the cone indices).  A
+    pool that does not generate the saturated extra-divisor lattice cannot
+    contain a basis of it.  The check reads only the classes and the
+    candidates from non-primitive combinations: a primitive combination is
+    already in the lattice of the classes.
+    """
+    n_extra = len(extra_divs)
+    pool: list[tuple[int, ...]] = []
+    gens: list[list[int]] = []
+    seen = set()
+
+    def add(v, acc) -> None:
+        if v not in seen:
+            seen.add(v)
+            pool.append(v)
+            if acc is None or v != tuple(acc):
+                gens.append(list(v))
+
+    for d in extra_divs:
+        add(primitive_vector(d), None)
+
+    def combos(idx, acc):
+        if idx == n_extra:
+            if any(acc):
+                add(primitive_vector(acc), acc)
+            return
+        for k in range(span):
+            combos(
+                idx + 1,
+                [a + k * b for a, b in zip(acc, extra_divs[idx])],
+            )
+
+    if n_extra:
+        combos(0, [0] * len(extra_divs[0]))
+        if elementary_divisors(gens) != [1] * n_extra:
+            return None
+    pool.sort(key=lambda v: (sum(abs(x) for x in v), v))
+    return pool
+
+
 def _assemble_basis(ext_pool, nef_pool, r, r_prime, n_extra, node_budget=200000):
     """Depth-first search for a unimodular basis; saturation-pruned.
 
     Every partial choice must stay a saturated sublattice, which prunes hard:
     a full-size saturated set of rank r is exactly a unimodular basis.
-    Several extra blocks are tried in case the nef completion fails.
+    Several extra blocks are tried in case the nef completion fails.  Each
+    search node carries the transform of `_saturating_extension`, so a
+    candidate costs one integer test.
     """
     budget = [node_budget]
 
-    def saturated(rows) -> bool:
-        return elementary_divisors(rows) == [1] * len(rows)
-
-    def extend(chosen, pool, count, start):
+    def extend(u, k, pool, count, start):
         if budget[0] <= 0:
             return None
         if count == 0:
@@ -748,52 +819,82 @@ def _assemble_basis(ext_pool, nef_pool, r, r_prime, n_extra, node_budget=200000)
             budget[0] -= 1
             if budget[0] <= 0:
                 return None
-            cand = chosen + [list(pool[idx])]
-            if not saturated(cand):
+            u_next = _saturating_extension(u, k, pool[idx])
+            if u_next is None:
                 continue
-            rest = extend(cand, pool, count - 1, idx + 1)
+            rest = extend(u_next, k + 1, pool, count - 1, idx + 1)
             if rest is not None:
                 return [list(pool[idx])] + rest
         return None
 
-    ext_blocks: list[list[list[int]]] = []
+    ext_blocks: list[tuple[list, list[list[int]]]] = []
 
-    def collect_ext(chosen, start):
+    def collect_ext(chosen, u, start):
         if budget[0] <= 0 or len(ext_blocks) >= 40:
             return
         if len(chosen) == n_extra:
-            ext_blocks.append([list(v) for v in chosen])
+            ext_blocks.append((chosen, u))
             return
         for idx in range(start, len(ext_pool)):
             budget[0] -= 1
             if budget[0] <= 0:
                 return
-            cand = [list(v) for v in chosen] + [list(ext_pool[idx])]
-            if not saturated(cand):
+            u_next = _saturating_extension(u, len(chosen), ext_pool[idx])
+            if u_next is None:
                 continue
-            collect_ext(chosen + [ext_pool[idx]], idx + 1)
+            collect_ext(chosen + [ext_pool[idx]], u_next, idx + 1)
 
-    collect_ext([], 0)
-    for ext_block in ext_blocks:
-        nef_part = extend([list(v) for v in ext_block], nef_pool, r_prime, 0)
+    collect_ext([], identity_matrix(r), 0)
+    for ext_block, u in ext_blocks:
+        nef_part = extend(u, n_extra, nef_pool, r_prime, 0)
         if nef_part is not None:
             return nef_part, [list(v) for v in ext_block]
     return None
 
 
+def _saturating_extension(u, k: int, v) -> list[list[int]] | None:
+    """Extend a saturated set of k rows by v, or None if the k + 1 rows do
+    not span a saturated sublattice.
+
+    u is a unimodular matrix, given by its columns, with chosen @ u =
+    [1_k | 0] for the k rows chosen so far.  Then [chosen; v] is saturated
+    exactly when the entries of v @ u past k have gcd 1; the returned
+    columns satisfy [chosen; v] @ u' = [1_(k+1) | 0].  The columns of u are
+    never modified.
+    """
+    tail = [sum(map(mul, v, col)) for col in u[k:]]
+    if gcd(*tail) != 1:
+        return None
+    w = [sum(map(mul, v, col)) for col in u[:k]] + tail
+    u = list(u)
+    # fold the tail into column k with determinant-1 column operations,
+    # leaving w[k] = 1 and zeros after it
+    for j in range(k + 1, len(w)):
+        if w[j]:
+            g, x, y = _gcdext(w[k], w[j])
+            a, b = w[k] // g, w[j] // g
+            u[k], u[j] = (
+                [x * s + y * t for s, t in zip(u[k], u[j])],
+                [-b * s + a * t for s, t in zip(u[k], u[j])],
+            )
+            w[k], w[j] = g, 0
+    if w[k] < 0:
+        u[k] = [-s for s in u[k]]
+    # the chosen rows vanish on column k, so clearing the head keeps them
+    for i in range(k):
+        if w[i]:
+            u[i] = [s - w[i] * t for s, t in zip(u[i], u[k])]
+    return u
+
+
 def _inverse_unimodular(p) -> list[list[int]]:
     """Exact inverse of a unimodular matrix, indexed out[k][a] = (P^-1)[k][a]."""
-    r = len(p)
-    out = [[0] * r for _ in range(r)]
-    for a in range(r):
-        e = [Fraction(1) if i == a else Fraction(0) for i in range(r)]
-        col = solve_rational([list(map(Fraction, row)) for row in p], e)
-        if col is None:
-            raise NoValidBasisError("basis matrix is singular")
-        for k in range(r):
-            if col[k].denominator != 1:
-                raise NoValidBasisError("basis matrix is not unimodular")
-            out[k][a] = int(col[k])
+    try:
+        out, d = integer_inverse(p)
+    except ValueError as exc:
+        raise NoValidBasisError("basis matrix is singular") from exc
+    if d != 1:
+        raise NoValidBasisError("basis matrix is not unimodular")
     return out
 
 

@@ -60,6 +60,13 @@ def c3z3_chart() -> StackyFan:
     )
 
 
+def local_chart(n: int) -> StackyFan:
+    """The C^2/Z_n chart: rays (0,1), (n,1), every point between a sector."""
+    return StackyFan.make(
+        2, [(0, 1), (n, 1)], [(0, 1)], [(m, 1) for m in range(1, n)]
+    )
+
+
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 

@@ -17,6 +17,7 @@ from orbidisk.lattice import (
     elementary_divisors,
     hermite_normal_form,
     identity_matrix,
+    integer_inverse,
     integer_kernel,
     primitive_vector,
     rank,
@@ -242,3 +243,53 @@ def test_primitive_vector():
     assert primitive_vector((Fraction(1, 3), Fraction(1, 6))) == (2, 1)
     with pytest.raises(ValueError):
         primitive_vector((0, 0))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=6))
+def test_primitive_vector_integer_path_matches_rational(v):
+    if not any(v):
+        with pytest.raises(ValueError):
+            primitive_vector(v)
+        return
+    got = primitive_vector(v)
+    assert got == primitive_vector([Fraction(x) for x in v])
+    assert all(type(x) is int for x in got)
+
+
+nonsingular_matrices = (
+    st.integers(1, 6)
+    .flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    .filter(lambda a: det(a) != 0)
+)
+
+
+@settings(max_examples=100)
+@given(nonsingular_matrices)
+def test_integer_inverse_matches_rational_inverse(a):
+    m, d = integer_inverse(a)
+    n = len(a)
+    assert d == abs(det(a))
+    assert all(type(x) is int for row in m for x in row)
+    for col in range(n):
+        e = [1 if i == col else 0 for i in range(n)]
+        assert [Fraction(m[i][col], d) for i in range(n)] == solve_rational(a, e)
+
+
+def test_integer_inverse_examples():
+    assert integer_inverse([[2]]) == ([[1]], 2)
+    assert integer_inverse([[-2]]) == ([[-1]], 2)
+    # a pivot must be searched for below a zero; unimodular gives d = 1
+    assert integer_inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
+    m, d = integer_inverse([[2, -1], [-1, 2]])
+    assert (m, d) == ([[2, 1], [1, 2]], 3)
+    assert integer_inverse([]) == ([], 1)
+    for bad in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 2, 3]], [[Fraction(1, 2)]]):
+        with pytest.raises(ValueError):
+            integer_inverse(bad)

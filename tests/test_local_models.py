@@ -12,18 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import assert_grid_is_brute_force
+from conftest import assert_grid_is_brute_force, local_chart
 
 from orbidisk.mirror import ChartPipeline, ComputationError
 from orbidisk.oracle import sector_generating_functions
-from orbidisk.stacky import DiskClassSymbol, StackyFan
-
-
-def local_chart(n: int) -> StackyFan:
-    """The C^2/Z_n chart: rays (0,1), (n,1), every point between a sector."""
-    return StackyFan.make(
-        2, [(0, 1), (n, 1)], [(0, 1)], [(m, 1) for m in range(1, n)]
-    )
+from orbidisk.stacky import DiskClassSymbol
 
 
 @pytest.mark.parametrize("n,degree", [(2, 6), (3, 6), (4, 5), (5, 5)])

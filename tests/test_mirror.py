@@ -415,6 +415,27 @@ def test_potential_symbols_cover_all_basic_classes():
     assert sum(1 for s in syms if s.kind == "ray") == 3
 
 
+def test_potential_lists_box_elements_once(monkeypatch):
+    from orbidisk import mirror
+    from orbidisk.stacky import fan_sequence
+
+    fan = p2z3_extended()
+    calls = []
+    real = mirror.box_elements
+
+    def counting(parent):
+        calls.append(parent)
+        return real(parent)
+
+    monkeypatch.setattr(mirror, "box_elements", counting)
+    data = assemble_potential(fan, 0, 4)
+    assert calls == [fan]
+    # an entry built on its own looks its box element up and agrees
+    seq = fan_sequence(fan)
+    for e in data.entries:
+        assert mirror.potential_entry(fan, seq, 0, e.symbol, 4) == e
+
+
 def test_potential_bad_cone():
     from orbidisk.mirror import NormalizationConeError
 

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
 from conftest import (
+    REPO,
     c2z3_chart,
     c3z3_chart,
+    example_fans,
     f2_fan,
     f3_fan,
+    local_chart,
     om2_chart,
     p2_fan,
     p2z3_bare,
@@ -19,6 +25,20 @@ from conftest import (
     random_single_cone_fan,
 )
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbidisk import stacky
+from orbidisk.fanfile import parse_fan_file
+from orbidisk.lattice import (
+    AmbiguousSolutionError,
+    cone_contains,
+    det,
+    elementary_divisors,
+    identity_matrix,
+    solve_rational,
+    transpose,
+)
 from orbidisk.stacky import (
     DiskClassSymbol,
     FanError,
@@ -35,6 +55,7 @@ from orbidisk.stacky import (
     gorenstein_check,
     is_complete,
     maslov_index,
+    minimal_anticones,
     nu_of_class,
     semifano_check,
     validate,
@@ -144,6 +165,43 @@ def test_box_count_is_cone_index():
         boxes = box_elements(fan)
         carried = [b for b in boxes if set(b.carrier) <= set(fan.max_cones[0])]
         assert len(carried) == cone_index(fan, fan.max_cones[0])
+
+
+def rational_box_scan(fan: StackyFan) -> dict:
+    """Box points with carrier and coordinates, by one rational solve per
+    scanned point: the reference for box_elements."""
+    found = {}
+    for mc in fan.max_cones:
+        vecs = fan.cone_vectors(mc)
+        cols = transpose(vecs)
+        lo = [sum(min(0, v[j]) for v in vecs) for j in range(fan.dim)]
+        hi = [sum(max(0, v[j]) for v in vecs) for j in range(fan.dim)]
+        for pt in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            try:
+                t = solve_rational(cols, list(pt))
+            except AmbiguousSolutionError:
+                continue
+            if t is None or any(x < 0 or x >= 1 for x in t):
+                continue
+            carrier = tuple(i for i, x in zip(mc, t) if x != 0)
+            found.setdefault(pt, (carrier, tuple(x for x in t if x != 0)))
+    return found
+
+
+def test_box_elements_match_rational_scan():
+    rng = random.Random(5)
+    fans = [fan for _, fan in example_fans()]
+    fans += [random_single_cone_fan(rng, rng.choice([2, 3])) for _ in range(8)]
+    fans += [random_complete_2d_fan(rng) for _ in range(4)]
+    # lower-dimensional cones: a non-primitive ray in Z^2, a plane in Z^3
+    fans.append(StackyFan.make(2, [(2, 4)], [(0,)]))
+    fans.append(StackyFan.make(3, [(1, 0, 1), (1, 3, 1)], [(0, 1)]))
+    for fan in fans:
+        boxes = box_elements(fan)
+        assert {b.point: (b.carrier, b.coords) for b in boxes} == rational_box_scan(fan)
+        assert all(b.age == sum(b.coords, Fraction(0)) for b in boxes)
+    assert [b.point for b in box_elements(fans[-2])] == [(0, 0), (1, 2)]
+    assert [b.point for b in box_elements(fans[-1])] == [(0, 0, 0), (1, 1, 1), (1, 2, 1)]
 
 
 # -- gorenstein ---------------------------------------------------------------
@@ -319,6 +377,223 @@ def test_fan_sequence_extras_have_no_nef_charge():
         seq = fan_sequence(fan)
         for j in range(fan.n_rays, fan.n_vectors):
             assert all(seq.q_matrix[j][a] == 0 for a in range(seq.r_prime))
+
+
+# the grading basis of every fan file and of the C^2/Z6 chart; a change to the
+# search order or its pruning changes the truncation window of the output
+GOLDEN_BASES = {
+    "c2z3_chart": ((-1, 0), (0, -1)),
+    "c3z3_chart": ((-1,),),
+    "f2": ((1, 0), (2, 1)),
+    "f3": ((1, 0), (3, 1)),
+    "p1xp1": ((1, 0), (0, 1)),
+    "p2": ((1,),),
+    "p2z3": (
+        (0, -1, 2, 1, 2, 0, 1),
+        (0, 0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 1, 0, 0, 0),
+        (0, -1, 1, 1, 1, 0, 1),
+        (1, -1, 0, 1, 1, 1, 0),
+    ),
+    "c2z2": ((-1,),),
+    "c2z3": ((-1, 0), (0, -1)),
+    "c2z4": ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+    "c2z5": ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+    "r01_v3_b3": ((1,),),
+    "r02_v3_b4": ((-1, 1), (-2, 1)),
+    "r03_v3_b6": ((0, -1, 1, 1), (0, 0, 0, 1), (-2, 1, 0, 0), (-1, -1, 1, 0)),
+    "r04_v3_b8": (
+        (0, -1, 1, 1, 0, 0),
+        (0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 1, 0, 0),
+        (-1, -1, 1, 0, 0, 0),
+        (1, -1, 0, 1, 1, 0),
+    ),
+    "r05_v3_b9": (
+        (0, -1, 2, 1, 2, 0, 1),
+        (0, 0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 1, 0, 0, 0),
+        (0, -1, 1, 1, 1, 0, 1),
+        (1, -1, 0, 1, 1, 1, 0),
+    ),
+    "r06_v4_b4": ((1, 0), (0, 1)),
+    "r07_v4_b4": ((1, 0), (0, 1)),
+    "r08_v4_b5": ((-1, 0, 1), (0, 0, 1), (-1, -1, 1)),
+    "r09_v4_b6": ((-1, 0, 1, 0), (-1, 0, 1, 1), (-2, 0, 1, 0), (-1, 1, 0, -1)),
+    "r10_v4_b7": (
+        (1, -1, 0, 1, 1),
+        (2, -1, 0, 1, 1),
+        (0, 0, 0, 0, 1),
+        (-1, -1, 1, 0, 0),
+        (1, -2, 0, 1, 0),
+    ),
+    "r11_v4_b8": (
+        (1, 0, 0, 0, 1, 1),
+        (1, 0, -1, 1, 1, 1),
+        (0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 1, 0),
+        (1, 0, -1, 0, 1, 1),
+        (1, -1, -1, 1, 1, 0),
+    ),
+    "r12_v4_b8": (
+        (0, -1, 1, 1, 1, 0),
+        (1, -1, 0, 1, 1, 1),
+        (0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 1, 0),
+        (-1, -1, 1, 1, 0, 0),
+        (1, -2, 0, 1, 1, 0),
+    ),
+    "r13_v5_b5": ((0, 0, 1), (1, 1, 0), (1, 2, 2)),
+    "r14_v5_b6": ((0, 0, 0, 1), (-1, 0, 1, 1), (0, 0, 1, 1), (-1, -1, 0, 1)),
+    "r15_v5_b7": (
+        (-1, 0, 1, 1, 0),
+        (-1, 1, 2, 2, 1),
+        (-1, 1, 1, 1, 0),
+        (-2, 0, 1, 1, 0),
+        (-1, -1, 0, 1, 1),
+    ),
+    "r16_v6_b6": ((1, 2, 2, 1), (1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 0)),
+    "c2z6_chart": (
+        (0, 0, 0, 0, 1),
+        (0, 0, 0, 1, 0),
+        (0, 0, 1, 0, 0),
+        (1, -1, 1, 1, 0),
+        (2, -1, 2, 1, 1),
+    ),
+}
+
+
+def test_golden_grading_bases():
+    paths = sorted((REPO / "fans").glob("*.json"))
+    paths += sorted((REPO / "perfbench" / "fans").glob("*.json"))
+    got = {}
+    for path in paths:
+        ff = parse_fan_file(path)
+        got[path.stem] = fan_sequence(ff.resolve_fan(), ff.basis_p).basis_p
+    got["c2z6_chart"] = fan_sequence(local_chart(6)).basis_p
+    assert got == GOLDEN_BASES
+
+
+def test_z7_chart_search_fails_fast_in_bounded_memory():
+    # its span-6 extra pool holds 45,801 candidates; a Smith loop over all
+    # of them peaks near 20 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoValidBasisError, match="exhausted"):
+            fan_sequence(local_chart(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15_000_000
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_saturating_extension_matches_smith(data):
+    r = data.draw(st.integers(1, 7))
+    rows = st.lists(st.integers(-4, 4), min_size=r, max_size=r)
+    u = identity_matrix(r)
+    chosen: list[list[int]] = []
+    for _ in range(data.draw(st.integers(1, r + 2))):
+        kind = data.draw(st.sampled_from(["row", "scaled", "combination"]))
+        if kind == "row" or not chosen:
+            v = data.draw(rows)
+        elif kind == "scaled":  # never primitive unless zero
+            v = [data.draw(st.integers(2, 3)) * x for x in data.draw(rows)]
+        else:  # dependent on the rows chosen so far
+            v = [0] * r
+            for c in chosen:
+                k = data.draw(st.integers(-2, 2))
+                v = [a + k * b for a, b in zip(v, c)]
+        saturated = elementary_divisors(chosen + [v]) == [1] * (len(chosen) + 1)
+        before = [list(col) for col in u]
+        nxt = stacky._saturating_extension(u, len(chosen), v)
+        assert u == before
+        assert (nxt is not None) == saturated
+        if nxt is not None:
+            chosen.append(v)
+            u = nxt
+            k = len(chosen)
+            for i, row in enumerate(chosen):
+                image = [sum(map(mul, row, col)) for col in u]
+                assert image == [1 if j == i else 0 for j in range(r)]
+            assert abs(det(u)) == 1
+            assert k <= r
+
+
+def _assert_kahler_agrees(fan: StackyFan, divisors, vectors):
+    """The Kahler test, and each anticone's inequalities, against
+    cone_contains at every vector."""
+    inside = stacky._kahler_closure_test(fan, divisors)
+    antis = []
+    for anti in minimal_anticones(fan):
+        gens = [divisors[i] for i in sorted(anti)]
+        antis.append((gens, stacky._anticone_inequalities(gens)))
+    for x in vectors:
+        member = []
+        for gens, rows in antis:
+            member.append(cone_contains(gens, x)[0])
+            if rows is not None:
+                assert all(sum(map(mul, row, x)) >= 0 for row in rows) == member[-1]
+        assert inside(x) == all(member)
+
+
+def test_kahler_test_matches_cone_contains_on_search_candidates(monkeypatch):
+    # every nef candidate the search tests and every extra-block candidate
+    # it searches
+    tested = []
+    context = []
+    real_test, real_assemble = stacky._kahler_closure_test, stacky._assemble_basis
+
+    def recording_test(fan, divisors):
+        inside = real_test(fan, divisors)
+        context[:] = [fan, tuple(divisors)]
+
+        def test(x):
+            tested.append((fan, tuple(divisors), tuple(x)))
+            return inside(x)
+
+        return test
+
+    def recording_assemble(ext_pool, *args):
+        tested.extend((*context, tuple(v)) for v in ext_pool)
+        return real_assemble(ext_pool, *args)
+
+    monkeypatch.setattr(stacky, "_kahler_closure_test", recording_test)
+    monkeypatch.setattr(stacky, "_assemble_basis", recording_assemble)
+    for _, fan in example_fans():
+        stacky._fan_sequence_uncached(fan, None)
+    monkeypatch.undo()
+    assert len(tested) > 1000
+    by_fan: dict = {}
+    for fan, divisors, x in tested:
+        by_fan.setdefault((fan, divisors), set()).add(x)
+    for (fan, divisors), vectors in by_fan.items():
+        _assert_kahler_agrees(fan, divisors, sorted(vectors))
+
+
+# the divisor classes of every example fan, and of a fan whose one-ray
+# maximal cone leaves an anticone of two classes in rank one (the
+# cone_contains fallback)
+KAHLER_FANS = [
+    (fan, fan_sequence(fan).divisors)
+    for fan in [fan for _, fan in example_fans()]
+    + [StackyFan.make(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)])]
+]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_kahler_test_matches_cone_contains_at_random_vectors(data):
+    fan, divisors = data.draw(st.sampled_from(KAHLER_FANS))
+    r = len(divisors[0])
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    _assert_kahler_agrees(fan, divisors, [x])
 
 
 # -- dual classes ------------------------------------------------------------------
