@@ -9,6 +9,7 @@ inputs as read-only and return fresh lists.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 
@@ -395,180 +396,33 @@ def solve_integer(a, b) -> list[int] | None:
     return x
 
 
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination
-# ---------------------------------------------------------------------------
-#
-# A constraint is (coeffs, rhs, is_eq) encoding coeffs . z >= rhs, or = rhs.
-# Small systems only: the fan checks and cone memberships this library needs
-# stay within a few dozen variables and constraints.
-
-
-def _normalize_constraint(coeffs, rhs, is_eq):
-    nz = [abs(x) for x in coeffs if x != 0]
-    if not nz:
-        return None if (rhs <= 0 if not is_eq else rhs == 0) else "infeasible"
-    scale = min(nz)
-    coeffs = tuple(Fraction(x) / scale for x in coeffs)
-    return (coeffs, Fraction(rhs) / scale, is_eq)
-
-
-def fm_solve(n_vars: int, constraints) -> list[Fraction] | None:
-    """Find one exact solution of a linear eq/ineq system, or None.
-
-    Args:
-      n_vars: number of variables z_0..z_{n_vars-1}.
-      constraints: iterable of (coeffs, rhs, is_eq) meaning
-        coeffs . z >= rhs (is_eq False) or coeffs . z == rhs (is_eq True).
-
-    Returns:
-      A solution vector of Fractions, or None when infeasible.
-    """
-    system = []
-    for coeffs, rhs, is_eq in constraints:
-        c = _normalize_constraint(list(coeffs), rhs, is_eq)
-        if c == "infeasible":
-            return None
-        if c is not None:
-            system.append(c)
-    steps = []  # (var, kind, payload) for back-substitution
-    for v in range(n_vars - 1, -1, -1):
-        eq = next((c for c in system if c[2] and c[0][v] != 0), None)
-        if eq is not None:
-            # replace v by (rhs - rest)/coef in every other constraint
-            coef = eq[0][v]
-            steps.append((v, "eq", eq))
-            new_system = []
-            for c in system:
-                if c is eq:
-                    continue
-                cv = c[0][v]
-                if cv == 0:
-                    new_system.append(c)
-                    continue
-                f = cv / coef
-                coeffs = tuple(
-                    x - f * y if i != v else Fraction(0)
-                    for i, (x, y) in enumerate(zip(c[0], eq[0]))
-                )
-                nc = _normalize_constraint(list(coeffs), c[1] - f * eq[1], c[2])
-                if nc == "infeasible":
-                    return None
-                if nc is not None:
-                    new_system.append(nc)
-            system = _dedup(new_system)
-            continue
-        lowers, uppers, rest = [], [], []
-        for c in system:
-            cv = c[0][v]
-            if cv > 0:
-                lowers.append(c)  # v >= (rhs - rest)/cv
-            elif cv < 0:
-                uppers.append(c)
-            else:
-                rest.append(c)
-        steps.append((v, "fm", (lowers, uppers)))
-        new_system = list(rest)
-        for lo in lowers:
-            for up in uppers:
-                # eliminate v between lo and up
-                a_lo, a_up = lo[0][v], up[0][v]
-                coeffs = tuple(
-                    x / a_lo - y / a_up for x, y in zip(lo[0], up[0])
-                )
-                nc = _normalize_constraint(
-                    list(coeffs), lo[1] / a_lo - up[1] / a_up, False
-                )
-                if nc == "infeasible":
-                    return None
-                if nc is not None:
-                    new_system.append(nc)
-        system = _dedup(new_system)
-    for coeffs, rhs, is_eq in system:
-        if any(coeffs):
-            raise AssertionError("variables left after elimination")
-        if is_eq and rhs != 0:
-            return None
-        if not is_eq and rhs > 0:
-            return None
-    # back-substitution
-    sol = [Fraction(0)] * n_vars
-    for v, kind, payload in reversed(steps):
-        if kind == "eq":
-            coeffs, rhs, _ = payload
-            acc = rhs - sum(
-                coeffs[i] * sol[i] for i in range(n_vars) if i != v and coeffs[i]
-            )
-            sol[v] = acc / coeffs[v]
-        else:
-            lowers, uppers = payload
-            lo_vals = [
-                (c[1] - sum(c[0][i] * sol[i] for i in range(n_vars) if i != v))
-                / c[0][v]
-                for c in lowers
-            ]
-            up_vals = [
-                (c[1] - sum(c[0][i] * sol[i] for i in range(n_vars) if i != v))
-                / c[0][v]
-                for c in uppers
-            ]
-            if lo_vals and up_vals:
-                lo, up = max(lo_vals), min(up_vals)
-                if lo > up:
-                    raise AssertionError("inconsistent bounds in back-substitution")
-                sol[v] = lo
-            elif lo_vals:
-                sol[v] = max(lo_vals + [Fraction(0)])
-            elif up_vals:
-                sol[v] = min(up_vals + [Fraction(0)])
-    return sol
-
-
-def _dedup(system):
-    seen = set()
-    out = []
-    for c in system:
-        key = (c[0], c[1], c[2])
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
-    return out
-
-
 def cone_contains(generators, point) -> tuple[bool, list[Fraction] | None]:
     """Exact membership of a point in the cone spanned by the generators.
 
     Returns (True, coefficients) with point = sum(coeff_i * g_i), all
-    coefficients >= 0, or (False, None).  For linearly independent generators
-    the membership is decided by a direct solve; otherwise by
-    Fourier-Motzkin elimination.
+    coefficients >= 0, or (False, None).  By Caratheodory's theorem a point
+    of the cone lies in the cone of a basis of the generators' span taken
+    from the generators, so one direct solve per d-subset decides it, d the
+    rank; dependent subsets raise AmbiguousSolutionError and are skipped.
+    Generators off the accepting subset get coefficient 0.
     """
     gens = [list(g) for g in generators]
     if not gens:
         raise ValueError("cone_contains needs at least one generator")
     pt = list(point)
     k = len(gens)
-    if rank(gens) == k:
-        cols = transpose(gens)
+    d = rank(gens)
+    if d == 0:
+        # the empty subset would solve every point
+        return (False, None) if any(pt) else (True, [Fraction(0)] * k)
+    for subset in combinations(range(k), d):
         try:
-            lam = solve_rational(cols, pt)
-        except AmbiguousSolutionError:  # pragma: no cover - rank == k prevents this
-            lam = None
-        if lam is None:
-            return False, None
-        if all(x >= 0 for x in lam):
-            return True, lam
-        return False, None
-    n = len(pt)
-    constraints = []
-    for j in range(n):
-        coeffs = [Fraction(gens[i][j]) for i in range(k)]
-        constraints.append((coeffs, Fraction(pt[j]), True))
-    for i in range(k):
-        coeffs = [Fraction(1) if t == i else Fraction(0) for t in range(k)]
-        constraints.append((coeffs, Fraction(0), False))
-    sol = fm_solve(k, constraints)
-    if sol is None:
-        return False, None
-    return True, sol
-
+            lam = solve_rational(transpose([gens[i] for i in subset]), pt)
+        except AmbiguousSolutionError:
+            continue
+        if lam is not None and all(x >= 0 for x in lam):
+            out = [Fraction(0)] * k
+            for i, x in zip(subset, lam):
+                out[i] = x
+            return True, out
+    return False, None

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .lattice import AmbiguousSolutionError, det, solve_rational, transpose
+from .lattice import (
+    AmbiguousSolutionError,
+    det,
+    integer_inverse,
+    solve_rational,
+    transpose,
+)
 from .series import SeriesRing, TruncatedSeries, exp_series
 from .stacky import (
     BoxElement,
@@ -193,13 +199,10 @@ class ChartPipeline:
             )
         gamma = self.seq.gamma_basis
         block = [[gamma[a][e] for a in range(self.r)] for e in outside]
-        cols = []
-        for idx in range(self.r):
-            unit = [int(i == idx) for i in range(self.r)]
-            cols.append([x * self.modulus for x in solve_rational(block, unit)])
-        # integer arithmetic throughout: every key scaled by den
-        den = lcm(1, *(x.denominator for col in cols for x in col))
-        cols = [[int(x * den) for x in col] for col in cols]
+        # integer arithmetic throughout: block^-1 = m / den, so every key is
+        # scaled by den
+        m, den = integer_inverse(block)
+        cols = [[row[idx] * self.modulus for row in m] for idx in range(self.r)]
         weights = [sum(col) for col in cols]
         if any(w <= 0 for w in weights):
             raise ComputationError(

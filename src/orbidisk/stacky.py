@@ -21,7 +21,6 @@ from .lattice import (
     cone_contains,
     det,
     elementary_divisors,
-    fm_solve,
     identity_matrix,
     integer_inverse,
     integer_kernel,
@@ -166,34 +165,18 @@ def validate(fan: StackyFan) -> ValidationReport:
 
 
 def _meet_in_common_face(fan: StackyFan, ca, cb) -> bool:
-    """cone(ca) ∩ cone(cb) == cone(ca ∩ cb), by exact infeasibility.
+    """cone(ca) ∩ cone(cb) == cone(ca ∩ cb), by exact non-membership.
 
     For simplicial cones any x in cone(ca) has unique coordinates, so a bad
     intersection point is one equal to a cone(cb) point while its coordinate
     mass on ca \\ cb is positive; by homogeneity that mass can be scaled to 1.
+    So one exists exactly when (0, ..., 0, 1) lies in the cone of the
+    (b_i, [i not in cb]) for i in ca and the (-b_j, 0) for j in cb.
     """
-    shared = sorted(set(ca) & set(cb))
-    extra_a = [i for i in ca if i not in shared]
-    if not extra_a:
-        return True
-    n = fan.dim
-    ka, kb = len(ca), len(cb)
-    nvar = ka + kb
-    cons = []
-    for j in range(n):
-        row = [Fraction(fan.stacky_vectors[i][j]) for i in ca] + [
-            -Fraction(fan.stacky_vectors[i][j]) for i in cb
-        ]
-        cons.append((row, Fraction(0), True))
-    for t in range(nvar):
-        row = [Fraction(1) if s == t else Fraction(0) for s in range(nvar)]
-        cons.append((row, Fraction(0), False))
-    mass = [
-        Fraction(1) if (t < ka and ca[t] in extra_a) else Fraction(0)
-        for t in range(nvar)
-    ]
-    cons.append((mass, Fraction(1), False))
-    return fm_solve(nvar, cons) is None
+    b = fan.stacky_vectors
+    gens = [[*b[i], int(i not in cb)] for i in ca]
+    gens += [[-x for x in b[j]] + [0] for j in cb]
+    return not cone_contains(gens, [0] * fan.dim + [1])[0]
 
 
 def anticones(fan: StackyFan) -> set[frozenset[int]]:

@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from conftest import fm_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,6 +207,9 @@ def test_cone_contains_examples():
     assert not ok and lam is None
     ok, lam = cone_contains([(1, 0), (0, 1)], (0, 0))
     assert ok and lam == [0, 0]
+    # rank 0: the empty subset of the generators solves nothing but 0
+    assert cone_contains([(0, 0)], (1, 0)) == (False, None)
+    assert cone_contains([(0, 0), (0, 0)], (0, 0)) == (True, [0, 0])
 
 
 def test_cone_contains_dependent_generators():
@@ -236,6 +240,61 @@ def test_cone_contains_reconstructs_point():
             combo = [sum(l * g[i] for l, g in zip(lam, gens)) for i in range(n)]
             assert combo == list(pt)
             assert all(l >= 0 for l in lam)
+
+
+def fm_cone_contains(gens, pt) -> bool:
+    """Membership by Fourier-Motzkin: feasibility of sum(l_i g_i) = pt,
+    l >= 0."""
+    k = len(gens)
+    eqs = [([g[j] for g in gens], pt[j], True) for j in range(len(pt))]
+    signs = [([int(t == i) for t in range(k)], 0, False) for i in range(k)]
+    return fm_solve(k, eqs + signs) is not None
+
+
+@st.composite
+def cone_cases(draw):
+    """Generators in dimensions 1-4, some zero, repeated, rescaled or sums of
+    others (dependent), with rational entries; the point is a combination of
+    them with coefficients of either sign, or any point (often off the span).
+    """
+    n = draw(st.integers(1, 4))
+    entry = st.fractions(-3, 3, max_denominator=2)
+    gens = [draw(st.lists(entry, min_size=n, max_size=n))]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "scale", "sum"]))
+        g, h = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        if kind == "new":
+            gens.append(draw(st.lists(entry, min_size=n, max_size=n)))
+        elif kind == "zero":
+            gens.append([0] * n)
+        elif kind == "repeat":
+            gens.append(list(g))
+        elif kind == "scale":
+            c = draw(st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(3)]))
+            gens.append([c * x for x in g])
+        else:
+            gens.append([x + y for x, y in zip(g, h)])
+    if draw(st.booleans()):
+        coeffs = draw(
+            st.lists(st.integers(-1, 2), min_size=len(gens), max_size=len(gens))
+        )
+        pt = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)]
+    else:
+        pt = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return gens, pt
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_cases())
+def test_cone_contains_matches_fourier_motzkin(case):
+    gens, pt = case
+    ok, lam = cone_contains(gens, pt)
+    assert ok == fm_cone_contains(gens, pt)
+    if ok:
+        assert len(lam) == len(gens) and all(x >= 0 for x in lam)
+        assert [sum(l * g[j] for l, g in zip(lam, gens)) for j in range(len(pt))] == pt
+    else:
+        assert lam is None
 
 
 def test_primitive_vector():

@@ -16,6 +16,7 @@ from conftest import (
     example_fans,
     f2_fan,
     f3_fan,
+    fm_solve,
     local_chart,
     om2_chart,
     p2_fan,
@@ -25,7 +26,7 @@ from conftest import (
     random_single_cone_fan,
 )
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbidisk import stacky
@@ -36,6 +37,7 @@ from orbidisk.lattice import (
     det,
     elementary_divisors,
     identity_matrix,
+    rank,
     solve_rational,
     transpose,
 )
@@ -78,6 +80,61 @@ def test_validate_overlapping_cones():
     rep = validate(fan)
     assert not rep.ok
     assert any("common face" in issue for issue in rep.issues)
+    # 3-D: the cones share the ray (1,0,0), but (1,1,1) of the second cone
+    # lies inside the first
+    fan = StackyFan.make(
+        3,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, 1, 0)],
+        [(0, 1, 2), (0, 3, 4)],
+    )
+    rep = validate(fan)
+    assert not rep.ok
+    assert rep.issues == (
+        "cones (0, 1, 2) and (0, 3, 4) do not intersect in a common face",
+    )
+
+
+def fm_meet_in_common_face(fan, ca, cb) -> bool:
+    """The Fourier-Motzkin form of the common-face test: no l >= 0 on ca and
+    m >= 0 on cb with sum l_i b_i = sum m_j b_j and mass >= 1 on ca minus cb."""
+    extra = [i for i in ca if i not in cb]
+    if not extra:
+        return True
+    b, nvar = fan.stacky_vectors, len(ca) + len(cb)
+    cons = [
+        ([b[i][j] for i in ca] + [-b[i][j] for i in cb], 0, True)
+        for j in range(fan.dim)
+    ]
+    cons += [([int(s == t) for s in range(nvar)], 0, False) for t in range(nvar)]
+    cons.append(([int(i in extra) for i in ca] + [0] * len(cb), 1, False))
+    return fm_solve(nvar, cons) is None
+
+
+@st.composite
+def simplicial_cone_pairs(draw):
+    """Two simplicial cones, of 1 to n rays each, from a small pool of
+    vectors in dimensions 2-4; they may share rays, nest or overlap."""
+    n = draw(st.integers(2, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    pool = draw(st.lists(vec, min_size=n + 1, max_size=n + 3))
+    cones = []
+    for _ in range(2):
+        size = draw(st.integers(1, n))
+        idx = st.integers(0, len(pool) - 1)
+        c = draw(st.lists(idx, min_size=size, max_size=size, unique=True))
+        assume(rank([pool[i] for i in c]) == size)
+        cones.append(tuple(sorted(c)))
+    return StackyFan.make(n, pool, cones), *cones
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplicial_cone_pairs())
+def test_meet_in_common_face_matches_fourier_motzkin(case):
+    fan, ca, cb = case
+    good = stacky._meet_in_common_face(fan, ca, cb)
+    assert good == fm_meet_in_common_face(fan, ca, cb)
+    assert stacky._meet_in_common_face(fan, cb, ca) == good
+    assert fm_meet_in_common_face(fan, cb, ca) == good
 
 
 def test_validate_non_surjective():
