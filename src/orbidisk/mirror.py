@@ -3,8 +3,11 @@
 All invariant computations run on a toric Calabi-Yau chart.  The chart's
 effective classes up to the truncation order are enumerated cone by cone: for
 each maximal cone, the classes pairing to nonnegative integers with the
-vectors outside it, under the weight budget of the order.  Each ray or extra
-vector contributes a hypergeometric-type correction series A_j.  The map
+vectors outside it, under the weight budget of the order.  A class is carried
+as integer numerators over the chart modulus M (its grading coordinates and
+divisor pairings times M); effectiveness, the omega sets and each correction
+coefficient are decided on those integers.  Each ray or extra vector
+contributes a hypergeometric-type correction series A_j.  The map
 
     q_a = y_a exp(sum_j Q_ja A_j(y)),   tau_j = A_j(y)
 
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
+from operator import mul
 
 from .lattice import (
     AmbiguousSolutionError,
@@ -38,7 +42,6 @@ from .stacky import (
     StackyFan,
     anticones,
     box_elements,
-    ceil_fraction,
     cone_index,
     dual_class_data,
     fan_sequence,
@@ -62,38 +65,26 @@ class OrderTooLowError(ComputationError):
 @dataclass(frozen=True)
 class GridPoint:
     key: tuple[int, ...]  # modulus-scaled grading coordinates
-    pcoords: tuple[Fraction, ...]
-    pairings: tuple[Fraction, ...]
+    nums: tuple[int, ...]  # modulus-scaled divisor pairings
     effective: bool
     nu: tuple[int, ...]
 
 
-def _is_nonneg_int(x: Fraction) -> bool:
-    return x.denominator == 1 and x >= 0
-
-
-def _is_neg_int(x: Fraction) -> bool:
-    return x.denominator == 1 and x < 0
-
-
-def ratio_factor(c: Fraction) -> Fraction:
-    """Collapsed two-sided factorial ratio used by the extra-vector series.
-
-    Equals 1/c! for nonnegative integers, vanishes on negative integers, and
-    is the finite product of the non-cancelling factors otherwise.
-    """
-    cc = ceil_fraction(c)
-    if cc >= 1:
-        out = Fraction(1)
-        for k in range(cc):
-            out /= c - k
-        return out
-    if cc == 0:
-        return Fraction(1)
-    out = Fraction(1)
-    for k in range(cc, 0):
-        out *= c - k
-    return out
+def _sector_ratio(nums, m: int) -> tuple[int, int]:
+    """(numerator, denominator) of the extra-vector series coefficient: the
+    product over the pairings p / m, with cc = ceil(p / m), of the collapsed
+    factorial ratio m^cc / prod_{0<=k<cc} (p - km) if cc >= 0, else
+    prod_{cc<=k<0} (p - km) / m^-cc (1/c! on integers c >= 0, 0 on c < 0)."""
+    num = den = 1
+    for p in nums:
+        cc = -(-p // m)
+        if cc >= 0:
+            num *= m**cc
+            den *= prod(p - k * m for k in range(cc))
+        else:
+            den *= m**-cc
+            num *= prod(p - k * m for k in range(cc, 0))
+    return num, den
 
 
 class ChartPipeline:
@@ -116,6 +107,12 @@ class ChartPipeline:
             for x in d.pcoords:
                 m = lcm(m, x.denominator)
         self.modulus = m
+        # a class's pairing numerators: its key dotted with these columns
+        self._gamma_cols = tuple(
+            tuple(row[i] for row in self.seq.gamma_basis)
+            for i in range(fan.n_vectors)
+        )
+        self._dual_keys = [tuple(int(x * m) for x in d.pcoords) for d in self.duals]
         self.tau_weights = [sum(d.pcoords, Fraction(0)) for d in self.duals]
         if any(w <= 0 for w in self.tau_weights):
             raise ComputationError("twisted sector with nonpositive weight")
@@ -162,7 +159,8 @@ class ChartPipeline:
         A class is effective exactly when, for some maximal cone, it pairs to
         a nonnegative integer with each of the r vectors outside the cone, so
         the grid is the union over the maximal cones of `_cone_keys`.  Every
-        key found is classified again and must come out effective.
+        key found is classified again and must come out effective.  Each
+        GridPoint carries the class as integer numerators over the modulus.
         """
         if self._grid is not None:
             return self._grid
@@ -223,68 +221,66 @@ class ChartPipeline:
         yield from walk(0, [0] * self.r, self.y_ring._bound * den)
 
     def _classify(self, key) -> GridPoint:
-        pcoords = tuple(Fraction(k, self.modulus) for k in key)
-        pairings = self.seq.pairings_from_pcoords(pcoords)
+        """The class of a scaled key, carried by its pairing numerators p over
+        the modulus M: p / M is a nonnegative integer when p >= 0 and M | p,
+        and the class is effective when those vectors contain an anticone."""
+        m = self.modulus
+        nums = tuple(sum(map(mul, key, col)) for col in self._gamma_cols)
         int_nonneg = frozenset(
-            i for i, c in enumerate(pairings) if _is_nonneg_int(c)
+            i for i, p in enumerate(nums) if p >= 0 and p % m == 0
         )
         effective = int_nonneg in self._anticones
-        nu = nu_of_class(self.fan, pairings) if effective else ()
-        return GridPoint(key, pcoords, pairings, effective, nu)
+        nu = nu_of_class(self.fan, nums, m) if effective else ()
+        return GridPoint(key, nums, effective, nu)
 
     def omega(self, j: int) -> list[GridPoint]:
         """Effective classes feeding the j-th correction series."""
+        m = self.modulus
+        ray = j < self.fan.n_rays
+        # a ray's classes have box point 0, a sector's its own vector
+        nu = (0,) * self.fan.dim if ray else self.fan.vectors[j]
         out = []
         origin = (0,) * self.r
         for key, gp in self.grid().items():
-            if key == origin:
+            if key == origin or gp.nu != nu:
                 continue
-            cs = gp.pairings
-            if j < self.fan.n_rays:
-                if not _is_neg_int(cs[j]):
-                    continue
-                if any(
-                    not _is_nonneg_int(cs[i])
-                    for i in range(self.fan.n_vectors)
-                    if i != j
+            ps = gp.nums
+            if ray:
+                # c_j a negative integer, every other pairing a nonnegative one
+                if ps[j] >= 0 or ps[j] % m or any(
+                    p < 0 or p % m for i, p in enumerate(ps) if i != j
                 ):
                     continue
-                if any(x != 0 for x in gp.nu):
-                    continue
-            else:
-                if any(_is_neg_int(c) for c in cs):
-                    continue
-                if gp.nu != self.fan.vectors[j]:
-                    continue
+            elif any(p < 0 and p % m == 0 for p in ps):
+                continue
             out.append(gp)
         out.sort(key=lambda g: g.key)
         return out
 
     def a_series(self, j: int) -> TruncatedSeries:
-        """Correction series attached to the j-th ray or extra vector."""
+        """Correction series attached to the j-th ray or extra vector.
+
+        Each coefficient is one integer numerator over one integer
+        denominator: a ray term is (-1)^(-c_j-1) (-c_j-1)! / prod_i c_i!, a
+        sector term is `_sector_ratio` of the class's pairing numerators.
+        """
         if j in self._a_series:
             return self._a_series[j]
+        m = self.modulus
         terms: dict[tuple[int, ...], Fraction] = {}
         for gp in self.omega(j):
-            cs = gp.pairings
+            ps = gp.nums
             if j < self.fan.n_rays:
-                cj = int(cs[j])
-                coeff = Fraction((-1) ** (-cj - 1) * factorial(-cj - 1))
-                for i in range(self.fan.n_vectors):
-                    if i != j:
-                        coeff /= factorial(int(cs[i]))
+                cj = ps[j] // m
+                num = (-1) ** (-cj - 1) * factorial(-cj - 1)
+                den = prod(factorial(p // m) for i, p in enumerate(ps) if i != j)
             else:
-                coeff = Fraction(1)
-                for c in cs:
-                    coeff *= ratio_factor(c)
-                    if coeff == 0:
-                        break
-            if coeff:
-                terms[gp.key] = coeff
+                num, den = _sector_ratio(ps, m)
+            if num:
+                terms[gp.key] = Fraction(num, den)
         series = self.y_ring.from_scaled_terms(terms)
         if j >= self.fan.n_rays:
-            dual = self.duals[j - self.fan.n_rays]
-            lead = self.y_ring.scale_exponents(dual.pcoords)
+            lead = self._dual_keys[j - self.fan.n_rays]
             # the leading term can only be checked when the truncation order
             # reaches the sector's weight at all
             if self.y_ring.in_bounds(lead) and series.scaled_coefficient(lead) != 1:
@@ -331,38 +327,31 @@ class ChartPipeline:
         cached = self._relabel_cache.get(key)
         if cached is not None:
             return cached
-        gp = self.grid().get(key)
-        if gp is None:
-            gp = self._classify(key)
+        m = self.modulus
         mpart = []
         for j in self.extras:
-            c = gp.pairings[j]
-            if c.denominator != 1 or c < 0:
+            p = sum(map(mul, key, self._gamma_cols[j]))
+            if p < 0 or p % m:
                 raise ComputationError(
-                    f"class with sector pairing {c} cannot be relabeled"
+                    f"class with sector pairing {Fraction(p, m)} cannot be "
+                    "relabeled"
                 )
-            mpart.append(int(c))
-        qpart = []
-        for a in range(self.r_prime):
-            v = gp.pcoords[a]
-            for mj, dual in zip(mpart, self.duals):
-                v -= mj * dual.pcoords[a]
-            scaled = v * self.modulus
-            if scaled.denominator != 1 or scaled < 0:
-                raise ComputationError(
-                    "chart carries a twisted sector with nonzero curve "
-                    "charge; not supported"
-                )
-            qpart.append(int(scaled))
-        for a in range(self.r_prime, self.r):
-            v = gp.pcoords[a]
-            for mj, dual in zip(mpart, self.duals):
-                v -= mj * dual.pcoords[a]
-            if v != 0:
-                raise ComputationError(
-                    "class decomposition failed; grading basis unusable"
-                )
-        target = tuple(qpart) + tuple(m * self.modulus for m in mpart)
+            mpart.append(p // m)
+        rest = list(key)
+        for mj, dual_key in zip(mpart, self._dual_keys):
+            if mj:
+                rest = [x - mj * d for x, d in zip(rest, dual_key)]
+        qpart = rest[: self.r_prime]
+        if any(x < 0 for x in qpart):
+            raise ComputationError(
+                "chart carries a twisted sector with nonzero curve "
+                "charge; not supported"
+            )
+        if any(rest[self.r_prime :]):
+            raise ComputationError(
+                "class decomposition failed; grading basis unusable"
+            )
+        target = tuple(qpart) + tuple(mj * m for mj in mpart)
         self._relabel_cache[key] = target
         return target
 

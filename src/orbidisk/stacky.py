@@ -11,9 +11,10 @@ fan polytope faces, and the dual classes attached to the extra vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .lattice import (
@@ -464,26 +465,35 @@ class FanSequenceData:
     r: int
     r_prime: int
 
-    def pairings_from_pcoords(self, pcoords) -> tuple[Fraction, ...]:
-        """Ambient vector (= all divisor pairings) of sum_a pcoords[a] gamma_a."""
-        out = [Fraction(0)] * self.fan.n_vectors
-        for a, c in enumerate(pcoords):
-            if c:
-                for i, g in enumerate(self.gamma_basis[a]):
-                    out[i] += Fraction(c) * g
-        return tuple(out)
-
     def pcoords_from_ambient(self, ambient) -> tuple[Fraction, ...]:
-        """Coordinates <p_a, d> of an ambient relation vector."""
-        coords = solve_rational(
-            transpose(self.kernel_basis), [Fraction(x) for x in ambient]
-        )
-        if coords is None:
+        """Coordinates <p_a, d> of an ambient relation vector d.
+
+        d is a relation when sum_i d_i v_i = 0.  Each p_a is one fixed
+        rational combination of r independent divisor classes D_i, so <p_a, d>
+        is the same combination of their pairings d_i (`_pcoords_map`).
+        """
+        d = [Fraction(x) for x in ambient]
+        scale = lcm(*(x.denominator for x in d))
+        nums = [x.numerator * (scale // x.denominator) for x in d]  # d * scale
+        if len(d) != self.fan.n_vectors or any(
+            sum(map(mul, nums, col)) for col in zip(*self.fan.vectors)
+        ):
             raise FanError("vector is not a relation of the fan map")
-        return tuple(
-            sum(Fraction(p) * c for p, c in zip(row, coords))
-            for row in self.basis_p
-        )
+        rows, t, den = self._pcoords_map
+        picked = [nums[i] for i in rows]
+        return tuple(Fraction(sum(map(mul, row, picked)), den * scale) for row in t)
+
+    @cached_property
+    def _pcoords_map(self) -> tuple[list[int], list[list[int]], int]:
+        """(rows, t, den) with p_a = sum_c t[a][c] D_rows[c] / den: the first
+        independent divisor classes, and basis_p over their integer inverse."""
+        rows: list[int] = []
+        for i in range(self.fan.n_vectors):
+            if rank([self.divisors[c] for c in rows + [i]]) > len(rows):
+                rows.append(i)
+        inv, den = integer_inverse([self.divisors[i] for i in rows])
+        t = [[sum(map(mul, p, col)) for col in zip(*inv)] for p in self.basis_p]
+        return rows, t, den
 
 
 def _kahler_closure_test(fan: StackyFan, divisors):
@@ -920,15 +930,12 @@ def age_one_box_points(fan: StackyFan) -> list[tuple[int, ...]]:
     return sorted(b.point for b in box_elements(fan) if b.age == 1)
 
 
-def ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def nu_of_class(fan: StackyFan, pairings) -> tuple[int, ...]:
-    """The box point sum_i ceil(<D_i, d>) b_i attached to a rational class."""
+def nu_of_class(fan: StackyFan, nums, den: int) -> tuple[int, ...]:
+    """The box point sum_i ceil(<D_i, d>) b_i attached to a rational class
+    whose pairings are <D_i, d> = nums[i] / den."""
     out = [0] * fan.dim
-    for i, c in enumerate(pairings):
-        cc = ceil_fraction(Fraction(c))
+    for i, c in enumerate(nums):
+        cc = -(-c // den)
         if cc:
             v = fan.vectors[i]
             for k in range(fan.dim):

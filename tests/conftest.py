@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -188,6 +189,48 @@ def brute_force_grid(pipe) -> dict:
 
     scan(0, [], pipe.y_ring._bound)
     return out
+
+
+def pairings_from_pcoords(seq, pcoords) -> tuple[Fraction, ...]:
+    """Ambient vector (= all divisor pairings) of sum_a pcoords[a] gamma_a,
+    in Fraction: the reference for the pipeline's integer pairings."""
+    out = [Fraction(0)] * seq.fan.n_vectors
+    for a, c in enumerate(pcoords):
+        for i, g in enumerate(seq.gamma_basis[a]):
+            out[i] += Fraction(c) * g
+    return tuple(out)
+
+
+def ratio_factor(c: Fraction) -> Fraction:
+    """Collapsed two-sided factorial ratio of the extra-vector series, in
+    Fraction: the reference for the integer sector coefficients.
+
+    Equals 1/c! for nonnegative integers, vanishes on negative integers, and
+    is the finite product of the non-cancelling factors otherwise.
+    """
+    cc = math.ceil(c)
+    out = Fraction(1)
+    for k in range(cc):
+        out /= c - k
+    for k in range(cc, 0):
+        out *= c - k
+    return out
+
+
+def pcoords_by_solve(seq, ambient) -> tuple[Fraction, ...]:
+    """Grading coordinates of an ambient relation vector by one Fraction
+    solve against kernel_basis^T: the reference for pcoords_from_ambient."""
+    from orbidisk.lattice import solve_rational, transpose
+    from orbidisk.stacky import FanError
+
+    coords = solve_rational(
+        transpose(seq.kernel_basis), [Fraction(x) for x in ambient]
+    )
+    if coords is None:
+        raise FanError("vector is not a relation of the fan map")
+    return tuple(
+        sum(Fraction(p) * c for p, c in zip(row, coords)) for row in seq.basis_p
+    )
 
 
 def schoolbook_product(f, g) -> dict:

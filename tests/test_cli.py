@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,6 +13,11 @@ from orbidisk.mirror import disk_generating_function
 from orbidisk.stacky import DiskClassSymbol
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.sha256"
+P2Z3_CLASSES = (
+    "ray:0", "ray:1", "ray:2",
+    "box:-1,0", "box:-1,1", "box:0,-1", "box:0,1", "box:1,-1", "box:1,0",
+)
 
 
 def run(capsys, *argv):
@@ -279,3 +285,40 @@ def test_invalid_facet_exit(capsys):
         "0,1",
     )
     assert code == 1 and "facet" in err
+
+
+def golden_commands() -> dict[str, list[str]]:
+    """Output name -> command line of every stdout digest in GOLDEN.
+
+    The CI workflow writes the same commands' stdout to files of these names
+    and checks them with `sha256sum -c`.
+    """
+    p2z3 = str(FANS / "p2z3.json")
+    cmds = {
+        f"invariants-p2z3-{klass}.out": [
+            "invariants", p2z3, "--class", klass, "--order", "20"
+        ]
+        for klass in P2Z3_CLASSES
+    }
+    cmds["verify-p2z3.out"] = ["verify-p2z3", "--amax", "10", "--bmax", "10"]
+    fans = [FANS / f"{name}.json" for name in ("p2", "p1xp1", "f2", "p2z3")]
+    fans += sorted((FANS.parent / "perfbench" / "fans").glob("r*.json"))
+    for path in fans:
+        cmds[f"potential-{path.stem}.out"] = ["potential", str(path), "--order", "6"]
+    return cmds
+
+
+def test_cli_outputs_match_golden_digests(capsys):
+    want = {}
+    for line in GOLDEN.read_text().splitlines():
+        digest, name = line.split("  ", 1)
+        want[name] = digest
+    cmds = golden_commands()
+    assert set(want) == set(cmds)
+    changed = []
+    for name, argv in sorted(cmds.items()):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, name
+        if hashlib.sha256(out.encode()).hexdigest() != want[name]:
+            changed.append(name)
+    assert changed == []

@@ -3,6 +3,7 @@ generating functions, and the disk potential."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,18 +18,22 @@ from conftest import (
     p1xp1_fan,
     p2_fan,
     p2z3_extended,
+    pairings_from_pcoords,
+    ratio_factor,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbidisk.mirror import (
     ChartPipeline,
     ComputationError,
     OrderTooLowError,
     UnsupportedInsertionsError,
+    _sector_ratio,
     assemble_potential,
     disk_generating_function,
     extract_invariant,
     potential_symbols,
-    ratio_factor,
     tau_zero_slice,
 )
 from orbidisk.series import exp_series
@@ -48,6 +53,81 @@ def test_ratio_factor():
     assert ratio_factor(Fraction(-7, 3)) == Fraction(-4, 3) * Fraction(-1, 3)
 
 
+@settings(max_examples=400)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=4), st.integers(1, 12))
+@example([0], 1)
+@example([0, 5, -9], 3)  # zero, a non-integer, a negative integer
+@example([-7, -2, 14], 3)
+def test_sector_ratio_matches_ratio_factor(nums, m):
+    num, den = _sector_ratio(nums, m)
+    want = Fraction(1)
+    for p in nums:
+        want *= ratio_factor(Fraction(p, m))
+    assert Fraction(num, den) == want
+
+
+def pairings(pipe, gp) -> tuple[Fraction, ...]:
+    """A grid class's divisor pairings: its numerators over the modulus."""
+    return tuple(Fraction(p, pipe.modulus) for p in gp.nums)
+
+
+def _fraction_reference(pipe, j):
+    """omega(j) keys and A_j scaled terms of a chart, decided on the Fraction
+    pairings of each grid key (`pairings_from_pcoords`)."""
+    fan = pipe.fan
+    keys, terms = [], {}
+    for key in sorted(pipe.grid()):
+        if not any(key):
+            continue
+        cs = pairings_from_pcoords(
+            pipe.seq, [Fraction(k, pipe.modulus) for k in key]
+        )
+        nu = tuple(
+            sum(math.ceil(c) * v[k] for c, v in zip(cs, fan.vectors))
+            for k in range(fan.dim)
+        )
+        whole = [c.denominator == 1 for c in cs]
+        if j < fan.n_rays:
+            if not (whole[j] and cs[j] < 0) or any(nu):
+                continue
+            others = [(c, w) for i, (c, w) in enumerate(zip(cs, whole)) if i != j]
+            if any(c < 0 or not w for c, w in others):
+                continue
+            cj = int(cs[j])
+            coeff = Fraction((-1) ** (-cj - 1) * math.factorial(-cj - 1))
+            for i, c in enumerate(cs):
+                if i != j:
+                    coeff /= math.factorial(int(c))
+        else:
+            if any(w and c < 0 for c, w in zip(cs, whole)) or nu != fan.vectors[j]:
+                continue
+            coeff = math.prod((ratio_factor(c) for c in cs), start=Fraction(1))
+        keys.append(key)
+        if coeff:
+            terms[key] = coeff
+    return keys, terms
+
+
+def test_integer_classes_match_fraction_reference():
+    # every chart of every example fan, the C2/Z_n charts among them
+    fans = dict(example_fans())
+    charts = []
+    for fan in fans.values():
+        charts += [c for c in basic_class_charts(fan) if c not in charts]
+    assert all(fans[f"c2z{n}"] in charts for n in range(2, 6))
+    for chart in charts:
+        pipe = ChartPipeline(chart, 6)
+        for key, gp in pipe.grid().items():
+            want = pairings_from_pcoords(
+                pipe.seq, [Fraction(k, pipe.modulus) for k in key]
+            )
+            assert pairings(pipe, gp) == want, (chart, key)
+        for j in range(chart.n_vectors):
+            keys, terms = _fraction_reference(pipe, j)
+            assert [gp.key for gp in pipe.omega(j)] == keys, (chart, j)
+            assert pipe.a_series(j).scaled_terms() == terms, (chart, j)
+
+
 def test_omega_sets_smooth_chart():
     chart = StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1)])
     pipe = ChartPipeline(chart, 6)
@@ -59,11 +139,11 @@ def test_omega_sets_smooth_chart():
 def test_omega_set_quotient_chart():
     pipe = ChartPipeline(c2z3_chart(), 4)
     om = pipe.omega(2)
-    pairs = {gp.pairings for gp in om}
+    pairs = {pairings(pipe, gp) for gp in om}
     assert (Fraction(-2, 3), Fraction(-1, 3), Fraction(1), Fraction(0)) in pairs
     for gp in om:
         # never a negative integer pairing, and the box point matches
-        for c in gp.pairings:
+        for c in pairings(pipe, gp):
             assert not (c.denominator == 1 and c < 0)
         assert gp.nu == (1, 0)
 
@@ -71,7 +151,7 @@ def test_omega_set_quotient_chart():
 def test_omega_set_om2():
     pipe = ChartPipeline(om2_chart(), 5)
     om = pipe.omega(1)
-    assert [gp.pairings for gp in om] == [
+    assert [pairings(pipe, gp) for gp in om] == [
         (Fraction(d), Fraction(-2 * d), Fraction(d)) for d in range(1, 6)
     ]
     assert pipe.omega(0) == [] and pipe.omega(2) == []

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul
 
 import pytest
@@ -22,6 +23,7 @@ from conftest import (
     p2_fan,
     p2z3_bare,
     p2z3_extended,
+    pcoords_by_solve,
     random_complete_2d_fan,
     random_single_cone_fan,
 )
@@ -653,6 +655,37 @@ def test_kahler_test_matches_cone_contains_at_random_vectors(data):
     _assert_kahler_agrees(fan, divisors, [x])
 
 
+# the grading data of every complete example fan: 5 in fans/, 16 reflexive
+COMPLETE_SEQUENCES = [
+    fan_sequence(fan) for _, fan in example_fans() if is_complete(fan)
+]
+assert len(COMPLETE_SEQUENCES) == 21
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pcoords_from_ambient_matches_the_fraction_solve(data):
+    # a rational relation, perturbed in one place with probability one half:
+    # both routines raise FanError or both return the same coordinates
+    seq = data.draw(st.sampled_from(COMPLETE_SEQUENCES))
+    fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    coeffs = data.draw(st.lists(fracs, min_size=seq.r, max_size=seq.r))
+    ambient = [
+        sum((c * row[i] for c, row in zip(coeffs, seq.kernel_basis)), Fraction(0))
+        for i in range(seq.fan.n_vectors)
+    ]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, seq.fan.n_vectors - 1))
+        ambient[i] += data.draw(fracs)
+    try:
+        want = pcoords_by_solve(seq, ambient)
+    except FanError:
+        with pytest.raises(FanError, match="not a relation"):
+            seq.pcoords_from_ambient(ambient)
+    else:
+        assert seq.pcoords_from_ambient(ambient) == want
+
+
 # -- dual classes ------------------------------------------------------------------
 
 
@@ -674,8 +707,8 @@ def test_dual_class_quotient_chart():
         Fraction(0),
         Fraction(1),
     )
-    assert nu_of_class(fan, d2.pairings) == (1, 0)
-    assert nu_of_class(fan, d3.pairings) == (0, 1)
+    assert nu_of_class(fan, [int(3 * c) for c in d2.pairings], 3) == (1, 0)
+    assert nu_of_class(fan, [int(3 * c) for c in d3.pairings], 3) == (0, 1)
     with pytest.raises(FanError):
         dual_class_data(fan, seq, 0)
 
@@ -685,7 +718,9 @@ def test_dual_class_nu_identity():
     seq = fan_sequence(fan)
     for j in range(fan.n_rays, fan.n_vectors):
         d = dual_class_data(fan, seq, j)
-        assert nu_of_class(fan, d.pairings) == fan.vectors[j]
+        den = lcm(*(c.denominator for c in d.pairings))
+        nums = [int(den * c) for c in d.pairings]
+        assert nu_of_class(fan, nums, den) == fan.vectors[j]
         assert all(0 <= c < 1 for c in d.cone_coeffs)
 
 
