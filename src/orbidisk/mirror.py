@@ -12,17 +12,19 @@ contributes a hypergeometric-type correction series A_j.  The map
     q_a = y_a exp(sum_j Q_ja A_j(y)),   tau_j = A_j(y)
 
 is inverted implicitly: for a target series F(y) we find X(q, tau) with
-X(forward(y)) = F(y) by peeling the lowest-weight residual through the
-monomial relabel y^d -> q^(H2 part) tau^(extra pairings), which is exact and
-weight-preserving.  Generating functions of basic disk classes and the full
-disk potential are assembled from those X's.
+X(forward(y)) = F(y) by peeling the lowest-weight residual through the exact,
+weight-preserving monomial relabel y^d -> q^(H2 part) tau^(extra pairings).
+The residual is integer numerators on packed keys over one denominator,
+reduced by their gcd after each level; a Fraction is made only for each
+coefficient written into X.  Generating functions of basic disk classes and
+the full disk potential are assembled from those X's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .lattice import (
@@ -32,7 +34,7 @@ from .lattice import (
     solve_rational,
     transpose,
 )
-from .series import SeriesRing, TruncatedSeries, exp_series
+from .series import SeriesRing, TruncatedSeries, _product, exp_series
 from .stacky import (
     BoxElement,
     DiskClassSymbol,
@@ -146,10 +148,10 @@ class ChartPipeline:
         self._grid: dict[tuple[int, ...], GridPoint] | None = None
         self._anticones = anticones(fan)
         self._a_series: dict[int, TruncatedSeries] = {}
-        self._relabel_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._relabel_cache: dict[int, tuple[int, ...]] = {}
         self._log_corrections: list[TruncatedSeries] | None = None
-        # per (q, tau) variable: powers of the forward image of one step
-        self._powers: dict[int, list[TruncatedSeries]] = {}
+        # per (q, tau) variable: packed views of powers of one step's image
+        self._powers: dict[int, list] = {}
 
     # -- grid and omega sets ------------------------------------------------
 
@@ -317,26 +319,28 @@ class ChartPipeline:
 
     # -- the triangular inversion ----------------------------------------------
 
-    def relabel_key(self, key) -> tuple[int, ...]:
-        """Monomial relabel y^d -> q^(H2 part of d) tau^(extra pairings of d).
+    def relabel_key(self, p: int) -> tuple[int, ...]:
+        """Monomial relabel y^d -> q^(H2 part of d) tau^(extra pairings of d),
+        for the class d with packed y key p.
 
         Exact on every class the pipeline produces; weight preserving.
         Raises when a class carries fractional or negative sector pairings or
         a negative H2 part (outside the scope of the chart formulas).
         """
-        cached = self._relabel_cache.get(key)
+        cached = self._relabel_cache.get(p)
         if cached is not None:
             return cached
+        key = self.y_ring._unpack(p)
         m = self.modulus
         mpart = []
         for j in self.extras:
-            p = sum(map(mul, key, self._gamma_cols[j]))
-            if p < 0 or p % m:
+            p_j = sum(map(mul, key, self._gamma_cols[j]))
+            if p_j < 0 or p_j % m:
                 raise ComputationError(
-                    f"class with sector pairing {Fraction(p, m)} cannot be "
+                    f"class with sector pairing {Fraction(p_j, m)} cannot be "
                     "relabeled"
                 )
-            mpart.append(p // m)
+            mpart.append(p_j // m)
         rest = list(key)
         for mj, dual_key in zip(mpart, self._dual_keys):
             if mj:
@@ -352,16 +356,18 @@ class ChartPipeline:
                 "class decomposition failed; grading basis unusable"
             )
         target = tuple(qpart) + tuple(mj * m for mj in mpart)
-        self._relabel_cache[key] = target
+        self._relabel_cache[p] = target
         return target
 
-    def _image(self, tkey) -> TruncatedSeries:
-        """Forward image in y of the (q, tau) monomial with scaled key tkey.
+    def _image(self, tkey) -> tuple[list[tuple[int, int, int]], int]:
+        """Packed view of the forward image in y of the (q, tau) monomial with
+        scaled key tkey.
 
         A product of per-variable power lists: one step q_a^(1/M) maps to
         y_a^(1/M) exp(L_a/M), one step tau_j to A_j.
         """
-        out = None
+        ring = self.y_ring
+        out = one = ring.one()._packed_view()
         for v, k in enumerate(tkey):
             if v >= self.r_prime:
                 if k % self.modulus:
@@ -373,63 +379,74 @@ class ChartPipeline:
             if powers is None:
                 if v < self.r_prime:
                     root = [Fraction(int(a == v), self.modulus) for a in range(self.r)]
-                    step = self.y_ring.monomial(root) * exp_series(
+                    step = ring.monomial(root) * exp_series(
                         self.log_corrections()[v] * Fraction(1, self.modulus)
                     )
                 else:
                     step = self.a_series(self.extras[v - self.r_prime])
-                powers = self._powers[v] = [self.y_ring.one(), step]
+                powers = self._powers[v] = [one, step._packed_view()]
             while len(powers) <= k:
-                powers.append(powers[-1] * powers[1])
-            out = powers[k] if out is None else out * powers[k]
-        return self.y_ring.one() if out is None else out
+                powers.append(_product(ring, powers[-1], powers[1]))
+            out = powers[k] if out is one else _product(ring, out, powers[k])
+        return out
 
-    def _rank(self, key) -> tuple[int, int]:
-        """(weight, total sector multiplicity) of a class, both scaled.
+    def _rank(self, p: int) -> tuple[int, int]:
+        """(weight, total sector multiplicity), both scaled, of packed key p.
 
         The forward image of a relabeled monomial is that monomial plus terms
         of strictly larger rank: correction tails either raise the weight or
         keep it while adding sector factors (a same-weight tail with a single
         sector factor would pin two different box points to the same class).
         """
-        target = self.relabel_key(key)
+        target = self.relabel_key(p)
         tau_total = sum(target[self.r_prime :]) // self.modulus
-        return self.y_ring.scaled_degree(key), tau_total
+        return self.y_ring.scaled_degree(self.y_ring._unpack(p)), tau_total
 
     def solve_against(self, f: TruncatedSeries) -> TruncatedSeries:
         """The unique X(q, tau) with X(forward(y)) = f(y) up to the order.
 
         Triangular in the rank filtration (weight, then sector count): each
         round relabels the residual's lowest level into X and subtracts its
-        forward image from the residual in place, so the residual's lowest
-        level strictly rises; there are finitely many levels.
+        forward images in place, so the lowest level strictly rises; there are
+        finitely many levels.  Each round scales the integer residual and its
+        denominator by L, the lcm of its images' denominators E, subtracts
+        c (L/E) n per image term n/E of a peeled c, then reduces by the gcd.
         """
         if f.ring != self.y_ring:
             raise ComputationError("series is not in the chart y ring")
-        residual = dict(f.scaled_terms())
+        terms, den = f._packed_view()
+        residual = {p: n for _, p, n in terms}
         # rank of every key that has entered the residual, computed once
-        ranks = {key: self._rank(key) for key in residual}
+        ranks = {p: self._rank(p) for p in residual}
         x: dict[tuple[int, ...], Fraction] = {}
         last = (-1, -1)
         while residual:
-            level = min(ranks[key] for key in residual)
+            level = min(ranks[p] for p in residual)
             if level <= last:
                 raise ComputationError(
                     "inversion is not contracting; malformed mirror data"
                 )
             last = level
-            peel = [(key, c) for key, c in residual.items() if ranks[key] == level]
-            for key, coeff in peel:
-                tkey = self.relabel_key(key)
-                x[tkey] = coeff
-                for k, v in self._image(tkey).scaled_terms().items():
-                    w = residual.get(k, 0) - coeff * v
+            peel = [(p, c) for p, c in residual.items() if ranks[p] == level]
+            images = [self._image(self.relabel_key(p)) for p, _ in peel]
+            scale = lcm(*(e for _, e in images))
+            residual = {p: n * scale for p, n in residual.items()}
+            for (p, c), (image, e) in zip(peel, images):
+                x[self.relabel_key(p)] = Fraction(c, den)
+                c *= scale // e
+                for _, k, n in image:
+                    w = residual.get(k, 0) - c * n
                     if w:
                         residual[k] = w
                         if k not in ranks:
                             ranks[k] = self._rank(k)
                     else:
                         del residual[k]
+            den *= scale
+            g = gcd(den, *residual.values())
+            if g > 1:
+                den //= g
+                residual = {p: n // g for p, n in residual.items()}
         return self.qt_ring.from_scaled_terms(x)
 
     # -- generating functions --------------------------------------------------

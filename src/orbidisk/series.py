@@ -7,15 +7,17 @@ stored as a tuple of integers scaled by M, so all exponent arithmetic is
 integral.  Coefficients are ``fractions.Fraction``; no floats anywhere.
 
 Products run on a second, private view of a series: each key packed into one
-int (one base-R digit per variable) and each coefficient written as an integer
-numerator over the series' common denominator, so the inner loop adds and
-multiplies plain ints.  Fractions are made once per output term.
+int (its weighted degree above one base-R digit per variable) and each
+coefficient an integer numerator over the series' common denominator, so the
+one product loop, `_product`, adds and multiplies plain ints.  `__mul__` is
+that loop plus one Fraction per output term; the mirror-map inversion calls
+it directly and stays on packed views (`orbidisk.mirror`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -61,8 +63,10 @@ class SeriesRing:
         self._bound = bound.numerator // bound.denominator
         # one digit per variable: an in-bound key has every component at most
         # bound // min(wnum), so the sum of two packed keys whose degrees add
-        # up to at most the bound carries no digit into the next
+        # up to at most the bound carries no digit into the next; the scaled
+        # degree sits above the digits, at _top, and adds along with them
         self._radix = self._bound // min(self._wnum) + 1 if nvars else 1
+        self._top = self._radix**nvars
 
     def __eq__(self, other):
         return (
@@ -89,7 +93,7 @@ class SeriesRing:
         return self.scaled_degree(key) <= self._bound
 
     def _pack(self, key) -> int:
-        p = 0
+        p = self.scaled_degree(key)
         for k in key:
             p = p * self._radix + k
         return p
@@ -187,14 +191,11 @@ class TruncatedSeries:
         if self._packed is None:
             ring = self.ring
             den = lcm(*(v.denominator for v in self._terms.values()))
-            deg, pack = ring.scaled_degree, ring._pack
-            self._packed = (
-                sorted(
-                    (deg(k), pack(k), v.numerator * (den // v.denominator))
-                    for k, v in self._terms.items()
-                ),
-                den,
-            )
+            nums = {
+                ring._pack(k): v.numerator * (den // v.denominator)
+                for k, v in self._terms.items()
+            }
+            self._packed = [(p // ring._top, p, nums[p]) for p in sorted(nums)], den
         return self._packed
 
     def min_scaled_degree(self):
@@ -256,28 +257,10 @@ class TruncatedSeries:
             )
         self._check(other)
         ring = self.ring
-        (fa, da), (fb, db) = self._packed_view(), other._packed_view()
-        if not fa or not fb:
-            return ring.zero()
-        if len(fa) > len(fb):
-            fa, fb = fb, fa
-        bound = ring._bound
-        acc: dict[int, int] = {}
-        get = acc.get
-        b_min = fb[0][0]
-        for wa, ka, na in fa:
-            room = bound - wa
-            if room < b_min:
-                break
-            for wb, kb, nb in fb:
-                if wb > room:
-                    break
-                k = ka + kb
-                acc[k] = get(k, 0) + na * nb
-        den = da * db
+        terms, den = _product(ring, self._packed_view(), other._packed_view())
         unpack = ring._unpack
         return TruncatedSeries(
-            ring, {unpack(k): Fraction(v, den) for k, v in acc.items() if v}
+            ring, {unpack(p): Fraction(n, den) for _, p, n in terms}
         )
 
     __rmul__ = __mul__
@@ -294,6 +277,34 @@ class TruncatedSeries:
             base = base * base if n > 1 else base
             n >>= 1
         return out
+
+
+def _product(ring: SeriesRing, a, b) -> tuple[list[tuple[int, int, int]], int]:
+    """The packed view of the product of two packed views, truncated to ring.
+
+    The one series-product loop: a pair of terms is multiplied only when
+    their degrees add up to at most the bound, so packed keys add without
+    carries, and the denominator of the result is reduced to the lcm of its
+    coefficients' denominators, as `_packed_view` would give.
+    """
+    (fa, da), (fb, db) = a, b
+    if len(fa) > len(fb):
+        fa, fb = fb, fa
+    bound = ring._bound
+    acc: dict[int, int] = {}
+    get = acc.get
+    for wa, ka, na in fa:
+        room = bound - wa
+        if room < fb[0][0]:
+            break
+        for wb, kb, nb in fb:
+            if wb > room:
+                break
+            k = ka + kb
+            acc[k] = get(k, 0) + na * nb
+    g = gcd(da * db, *acc.values())
+    top = ring._top
+    return [(p // top, p, acc[p] // g) for p in sorted(acc) if acc[p]], da * db // g
 
 
 def exp_series(f: TruncatedSeries) -> TruncatedSeries:

@@ -136,6 +136,8 @@ def random_single_cone_fan(rng: random.Random, dim: int) -> StackyFan:
 
 
 REPO = Path(__file__).resolve().parents[1]
+# pairwise coprime and far above any denominator the rings produce
+BIG_PRIMES = (2**31 - 1, 2**61 - 1, 1_000_000_007, 998_244_353)
 
 
 def example_fans(bench: bool = True) -> list[tuple[str, StackyFan]]:
@@ -245,6 +247,76 @@ def schoolbook_product(f, g) -> dict:
             if ring.in_bounds(key):
                 out[key] = out.get(key, Fraction(0)) + ca * cb
     return {k: v for k, v in out.items() if v}
+
+
+def solve_against_by_fractions(pipe, f):
+    """X(q, tau) with X(forward(y)) = f(y), peeled level by level on a
+    Fraction residual with forward images built by schoolbook products: the
+    reference for ChartPipeline.solve_against."""
+    from orbidisk.mirror import ComputationError
+    from orbidisk.series import exp_series
+
+    ring, m = pipe.y_ring, pipe.modulus
+    powers: dict = {}
+
+    def relabel(key):
+        return pipe.relabel_key(ring._pack(key))
+
+    def rank(key):
+        return ring.scaled_degree(key), sum(relabel(key)[pipe.r_prime :]) // m
+
+    def power(v, k):
+        """The k-th power of the forward image of one step of variable v:
+        y_v^(1/M) exp(L_v/M) for a q, A_j for a tau."""
+        if (v, k) not in powers:
+            if k == 0:
+                powers[v, k] = ring.one()
+            elif k > 1:
+                powers[v, k] = ring.from_scaled_terms(
+                    schoolbook_product(power(v, k - 1), power(v, 1))
+                )
+            elif v < pipe.r_prime:
+                root = [Fraction(int(a == v), m) for a in range(pipe.r)]
+                powers[v, k] = ring.monomial(root) * exp_series(
+                    pipe.log_corrections()[v] * Fraction(1, m)
+                )
+            else:
+                powers[v, k] = pipe.a_series(pipe.extras[v - pipe.r_prime])
+        return powers[v, k]
+
+    def image(tkey):
+        out = ring.one()
+        for v, k in enumerate(tkey):
+            step_count = k if v < pipe.r_prime else k // m
+            out = ring.from_scaled_terms(
+                schoolbook_product(out, power(v, step_count))
+            )
+        return out
+
+    residual = dict(f.scaled_terms())
+    ranks = {key: rank(key) for key in residual}
+    x: dict = {}
+    last = (-1, -1)
+    while residual:
+        level = min(ranks[key] for key in residual)
+        if level <= last:
+            raise ComputationError(
+                "inversion is not contracting; malformed mirror data"
+            )
+        last = level
+        peel = [(key, c) for key, c in residual.items() if ranks[key] == level]
+        for key, coeff in peel:
+            tkey = relabel(key)
+            x[tkey] = coeff
+            for k, v in image(tkey).scaled_terms().items():
+                w = residual.get(k, 0) - coeff * v
+                if w:
+                    residual[k] = w
+                    if k not in ranks:
+                        ranks[k] = rank(k)
+                else:
+                    del residual[k]
+    return pipe.qt_ring.from_scaled_terms(x)
 
 
 # Fourier-Motzkin elimination, the reference for cone membership: one exact

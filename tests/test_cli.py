@@ -301,6 +301,11 @@ def golden_commands() -> dict[str, list[str]]:
         for klass in P2Z3_CLASSES
     }
     cmds["verify-p2z3.out"] = ["verify-p2z3", "--amax", "10", "--bmax", "10"]
+    # deeper windows, reaching larger denominators in the inversion
+    cmds["invariants-p2z3-box:0,-1-order32.out"] = [
+        "invariants", p2z3, "--class", "box:0,-1", "--order", "32"
+    ]
+    cmds["verify-p2z3-14.out"] = ["verify-p2z3", "--amax", "14", "--bmax", "14"]
     fans = [FANS / f"{name}.json" for name in ("p2", "p1xp1", "f2", "p2z3")]
     fans += sorted((FANS.parent / "perfbench" / "fans").glob("r*.json"))
     for path in fans:

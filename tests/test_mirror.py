@@ -3,11 +3,14 @@ generating functions, and the disk potential."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from conftest import (
+    BIG_PRIMES,
     assert_grid_is_brute_force,
     basic_class_charts,
     c2z3_chart,
@@ -20,6 +23,7 @@ from conftest import (
     p2z3_extended,
     pairings_from_pcoords,
     ratio_factor,
+    solve_against_by_fractions,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -246,9 +250,23 @@ def test_round_trips():
     assert ChartPipeline(c3z3_chart(), 2).round_trip_identity()
 
 
+def forward_of(pipe, poly):
+    """f = X(forward(y)) by plain series arithmetic on the forward coordinates,
+    and X itself, for the polynomial X given as integer exponents -> coeff."""
+    coords = pipe.forward_q() + [pipe.a_series(j) for j in pipe.extras]
+    f = pipe.y_ring.zero()
+    x = pipe.qt_ring.zero()
+    for exps, c in poly.items():
+        term = pipe.y_ring.scalar(c)
+        for coord, e in zip(coords, exps):
+            term = term * coord**e
+        f = f + term
+        x = x + pipe.qt_ring.monomial(exps, c)
+    return f, x
+
+
 def test_inversion_of_multi_variable_monomials():
-    # f = X(forward(y)) built with plain series arithmetic from the forward
-    # coordinates; solve_against must give X back.  c2z3 mixes its two
+    # solve_against must give X back from X(forward(y)).  c2z3 mixes its two
     # tau's, om2 raises q to powers, the mixed chart multiplies q and tau's
     cases = [
         (
@@ -265,17 +283,66 @@ def test_inversion_of_multi_variable_monomials():
     ]
     for chart, order, poly in cases:
         pipe = ChartPipeline(chart, order)
-        coords = pipe.forward_q() + [pipe.a_series(j) for j in pipe.extras]
-        f = pipe.y_ring.zero()
-        x = pipe.qt_ring.zero()
-        for exps, c in poly.items():
-            term = pipe.y_ring.scalar(c)
-            for coord, e in zip(coords, exps):
-                term = term * coord**e
-            f = f + term
-            x = x + pipe.qt_ring.monomial(exps, c)
+        f, x = forward_of(pipe, poly)
         assert len(list(x.terms())) == len(poly)
         assert pipe.solve_against(f) == x
+
+
+@functools.cache
+def inversion_pipes() -> list[ChartPipeline]:
+    """The c2z3, om2, mixed and c3z3 charts and every basic-class chart of
+    the example fans, one pipeline each, kept across examples so that their
+    power and relabel caches are reused."""
+    charts = [(c2z3_chart(), 6), (om2_chart(), 8), (mixed_chart(), 6), (c3z3_chart(), 3)]
+    for _, fan in example_fans():
+        for chart in basic_class_charts(fan):
+            if all(chart != c for c, _ in charts):
+                charts.append((chart, 4))
+    return [ChartPipeline(chart, order) for chart, order in charts]
+
+
+@functools.cache
+def integer_monomials(pipe) -> list[tuple[int, ...]]:
+    """Integer exponent vectors of the (q, tau) monomials under the order."""
+    ring = pipe.qt_ring
+    ranges = [range(int(pipe.order / w) + 1) for w in ring.weights]
+    return [
+        e for e in itertools.product(*ranges) if ring.in_bounds(ring.scale_exponents(e))
+    ]
+
+
+WIDE_COEFFS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.sampled_from(BIG_PRIMES)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_inversion_matches_fraction_reference(data):
+    # random X with large coprime denominators: the integer residual must
+    # carry them through every level and give X back, as the Fraction
+    # reference does
+    pipe = data.draw(st.sampled_from(inversion_pipes()))
+    poly = data.draw(
+        st.dictionaries(st.sampled_from(integer_monomials(pipe)), WIDE_COEFFS, max_size=5)
+    )
+    f, x = forward_of(pipe, poly)
+    got = pipe.solve_against(f)
+    assert got == x
+    assert got == solve_against_by_fractions(pipe, f)
+
+
+def test_non_contracting_chart_still_raises():
+    # the sector series of (2,1) carries -y0^(1/2), of lower weight than its
+    # leading monomial y0^(1/2) y1, so the image of tau is not triangular in
+    # the rank filtration and the inversion must stop on it
+    fan = StackyFan.make(2, [(0, 1), (1, 1), (3, 1)], [(0, 1), (1, 2)], [(2, 1)])
+    pipe = ChartPipeline(fan, 2)
+    with pytest.raises(ComputationError, match="not contracting"):
+        pipe.solve_against(pipe.a_series(pipe.extras[0]))
+    with pytest.raises(ComputationError, match="not contracting"):
+        solve_against_by_fractions(pipe, pipe.a_series(pipe.extras[0]))
 
 
 def test_trivial_inverse_when_no_corrections():

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import schoolbook_product
+from conftest import BIG_PRIMES, schoolbook_product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,8 +45,6 @@ PRODUCT_RINGS = (
     Z6_TAU,
     SeriesRing(2, 3, 0),
 )
-# pairwise coprime and far above any denominator the rings produce
-BIG_PRIMES = (2**31 - 1, 2**61 - 1, 1_000_000_007, 998_244_353)
 wide_coeffs = st.one_of(
     coeffs,
     st.builds(Fraction, st.integers(-(10**20), 10**20), st.sampled_from(BIG_PRIMES)),
