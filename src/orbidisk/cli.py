@@ -68,10 +68,6 @@ P2Z3_FILE = FanFile(
 )
 
 
-def frac(x) -> str:
-    return str(Fraction(x))
-
-
 def point_key(pt) -> str:
     return ",".join(str(c) for c in pt)
 
@@ -140,7 +136,7 @@ def cmd_validate(args) -> int:
     age1 = [b for b in boxes if b.age == 1]
     print(
         f"PASS box census: {len(boxes) - 1} nontrivial elements, "
-        f"{len(age1)} of age 1, ages {{{', '.join(frac(a) for a in ages)}}}"
+        f"{len(age1)} of age 1, ages {{{', '.join(str(a) for a in ages)}}}"
     )
     gor = gorenstein_check(fan)
     if gor.ok:
@@ -181,16 +177,16 @@ def cmd_box(args) -> int:
             (
                 point_key(b.point),
                 " ".join(str(i) for i in b.carrier),
-                " ".join(frac(c) for c in b.coords),
-                frac(b.age),
+                " ".join(str(c) for c in b.coords),
+                str(b.age),
             )
         )
         payload.append(
             {
                 "point": list(b.point),
                 "carrier": list(b.carrier),
-                "coords": [frac(c) for c in b.coords],
-                "age": frac(b.age),
+                "coords": [str(c) for c in b.coords],
+                "age": str(b.age),
             }
         )
     _emit(payload, args.format, rows, ("point", "carrier", "coords", "age"))
@@ -224,24 +220,24 @@ def _invariant_payload(dgf: DiskGeneratingFunction):
             else {"box": list(dgf.symbol.point)}
         ),
         "facet": list(dgf.facet_vertices),
-        "order": frac(dgf.order),
+        "order": str(dgf.order),
         "entries": [],
     }
     rows = []
     for alpha, insertions, value in dgf.invariants():
         payload["entries"].append(
             {
-                "alpha": [frac(x) for x in alpha],
+                "alpha": [str(x) for x in alpha],
                 "insertions": {point_key(p): m for p, m in sorted(insertions.items())},
-                "value": frac(value),
+                "value": str(value),
             }
         )
         rows.append(
             (
-                " ".join(frac(x) for x in alpha),
+                " ".join(str(x) for x in alpha),
                 ";".join(f"{point_key(p)}^{m}" for p, m in sorted(insertions.items()))
                 or "-",
-                frac(value),
+                str(value),
             )
         )
     return payload, rows
@@ -308,7 +304,7 @@ def cmd_potential(args) -> int:
     entries, sigma0 = data.entries, data.normalization_cone
     payload = {
         "normalization_cone": list(sigma0),
-        "order": frac(order),
+        "order": str(order),
         "entries": [],
     }
     rows = []
@@ -318,19 +314,19 @@ def cmd_potential(args) -> int:
             nq = len(e.area)
             terms.append(
                 {
-                    "q": [frac(x) for x in exps[:nq]],
+                    "q": [str(x) for x in exps[:nq]],
                     "insertions": {
-                        point_key(p): frac(x)
+                        point_key(p): str(x)
                         for p, x in zip(e.tau_points, exps[nq:])
                         if x
                     },
-                    "value": frac(coeff),
+                    "value": str(coeff),
                 }
             )
         payload["entries"].append(
             {
                 "z": list(e.z_monomial),
-                "area": [frac(x) for x in e.area],
+                "area": [str(x) for x in e.area],
                 "facet": list(e.facet_vertices),
                 "series": terms,
             }
@@ -344,7 +340,7 @@ def cmd_potential(args) -> int:
             )
             for t in terms[:4]
         )
-        rows.append((point_key(e.z_monomial), " ".join(frac(x) for x in e.area), lead))
+        rows.append((point_key(e.z_monomial), " ".join(str(x) for x in e.area), lead))
     _emit(payload, args.format, rows, ("z", "area", "series"))
     return EXIT_OK
 

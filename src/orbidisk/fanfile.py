@@ -13,10 +13,13 @@ A fan is described by a small JSON document:
 
 "extra_vectors" is either the string "auto-age1" (use every age-one box
 element, the canonical choice for disk counting) or an explicit list of
-lattice vectors.  "basis_p" optionally pins the grading basis (rows in the
-coordinates dual to the canonical relation basis); "normalization_cone"
-picks the default maximal cone for potential areas.  Whitespace is free;
-integers must be exact (no floats).
+lattice vectors.  "basis_p" optionally pins the nef block: the r' nef rows
+(r' = number of rays minus their rank, so [] for a chart with r' = 0)
+that complete the extra vectors' divisor classes to a basis of the class
+lattice, in the coordinates dual to the canonical relation basis.  Another
+row count is rejected by `stacky.fan_sequence` with a message naming r'.
+"normalization_cone" picks the default maximal cone for potential areas.
+Whitespace is free; integers must be exact (no floats).
 """
 
 from __future__ import annotations

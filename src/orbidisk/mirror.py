@@ -1,23 +1,34 @@
 """Mirror-map pipeline: correction series, map inversion, disk potentials.
 
-All invariant computations run on a toric Calabi-Yau chart.  The chart's
-effective classes up to the truncation order are enumerated cone by cone: for
-each maximal cone, the classes pairing to nonnegative integers with the
-vectors outside it, under the weight budget of the order.  A class is carried
-as integer numerators over the chart modulus M (its grading coordinates and
-divisor pairings times M); effectiveness, the omega sets and each correction
-coefficient are decided on those integers.  Each ray or extra vector
-contributes a hypergeometric-type correction series A_j.  The map
+All invariant computations run on a toric Calabi-Yau chart.  Every class d
+of the chart is keyed by its curve part and its sector multiplicities:
+
+    d = sum_a qpart_a gamma_a + sum_j m_j Dual_j,   m_j = <D_j, d>,
+
+with gamma_a the curve classes dual to the nef block and Dual_j the dual
+class of the j-th extra vector.  On an effective class every m_j is a
+nonnegative integer (no extra vector lies in a maximal cone).  Every y and
+(q, tau) variable has weight 1, as each age-one tau has degree 1 in the
+orbifold mirror theorem, so the truncation window is total degree <= order
+and y^d and q^qpart tau^m carry the same key.
+
+The effective classes up to the order are enumerated cone by cone: for each
+maximal cone, the classes pairing to nonnegative integers with the vectors
+outside it.  A class is carried as its key times the chart modulus M and its
+divisor pairings times M^2, all integers; effectiveness, the omega sets and
+each correction coefficient are decided on those integers.  Each ray or
+extra vector contributes a hypergeometric-type correction series A_j.  The
+map
 
     q_a = y_a exp(sum_j Q_ja A_j(y)),   tau_j = A_j(y)
 
 is inverted implicitly: for a target series F(y) we find X(q, tau) with
-X(forward(y)) = F(y) by peeling the lowest-weight residual through the exact,
-weight-preserving monomial relabel y^d -> q^(H2 part) tau^(extra pairings).
-The residual is integer numerators on packed keys over one denominator,
-reduced by their gcd after each level; a Fraction is made only for each
-coefficient written into X.  Generating functions of basic disk classes and
-the full disk potential are assembled from those X's.
+X(forward(y)) = F(y) by peeling the residual level by level in the rank
+(total degree, sector count), each peeled y^d becoming q^qpart tau^m.  The
+residual is integer numerators on packed keys over one denominator, reduced
+by their gcd after each level; a Fraction is made only for each coefficient
+written into X.  Generating functions of basic disk classes and the full
+disk potential are assembled from those X's.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ from operator import mul
 
 from .lattice import (
     AmbiguousSolutionError,
-    det,
     integer_inverse,
     solve_rational,
     transpose,
@@ -66,8 +76,8 @@ class OrderTooLowError(ComputationError):
 
 @dataclass(frozen=True)
 class GridPoint:
-    key: tuple[int, ...]  # modulus-scaled grading coordinates
-    nums: tuple[int, ...]  # modulus-scaled divisor pairings
+    key: tuple[int, ...]  # (curve part, sector multiplicities) times M
+    nums: tuple[int, ...]  # divisor pairings times M^2
     effective: bool
     nu: tuple[int, ...]
 
@@ -109,15 +119,15 @@ class ChartPipeline:
             for x in d.pcoords:
                 m = lcm(m, x.denominator)
         self.modulus = m
-        # a class's pairing numerators: its key dotted with these columns
+        self._den = m * m
+        # a class's pairing numerators over M^2: its key dotted with these
+        # columns, the pairings of the curve classes gamma_a and of the dual
+        # classes Dual_j scaled by M
+        coord_classes = list(self.seq.gamma_basis) + [d.pairings for d in self.duals]
         self._gamma_cols = tuple(
-            tuple(row[i] for row in self.seq.gamma_basis)
+            tuple(int(c[i] * m) for c in coord_classes)
             for i in range(fan.n_vectors)
         )
-        self._dual_keys = [tuple(int(x * m) for x in d.pcoords) for d in self.duals]
-        self.tau_weights = [sum(d.pcoords, Fraction(0)) for d in self.duals]
-        if any(w <= 0 for w in self.tau_weights):
-            raise ComputationError("twisted sector with nonpositive weight")
         self.y_ring = SeriesRing(
             self.r,
             m,
@@ -127,28 +137,10 @@ class ChartPipeline:
         names = tuple(f"q{a}" for a in range(self.r_prime)) + tuple(
             "t" + "".join(str(c) for c in fan.vectors[j]) for j in self.extras
         )
-        self.qt_ring = SeriesRing(
-            self.r_prime + len(self.extras),
-            m,
-            self.order,
-            weights=(Fraction(1),) * self.r_prime + tuple(self.tau_weights),
-            names=names,
-        )
-        # E matrix <p_{r'+b}, Dual_j>; always invertible for a legal basis
-        nex = len(self.extras)
-        if nex:
-            e = [
-                [self.duals[j].pcoords[self.r_prime + b] for j in range(nex)]
-                for b in range(nex)
-            ]
-            if det(e) == 0:  # pragma: no cover - excluded by basis validity
-                raise ComputationError(
-                    "degenerate exponent matrix; rerun the basis search"
-                )
+        self.qt_ring = SeriesRing(self.r, m, self.order, names=names)
         self._grid: dict[tuple[int, ...], GridPoint] | None = None
         self._anticones = anticones(fan)
         self._a_series: dict[int, TruncatedSeries] = {}
-        self._relabel_cache: dict[int, tuple[int, ...]] = {}
         self._log_corrections: list[TruncatedSeries] | None = None
         # per (q, tau) variable: packed views of powers of one step's image
         self._powers: dict[int, list] = {}
@@ -185,24 +177,24 @@ class ChartPipeline:
         vector outside the cone.
 
         Those r pairings k_e fix the class: inverting the r x r block of
-        gamma_basis on the outside columns gives the scaled key col_e of the
+        pairing columns on the outside vectors gives the key col_e of the
         class pairing to 1 with e and to 0 with the other outside vectors,
-        and its weight w_e = sum(col_e).  The vectors k >= 0 with
+        and its total degree w_e = sum(col_e).  The vectors k >= 0 with
         sum_e w_e k_e within the order are enumerated, and sum_e k_e col_e is
-        yielded when it is integral and nonnegative.  The budget bounds the
-        enumeration only when every w_e > 0; otherwise ComputationError.
+        yielded when it is integral.  The budget bounds the enumeration only
+        when every w_e > 0, and an integral class must have a nonnegative
+        key; otherwise ComputationError.
         """
         outside = [e for e in range(self.fan.n_vectors) if e not in cone]
         if len(outside) != self.r:
             raise ComputationError(
                 f"maximal cone {tuple(cone)} is not full-dimensional"
             )
-        gamma = self.seq.gamma_basis
-        block = [[gamma[a][e] for a in range(self.r)] for e in outside]
-        # integer arithmetic throughout: block^-1 = m / den, so every key is
-        # scaled by den
+        block = [list(self._gamma_cols[e]) for e in outside]
+        # integer arithmetic throughout: block = M x pairings, block^-1 =
+        # m / den, so key = M^2 m k / den, every key scaled by den
         m, den = integer_inverse(block)
-        cols = [[row[idx] * self.modulus for row in m] for idx in range(self.r)]
+        cols = [[row[idx] * self._den for row in m] for idx in range(self.r)]
         weights = [sum(col) for col in cols]
         if any(w <= 0 for w in weights):
             raise ComputationError(
@@ -211,8 +203,13 @@ class ChartPipeline:
 
         def walk(pos, acc, left):
             if pos == self.r:
-                if all(x >= 0 and x % den == 0 for x in acc):
-                    yield tuple(x // den for x in acc)
+                if all(x % den == 0 for x in acc):
+                    key = tuple(x // den for x in acc)
+                    if any(x < 0 for x in key):
+                        raise ComputationError(
+                            f"effective class {key} has a negative curve part"
+                        )
+                    yield key
                 return
             col, w = cols[pos], weights[pos]
             for k in range(left // w + 1):
@@ -224,20 +221,20 @@ class ChartPipeline:
 
     def _classify(self, key) -> GridPoint:
         """The class of a scaled key, carried by its pairing numerators p over
-        the modulus M: p / M is a nonnegative integer when p >= 0 and M | p,
-        and the class is effective when those vectors contain an anticone."""
-        m = self.modulus
+        M^2: p / M^2 is a nonnegative integer when p >= 0 and M^2 | p, and
+        the class is effective when those vectors contain an anticone."""
+        den = self._den
         nums = tuple(sum(map(mul, key, col)) for col in self._gamma_cols)
         int_nonneg = frozenset(
-            i for i, p in enumerate(nums) if p >= 0 and p % m == 0
+            i for i, p in enumerate(nums) if p >= 0 and p % den == 0
         )
         effective = int_nonneg in self._anticones
-        nu = nu_of_class(self.fan, nums, m) if effective else ()
+        nu = nu_of_class(self.fan, nums, den) if effective else ()
         return GridPoint(key, nums, effective, nu)
 
     def omega(self, j: int) -> list[GridPoint]:
         """Effective classes feeding the j-th correction series."""
-        m = self.modulus
+        m = self._den
         ray = j < self.fan.n_rays
         # a ray's classes have box point 0, a sector's its own vector
         nu = (0,) * self.fan.dim if ray else self.fan.vectors[j]
@@ -268,7 +265,7 @@ class ChartPipeline:
         """
         if j in self._a_series:
             return self._a_series[j]
-        m = self.modulus
+        m = self._den
         terms: dict[tuple[int, ...], Fraction] = {}
         for gp in self.omega(j):
             ps = gp.nums
@@ -282,16 +279,36 @@ class ChartPipeline:
                 terms[gp.key] = Fraction(num, den)
         series = self.y_ring.from_scaled_terms(terms)
         if j >= self.fan.n_rays:
-            lead = self._dual_keys[j - self.fan.n_rays]
-            # the leading term can only be checked when the truncation order
-            # reaches the sector's weight at all
-            if self.y_ring.in_bounds(lead) and series.scaled_coefficient(lead) != 1:
-                raise ComputationError(
-                    f"leading coefficient of the sector series at "
-                    f"{self.fan.vectors[j]} is not 1"
-                )
+            self._check_sector_series(j, series)
         self._a_series[j] = series
         return series
+
+    def _check_sector_series(self, j: int, series: TruncatedSeries) -> None:
+        """A_j must be y^Dual_j plus terms of higher rank, or tau_j has no
+        power-series inverse."""
+        var = self.r_prime + j - self.fan.n_rays
+        lead = tuple(self.modulus * (a == var) for a in range(self.r))
+        # the leading term can only be checked when the truncation order
+        # reaches it at all
+        if self.y_ring.in_bounds(lead) and series.scaled_coefficient(lead) != 1:
+            raise ComputationError(
+                f"leading coefficient of the sector series at "
+                f"{self.fan.vectors[j]} is not 1"
+            )
+        for key in series.scaled_terms():
+            rank = (sum(key), sum(key[self.r_prime :]))
+            if key != lead and rank <= (self.modulus, self.modulus):
+                mono = "*".join(
+                    f"{name}^({Fraction(k, self.modulus)})"
+                    for name, k in zip(self.y_ring.names, key)
+                    if k
+                )
+                raise ComputationError(
+                    f"the series of sector {self.fan.vectors[j]} carries "
+                    f"{mono}, which does not rank above its leading class "
+                    f"{self.y_ring.names[var]}; the sector has no power-series "
+                    "inverse"
+                )
 
     # -- forward map ----------------------------------------------------------
 
@@ -318,46 +335,6 @@ class ChartPipeline:
         return out
 
     # -- the triangular inversion ----------------------------------------------
-
-    def relabel_key(self, p: int) -> tuple[int, ...]:
-        """Monomial relabel y^d -> q^(H2 part of d) tau^(extra pairings of d),
-        for the class d with packed y key p.
-
-        Exact on every class the pipeline produces; weight preserving.
-        Raises when a class carries fractional or negative sector pairings or
-        a negative H2 part (outside the scope of the chart formulas).
-        """
-        cached = self._relabel_cache.get(p)
-        if cached is not None:
-            return cached
-        key = self.y_ring._unpack(p)
-        m = self.modulus
-        mpart = []
-        for j in self.extras:
-            p_j = sum(map(mul, key, self._gamma_cols[j]))
-            if p_j < 0 or p_j % m:
-                raise ComputationError(
-                    f"class with sector pairing {Fraction(p_j, m)} cannot be "
-                    "relabeled"
-                )
-            mpart.append(p_j // m)
-        rest = list(key)
-        for mj, dual_key in zip(mpart, self._dual_keys):
-            if mj:
-                rest = [x - mj * d for x, d in zip(rest, dual_key)]
-        qpart = rest[: self.r_prime]
-        if any(x < 0 for x in qpart):
-            raise ComputationError(
-                "chart carries a twisted sector with nonzero curve "
-                "charge; not supported"
-            )
-        if any(rest[self.r_prime :]):
-            raise ComputationError(
-                "class decomposition failed; grading basis unusable"
-            )
-        target = tuple(qpart) + tuple(mj * m for mj in mpart)
-        self._relabel_cache[p] = target
-        return target
 
     def _image(self, tkey) -> tuple[list[tuple[int, int, int]], int]:
         """Packed view of the forward image in y of the (q, tau) monomial with
@@ -391,22 +368,24 @@ class ChartPipeline:
         return out
 
     def _rank(self, p: int) -> tuple[int, int]:
-        """(weight, total sector multiplicity), both scaled, of packed key p.
+        """(total degree, sector count), both scaled, of packed key p.
 
-        The forward image of a relabeled monomial is that monomial plus terms
-        of strictly larger rank: correction tails either raise the weight or
-        keep it while adding sector factors (a same-weight tail with a single
-        sector factor would pin two different box points to the same class).
+        The forward image of a (q, tau) monomial is the y monomial of the
+        same key plus terms of strictly larger rank: correction tails either
+        raise the degree or keep it while adding sector factors (a same-degree
+        tail with a single sector factor would pin two different box points
+        to the same class).  `_check_sector_series` enforces this for each
+        tau.
         """
-        target = self.relabel_key(p)
-        tau_total = sum(target[self.r_prime :]) // self.modulus
-        return self.y_ring.scaled_degree(self.y_ring._unpack(p)), tau_total
+        ring = self.y_ring
+        return p // ring._top, sum(ring._unpack(p)[self.r_prime :])
 
     def solve_against(self, f: TruncatedSeries) -> TruncatedSeries:
         """The unique X(q, tau) with X(forward(y)) = f(y) up to the order.
 
-        Triangular in the rank filtration (weight, then sector count): each
-        round relabels the residual's lowest level into X and subtracts its
+        Triangular in the rank filtration (total degree, then sector count):
+        each round moves the residual's lowest level into X, y^d becoming the
+        (q, tau) monomial of the same key, and subtracts its
         forward images in place, so the lowest level strictly rises; there are
         finitely many levels.  Each round scales the integer residual and its
         denominator by L, the lcm of its images' denominators E, subtracts
@@ -427,12 +406,16 @@ class ChartPipeline:
                     "inversion is not contracting; malformed mirror data"
                 )
             last = level
-            peel = [(p, c) for p, c in residual.items() if ranks[p] == level]
-            images = [self._image(self.relabel_key(p)) for p, _ in peel]
+            peel = [
+                (self.y_ring._unpack(p), c)
+                for p, c in residual.items()
+                if ranks[p] == level
+            ]
+            images = [self._image(key) for key, _ in peel]
             scale = lcm(*(e for _, e in images))
             residual = {p: n * scale for p, n in residual.items()}
-            for (p, c), (image, e) in zip(peel, images):
-                x[self.relabel_key(p)] = Fraction(c, den)
+            for (key, c), (image, e) in zip(peel, images):
+                x[key] = Fraction(c, den)
                 c *= scale // e
                 for _, k, n in image:
                     w = residual.get(k, 0) - c * n
@@ -471,7 +454,7 @@ class ChartPipeline:
                 raise ComputationError(
                     "sector coefficients outside [0,1); not a box element"
                 )
-            mono = self.y_ring.monomial(dual.pcoords)
+            mono = self.y_ring.variable(self.r_prime + jdx)
             acc = self.y_ring.zero()
             for i, c in zip(dual.carrier, dual.cone_coeffs):
                 if i >= self.fan.n_rays:
@@ -769,12 +752,10 @@ def _relabel_to_parent(
             for x in pc
         ),
     )
-    chart_tau_weights = chart_ring.weights[len(dgf.q_classes) :]
     ring = SeriesRing(
         r_prime + n_tau,
         modulus,
         Fraction(order),
-        weights=(Fraction(1),) * r_prime + tuple(chart_tau_weights),
         names=tuple(f"q{a}" for a in range(r_prime))
         + tuple("t" + "".join(str(c) for c in p) for p in dgf.tau_points),
     )

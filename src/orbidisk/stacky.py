@@ -6,6 +6,12 @@ inside the support.  This module derives everything the disk-counting
 pipeline needs from that data: the relation lattice and divisor classes, box
 elements and ages, anticones, Gorenstein and nef tests, wall curve classes,
 fan polytope faces, and the dual classes attached to the extra vectors.
+
+The only searched data is the nef block of `fan_sequence`: r' nef classes
+that complete the saturated span of the extra divisor classes to a basis of
+the class lattice, found by a saturation-pruned depth-first search started
+from one unimodular transform of that span.  The curve classes dual to the
+nef block pair to zero with every extra divisor class by construction.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from operator import mul
 from .lattice import (
     _gcdext,
     cone_contains,
-    det,
     elementary_divisors,
+    hermite_normal_form,
     identity_matrix,
     integer_inverse,
     integer_kernel,
@@ -42,7 +48,7 @@ class NotCompleteError(FanError):
 
 
 class NoValidBasisError(FanError):
-    """Automatic search for the grading basis failed; supply basis_p."""
+    """Automatic search for the nef block failed; supply basis_p."""
 
 
 @dataclass(frozen=True)
@@ -447,13 +453,16 @@ def facets_containing(fan: StackyFan, point) -> tuple[PolytopeFacet, ...]:
 
 @dataclass(frozen=True)
 class FanSequenceData:
-    """Relation lattice of the fan map and the chosen grading basis.
+    """Relation lattice of the fan map and the chosen nef block.
 
     kernel_basis rows span the saturated relation lattice L inside Z^{m'}.
     divisors[i] is the i-th divisor class in coordinates dual to that basis.
-    basis_p rows give the grading basis; gamma_basis rows are the dual basis
-    of L written as ambient integer vectors (their coordinates are exactly
-    their pairings with the divisor classes).
+    basis_p rows are the nef block p_1..p_r': nef classes completing the
+    saturated span of the extra divisor classes to a basis of the class
+    lattice.  gamma_basis rows are the curve classes gamma_a pairing to
+    delta_ab with p_b and to 0 with every extra divisor class, written as
+    ambient integer vectors (their coordinates are exactly their pairings
+    with the divisor classes); q_matrix[i][a] = gamma_a[i].
     """
 
     fan: StackyFan
@@ -538,14 +547,14 @@ def _anticone_inequalities(gens) -> list[list[int]] | None:
 
 
 def fan_sequence(fan: StackyFan, basis_p=None) -> FanSequenceData:
-    """Relation lattice, divisor classes, and a grading basis.
+    """Relation lattice, divisor classes, and the nef block.
 
-    The grading basis {p_a} is an integral basis of the divisor-class lattice
-    with every member in the closure of the extended Kahler cone and the
-    trailing block inside the cone spanned by the extra vectors' divisor
-    classes.  A supplied basis is validated; otherwise a bounded search runs
-    (raising NoValidBasisError when exhausted).  Results are cached: the
-    computation is pure and the returned data immutable.
+    The nef block p_1..p_r' lies in the closure of the extended Kahler cone
+    and completes the saturated span of the extra vectors' divisor classes
+    to an integral basis of the divisor-class lattice.  A supplied block is
+    validated; otherwise a bounded search runs (raising NoValidBasisError
+    when exhausted), and a chart with r' = 0 needs none.  Results are
+    cached: the computation is pure and the returned data immutable.
     """
     key = (
         fan,
@@ -579,37 +588,28 @@ def _fan_sequence_uncached(fan: StackyFan, basis_p) -> FanSequenceData:
             fan, tuple(), tuple(tuple() for _ in divisors), tuple(),
             tuple(tuple() for _ in divisors), tuple(), 0, 0
         )
-    inside_kahler = _kahler_closure_test(fan, divisors)
-
+    u, n_extra = _extra_transform([divisors[j] for j in extras], r)
+    if n_extra != r - r_prime:
+        raise NoValidBasisError(
+            "extra-vector divisor classes do not span the expected rank"
+        )
     if basis_p is not None:
         p = [tuple(int(x) for x in row) for row in basis_p]
-        _validate_basis(fan, divisors, extras, p, r_prime, inside_kahler)
+        u = _validate_basis(fan, divisors, u, n_extra, p, r_prime)
+    elif r_prime:
+        p, u = _search_basis(fan, divisors, extras, u, n_extra, r_prime)
     else:
-        p = _search_basis(fan, divisors, extras, r, r_prime, inside_kahler)
-
-    pinv = _inverse_unimodular(p)
-    q_matrix = tuple(
-        tuple(sum(d[k] * pinv[k][a] for k in range(r)) for a in range(r))
-        for d in divisors
-    )
-    for i in extras:
-        for a in range(r_prime):
-            if q_matrix[i][a] != 0:
-                raise NoValidBasisError(
-                    "extra-vector divisor classes must have no nef-block "
-                    "component; basis rejected"
-                )
-    # gamma_a as ambient vectors: gamma_a = sum_k pinv[k][a] * kernel row k
+        p = []
+    # gamma_a has kernel-basis coordinates u[n_extra + a]: it pairs to 1 with
+    # p_a, to 0 with the other nef rows and with every extra divisor class
     gamma = tuple(
         tuple(
-            sum(pinv[k][a] * kernel[k][i] for k in range(r))
+            sum(x * kernel[k][i] for k, x in enumerate(u[n_extra + a]))
             for i in range(fan.n_vectors)
         )
-        for a in range(r)
+        for a in range(r_prime)
     )
-    for i, d in enumerate(divisors):
-        for a in range(r):
-            assert gamma[a][i] == q_matrix[i][a]
+    q_matrix = tuple(tuple(g[i] for g in gamma) for i in range(fan.n_vectors))
     return FanSequenceData(
         fan,
         tuple(tuple(row) for row in kernel),
@@ -622,23 +622,42 @@ def _fan_sequence_uncached(fan: StackyFan, basis_p) -> FanSequenceData:
     )
 
 
-def _validate_basis(fan, divisors, extras, p, r_prime, inside_kahler):
-    r = len(divisors[0]) if divisors else 0
-    if len(p) != r:
-        raise NoValidBasisError(f"need {r} basis vectors, got {len(p)}")
-    if abs(det(p)) != 1:
-        raise NoValidBasisError("supplied basis is not unimodular")
-    extra_divs = [divisors[j] for j in extras]
+def _extra_transform(extra_divs, r: int) -> tuple[list[list[int]], int]:
+    """(u, k): a unimodular u, given by its columns, whose columns past k
+    span the integer vectors pairing to zero with every extra divisor
+    class, k the rank of those classes.
+
+    Their saturated span maps onto Z^k x 0 under x -> x @ u, so u starts
+    `_saturating_extension` with that span as the rows chosen so far.
+    """
+    if not extra_divs:
+        return identity_matrix(r), 0
+    h, u = hermite_normal_form(transpose(extra_divs))
+    return u, sum(1 for row in h if any(row))
+
+
+def _validate_basis(fan, divisors, u, n_extra, p, r_prime):
+    """The transform u extended by a supplied nef block p, or
+    NoValidBasisError."""
+    r = len(divisors[0])
+    if len(p) != r_prime or any(len(row) != r for row in p):
+        raise NoValidBasisError(
+            f"basis_p must hold r' = {r_prime} nef rows of length {r}, "
+            f"got {len(p)} rows"
+        )
+    inside_kahler = _kahler_closure_test(fan, divisors) if p else None
     for a, row in enumerate(p):
         if not inside_kahler(row):
             raise NoValidBasisError(
                 f"basis vector {row} is outside the closed extended Kahler cone"
             )
-        if a >= r_prime:
-            if not extra_divs or not cone_contains(extra_divs, row)[0]:
-                raise NoValidBasisError(
-                    f"basis vector {row} is not in the extra-divisor cone"
-                )
+        u = _saturating_extension(u, n_extra + a, row)
+        if u is None:
+            raise NoValidBasisError(
+                "supplied basis does not complete the extra-divisor lattice "
+                "to a unimodular basis"
+            )
+    return u
 
 
 def _dual_class_solve(fan, divisors, j):
@@ -669,16 +688,11 @@ def _dual_class_solve(fan, divisors, j):
     return carrier, coeffs, tuple(rhs), sol
 
 
-def _search_basis(fan, divisors, extras, r, r_prime, inside_kahler):
+def _search_basis(fan, divisors, extras, u, n_extra, r_prime):
+    """The nef block and the transform u extended by it."""
+    r = len(divisors[0])
+    inside_kahler = _kahler_closure_test(fan, divisors)
     extra_divs = [divisors[j] for j in extras]
-    n_extra = len(extras)
-    if n_extra != r - r_prime:
-        raise NoValidBasisError(
-            "extra-vector divisor classes do not span the expected rank"
-        )
-    max_span = 1 + (
-        max(cone_index(fan, mc) for mc in fan.max_cones) if fan.max_cones else 2
-    )
     # candidates for the nef block: integral canonical-splitting lifts.  The
     # splitting projection x - sum_j <x, Dual_j> D_j lands in the closed
     # Kahler cone lift when the image of x is nef; taking floors instead of
@@ -713,101 +727,34 @@ def _search_basis(fan, divisors, extras, r, r_prime, inside_kahler):
     for i in range(fan.n_rays):
         for j in range(i + 1, fan.n_rays):
             add_nef([a + b for a, b in zip(divisors[i], divisors[j])])
-
-    # staged effort: the small combination range covers low torsion cheaply;
-    # widen it only when the assembly fails.  The last stage also adds sums
-    # of three ray divisors to the nef pool: on the hexagon (dP6) the pairwise
-    # sums reach only H - E_i and -K, which are linearly dependent.  Each
-    # span's extra pool is built once; stages whose pool cannot hold a basis
-    # are skipped without searching.
-    spans = [3] if max_span <= 3 else [3, max_span]
-    stages = [(span, ()) for span in spans]
-    stages.append((spans[-1], combinations(range(fan.n_rays), 3)))
-    pools: dict[int, list[tuple[int, ...]] | None] = {}
-    found = None
-    for span, nef_sums in stages:
-        for idx in nef_sums:
+    found = _assemble_basis(u, n_extra, nef_pool, r_prime)
+    if found is None:
+        # on the hexagon (dP6) the pairwise sums reach only H - E_i and -K,
+        # which are linearly dependent; sums of three ray divisors complete it
+        for idx in combinations(range(fan.n_rays), 3):
             add_nef([sum(divisors[i][k] for i in idx) for k in range(r)])
-        while span > 2 and span**n_extra > 100000:
-            span -= 1
-        if span not in pools:
-            pools[span] = _extra_pool(extra_divs, span)
-        pool = pools[span]
-        if pool is None:
-            continue
-        found = _assemble_basis(pool, nef_pool, r, r_prime, n_extra)
-        if found is not None:
-            break
+        found = _assemble_basis(u, n_extra, nef_pool, r_prime)
     if found is None:
         raise NoValidBasisError(
             "automatic basis search exhausted; supply basis_p explicitly"
         )
-    nef_part, ext_part = found
-    return nef_part + ext_part
+    return found
 
 
-def _extra_pool(extra_divs, span: int) -> list[tuple[int, ...]] | None:
-    """Candidates for the extra block, or None when they hold no basis.
-
-    The candidates are the primitive points of the extra-divisor cone built
-    from the classes and their combinations with coefficients in
-    range(span), smallest first; the range scales with the torsion of the
-    fan (box coordinates have denominators dividing the cone indices).  A
-    pool that does not generate the saturated extra-divisor lattice cannot
-    contain a basis of it.  The check reads only the classes and the
-    candidates from non-primitive combinations: a primitive combination is
-    already in the lattice of the classes.
-    """
-    n_extra = len(extra_divs)
-    pool: list[tuple[int, ...]] = []
-    gens: list[list[int]] = []
-    seen = set()
-
-    def add(v, acc) -> None:
-        if v not in seen:
-            seen.add(v)
-            pool.append(v)
-            if acc is None or v != tuple(acc):
-                gens.append(list(v))
-
-    for d in extra_divs:
-        add(primitive_vector(d), None)
-
-    def combos(idx, acc):
-        if idx == n_extra:
-            if any(acc):
-                add(primitive_vector(acc), acc)
-            return
-        for k in range(span):
-            combos(
-                idx + 1,
-                [a + k * b for a, b in zip(acc, extra_divs[idx])],
-            )
-
-    if n_extra:
-        combos(0, [0] * len(extra_divs[0]))
-        if elementary_divisors(gens) != [1] * n_extra:
-            return None
-    pool.sort(key=lambda v: (sum(abs(x) for x in v), v))
-    return pool
-
-
-def _assemble_basis(ext_pool, nef_pool, r, r_prime, n_extra, node_budget=200000):
-    """Depth-first search for a unimodular basis; saturation-pruned.
+def _assemble_basis(u, k, pool, count, node_budget=200000):
+    """Depth-first search for count pool members completing the k rows
+    behind u to a unimodular basis: (rows, extended u), or None.
 
     Every partial choice must stay a saturated sublattice, which prunes hard:
-    a full-size saturated set of rank r is exactly a unimodular basis.
-    Several extra blocks are tried in case the nef completion fails.  Each
+    a full-size saturated set of rank r is exactly a unimodular basis.  Each
     search node carries the transform of `_saturating_extension`, so a
     candidate costs one integer test.
     """
     budget = [node_budget]
 
-    def extend(u, k, pool, count, start):
-        if budget[0] <= 0:
-            return None
+    def extend(u, k, count, start):
         if count == 0:
-            return []
+            return [], u
         for idx in range(start, len(pool)):
             budget[0] -= 1
             if budget[0] <= 0:
@@ -815,45 +762,23 @@ def _assemble_basis(ext_pool, nef_pool, r, r_prime, n_extra, node_budget=200000)
             u_next = _saturating_extension(u, k, pool[idx])
             if u_next is None:
                 continue
-            rest = extend(u_next, k + 1, pool, count - 1, idx + 1)
+            rest = extend(u_next, k + 1, count - 1, idx + 1)
             if rest is not None:
-                return [list(pool[idx])] + rest
+                return [list(pool[idx])] + rest[0], rest[1]
         return None
 
-    ext_blocks: list[tuple[list, list[list[int]]]] = []
-
-    def collect_ext(chosen, u, start):
-        if budget[0] <= 0 or len(ext_blocks) >= 40:
-            return
-        if len(chosen) == n_extra:
-            ext_blocks.append((chosen, u))
-            return
-        for idx in range(start, len(ext_pool)):
-            budget[0] -= 1
-            if budget[0] <= 0:
-                return
-            u_next = _saturating_extension(u, len(chosen), ext_pool[idx])
-            if u_next is None:
-                continue
-            collect_ext(chosen + [ext_pool[idx]], u_next, idx + 1)
-
-    collect_ext([], identity_matrix(r), 0)
-    for ext_block, u in ext_blocks:
-        nef_part = extend(u, n_extra, nef_pool, r_prime, 0)
-        if nef_part is not None:
-            return nef_part, [list(v) for v in ext_block]
-    return None
+    return extend(u, k, count, 0)
 
 
 def _saturating_extension(u, k: int, v) -> list[list[int]] | None:
     """Extend a saturated set of k rows by v, or None if the k + 1 rows do
     not span a saturated sublattice.
 
-    u is a unimodular matrix, given by its columns, with chosen @ u =
-    [1_k | 0] for the k rows chosen so far.  Then [chosen; v] is saturated
-    exactly when the entries of v @ u past k have gcd 1; the returned
-    columns satisfy [chosen; v] @ u' = [1_(k+1) | 0].  The columns of u are
-    never modified.
+    u is a unimodular matrix, given by its columns, under which the k rows
+    chosen so far map onto Z^k x 0 (x -> x @ u).  Then [chosen; v] is
+    saturated exactly when the entries of v @ u past k have gcd 1; under the
+    returned columns v maps to e_k and the chosen rows keep their images.
+    The columns of u are never modified.
     """
     tail = [sum(map(mul, v, col)) for col in u[k:]]
     if gcd(*tail) != 1:
@@ -880,17 +805,6 @@ def _saturating_extension(u, k: int, v) -> list[list[int]] | None:
     return u
 
 
-def _inverse_unimodular(p) -> list[list[int]]:
-    """Exact inverse of a unimodular matrix, indexed out[k][a] = (P^-1)[k][a]."""
-    try:
-        out, d = integer_inverse(p)
-    except ValueError as exc:
-        raise NoValidBasisError("basis matrix is singular") from exc
-    if d != 1:
-        raise NoValidBasisError("basis matrix is not unimodular")
-    return out
-
-
 @dataclass(frozen=True)
 class DualClassData:
     """Splitting data of one extra vector.
@@ -898,7 +812,7 @@ class DualClassData:
     anticone is the anticone of the minimal cone containing the vector;
     cone_coeffs are the coefficients c_i over that cone's rays; pairings is
     the ambient vector of the dual class (its pairing with every divisor
-    class); pcoords are its coordinates in the grading basis.
+    class); pcoords are its pairings with the nef block.
     """
 
     index: int

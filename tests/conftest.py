@@ -193,13 +193,16 @@ def brute_force_grid(pipe) -> dict:
     return out
 
 
-def pairings_from_pcoords(seq, pcoords) -> tuple[Fraction, ...]:
-    """Ambient vector (= all divisor pairings) of sum_a pcoords[a] gamma_a,
-    in Fraction: the reference for the pipeline's integer pairings."""
-    out = [Fraction(0)] * seq.fan.n_vectors
-    for a, c in enumerate(pcoords):
-        for i, g in enumerate(seq.gamma_basis[a]):
-            out[i] += Fraction(c) * g
+def pairings_from_key(pipe, key) -> tuple[Fraction, ...]:
+    """Ambient vector (= all divisor pairings) of the class
+    sum_a qpart_a gamma_a + sum_j m_j Dual_j of a chart key, in Fraction:
+    the reference for the pipeline's integer pairings."""
+    m = pipe.modulus
+    classes = list(pipe.seq.gamma_basis) + [d.pairings for d in pipe.duals]
+    out = [Fraction(0)] * pipe.fan.n_vectors
+    for k, cls in zip(key, classes):
+        for i, g in enumerate(cls):
+            out[i] += Fraction(k, m) * g
     return tuple(out)
 
 
@@ -259,11 +262,8 @@ def solve_against_by_fractions(pipe, f):
     ring, m = pipe.y_ring, pipe.modulus
     powers: dict = {}
 
-    def relabel(key):
-        return pipe.relabel_key(ring._pack(key))
-
     def rank(key):
-        return ring.scaled_degree(key), sum(relabel(key)[pipe.r_prime :]) // m
+        return ring.scaled_degree(key), sum(key[pipe.r_prime :]) // m
 
     def power(v, k):
         """The k-th power of the forward image of one step of variable v:
@@ -306,7 +306,8 @@ def solve_against_by_fractions(pipe, f):
         last = level
         peel = [(key, c) for key, c in residual.items() if ranks[key] == level]
         for key, coeff in peel:
-            tkey = relabel(key)
+            # y^d relabels to the (q, tau) monomial of the same key
+            tkey = key
             x[tkey] = coeff
             for k, v in image(tkey).scaled_terms().items():
                 w = residual.get(k, 0) - coeff * v

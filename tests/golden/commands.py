@@ -1,0 +1,48 @@
+"""The commands whose stdout digests `cli_outputs.sha256` pins.
+
+`golden_commands(root)` maps each output file name to the `orbidisk`
+arguments that write it, with fan paths under `root`.  Run as a script from
+the repository root, this file prints one command per line, the output file
+name and then each argument, separated by tabs:
+
+    python tests/golden/commands.py | while IFS=$'\\t' read -r name args; do
+        orbidisk $args > "$out/$name"
+    done
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+P2Z3_CLASSES = (
+    "ray:0", "ray:1", "ray:2",
+    "box:-1,0", "box:-1,1", "box:0,-1", "box:0,1", "box:1,-1", "box:1,0",
+)
+
+
+def golden_commands(root: Path = Path(".")) -> dict[str, list[str]]:
+    """Output name -> argument list of every pinned stdout digest."""
+    fans = root / "fans"
+    p2z3 = str(fans / "p2z3.json")
+    cmds = {
+        f"invariants-p2z3-{klass}.out": [
+            "invariants", p2z3, "--class", klass, "--order", "20"
+        ]
+        for klass in P2Z3_CLASSES
+    }
+    cmds["verify-p2z3.out"] = ["verify-p2z3", "--amax", "10", "--bmax", "10"]
+    # deeper windows, reaching larger denominators in the inversion
+    cmds["invariants-p2z3-box:0,-1-order32.out"] = [
+        "invariants", p2z3, "--class", "box:0,-1", "--order", "32"
+    ]
+    cmds["verify-p2z3-14.out"] = ["verify-p2z3", "--amax", "14", "--bmax", "14"]
+    paths = [fans / f"{name}.json" for name in ("p2", "p1xp1", "f2", "p2z3")]
+    paths += sorted((root / "perfbench" / "fans").glob("r*.json"))
+    for path in paths:
+        cmds[f"potential-{path.stem}.out"] = ["potential", str(path), "--order", "6"]
+    return cmds
+
+
+if __name__ == "__main__":
+    for name, argv in golden_commands().items():
+        print(name, *argv, sep="\t")

@@ -21,7 +21,7 @@ from conftest import (
     p1xp1_fan,
     p2_fan,
     p2z3_extended,
-    pairings_from_pcoords,
+    pairings_from_key,
     ratio_factor,
     solve_against_by_fractions,
 )
@@ -71,21 +71,19 @@ def test_sector_ratio_matches_ratio_factor(nums, m):
 
 
 def pairings(pipe, gp) -> tuple[Fraction, ...]:
-    """A grid class's divisor pairings: its numerators over the modulus."""
-    return tuple(Fraction(p, pipe.modulus) for p in gp.nums)
+    """A grid class's divisor pairings: its numerators over M^2."""
+    return tuple(Fraction(p, pipe.modulus**2) for p in gp.nums)
 
 
 def _fraction_reference(pipe, j):
     """omega(j) keys and A_j scaled terms of a chart, decided on the Fraction
-    pairings of each grid key (`pairings_from_pcoords`)."""
+    pairings of each grid key (`pairings_from_key`)."""
     fan = pipe.fan
     keys, terms = [], {}
     for key in sorted(pipe.grid()):
         if not any(key):
             continue
-        cs = pairings_from_pcoords(
-            pipe.seq, [Fraction(k, pipe.modulus) for k in key]
-        )
+        cs = pairings_from_key(pipe, key)
         nu = tuple(
             sum(math.ceil(c) * v[k] for c, v in zip(cs, fan.vectors))
             for k in range(fan.dim)
@@ -122,10 +120,7 @@ def test_integer_classes_match_fraction_reference():
     for chart in charts:
         pipe = ChartPipeline(chart, 6)
         for key, gp in pipe.grid().items():
-            want = pairings_from_pcoords(
-                pipe.seq, [Fraction(k, pipe.modulus) for k in key]
-            )
-            assert pairings(pipe, gp) == want, (chart, key)
+            assert pairings(pipe, gp) == pairings_from_key(pipe, key), (chart, key)
         for j in range(chart.n_vectors):
             keys, terms = _fraction_reference(pipe, j)
             assert [gp.key for gp in pipe.omega(j)] == keys, (chart, j)
@@ -177,7 +172,8 @@ def test_a_series_leading_coefficient_one():
         pipe = ChartPipeline(chart, 4)
         for jdx, j in enumerate(pipe.extras):
             a = pipe.a_series(j)
-            assert a.coefficient(pipe.duals[jdx].pcoords) == 1
+            lead = [int(t == pipe.r_prime + jdx) for t in range(pipe.r)]
+            assert a.coefficient(lead) == 1
 
 
 def test_forward_map_om2():
@@ -278,7 +274,7 @@ def test_inversion_of_multi_variable_monomials():
         (
             mixed_chart(),
             6,
-            {(1, 1, 0): 1, (1, 0, 1): 2, (2, 1, 1): -3, (0, 1, 2): 1, (3, 0, 4): 5},
+            {(1, 1, 0): 1, (1, 0, 1): 2, (2, 1, 1): -3, (0, 1, 2): 1, (2, 0, 4): 5},
         ),
     ]
     for chart, order, poly in cases:
@@ -334,15 +330,17 @@ def test_integer_inversion_matches_fraction_reference(data):
 
 
 def test_non_contracting_chart_still_raises():
-    # the sector series of (2,1) carries -y0^(1/2), of lower weight than its
-    # leading monomial y0^(1/2) y1, so the image of tau is not triangular in
-    # the rank filtration and the inversion must stop on it
+    # the sector series of (2,1) carries -y0^(1/2), curve part 1/2 and no
+    # sector factor, below its leading monomial y1 (the dual class), so the
+    # image of tau is not triangular in the rank filtration: the sector has
+    # no power-series inverse, and every use of its series says so
     fan = StackyFan.make(2, [(0, 1), (1, 1), (3, 1)], [(0, 1), (1, 2)], [(2, 1)])
     pipe = ChartPipeline(fan, 2)
-    with pytest.raises(ComputationError, match="not contracting"):
-        pipe.solve_against(pipe.a_series(pipe.extras[0]))
-    with pytest.raises(ComputationError, match="not contracting"):
-        solve_against_by_fractions(pipe, pipe.a_series(pipe.extras[0]))
+    message = r"sector \(2, 1\) carries y0\^\(1/2\)"
+    with pytest.raises(ComputationError, match=message):
+        pipe.a_series(pipe.extras[0])
+    with pytest.raises(ComputationError, match=message):
+        pipe.round_trip_identity()
 
 
 def test_trivial_inverse_when_no_corrections():
@@ -617,10 +615,10 @@ def test_z2_sector_matches_closed_form():
     assert fan.extra_vectors == ((0, -1),)
     dgf = disk_generating_function(fan, DiskClassSymbol.orbi((0, -1)), 9)
     got = {int(e[0]): c for e, c in dgf.series.terms()}
-    # weighted order 9 at sector weight 1/2 covers degrees up to 18
+    # every tau has degree 1: order 9 covers degrees up to 9
     want = {
         k: half_sine_coefficient(k)
-        for k in range(19)
+        for k in range(10)
         if half_sine_coefficient(k) != 0
     }
     assert got == want
@@ -664,21 +662,14 @@ def test_mixed_chart_pipeline():
     pipe = ChartPipeline(fan, 6)
     assert pipe.r == 3 and pipe.r_prime == 1
     assert pipe.round_trip_identity()
-    # both sectors reproduce the Z2 closed form transverse to their loci
-    g1 = pipe.generating_function(DiskClassSymbol.orbi((0, 1, 1)))
-    got1 = {
-        int(e[1]): c for e, c in g1.terms() if e[0] == 0 and e[2] == 0
-    }
-    assert got1 == {1: Fraction(1), 3: Fraction(-1, 24)}
-    assert len(list(g1.terms())) == 2
-    g2 = pipe.generating_function(DiskClassSymbol.orbi((1, 1, 1)))
-    got2 = {int(e[2]): c for e, c in g2.terms() if e[0] == 0 and e[1] == 0}
-    assert got2 == {
-        k: half_sine_coefficient(k)
-        for k in range(1, 12)
-        if half_sine_coefficient(k) != 0
-    }
-    assert len(list(g2.terms())) == len(got2)
+    # both sectors reproduce the Z2 closed form transverse to their loci, in
+    # the same window: every tau has degree 1
+    want = {k: half_sine_coefficient(k) for k in range(1, 7) if half_sine_coefficient(k)}
+    for point, var in (((0, 1, 1), 1), ((1, 1, 1), 2)):
+        g = pipe.generating_function(DiskClassSymbol.orbi(point))
+        got = {int(e[var]): c for e, c in g.terms() if not any(e[:var] + e[var + 1 :])}
+        assert got == want
+        assert len(list(g.terms())) == len(want)
 
 
 def test_grid_matches_brute_force_scan():
@@ -792,32 +783,23 @@ def test_random_3d_triangle_charts():
     for fan in random_triangle_charts():
         pipe = ChartPipeline(fan, 2)
         assert pipe.round_trip_identity()
-        # sector normalization wherever the order reaches the sector weight
+        # sector normalization: every tau has degree 1, within the order
         for jdx, j in enumerate(pipe.extras):
-            if pipe.tau_weights[jdx] <= 2:
-                g = pipe.generating_function(
-                    DiskClassSymbol.orbi(fan.vectors[j])
-                )
-                lead = tuple(
-                    Fraction(1) if t == pipe.r_prime + jdx else Fraction(0)
-                    for t in range(pipe.qt_ring.nvars)
-                )
-                assert g.coefficient(lead) == 1
+            g = pipe.generating_function(DiskClassSymbol.orbi(fan.vectors[j]))
+            lead = tuple(
+                Fraction(1) if t == pipe.r_prime + jdx else Fraction(0)
+                for t in range(pipe.qt_ring.nvars)
+            )
+            assert g.coefficient(lead) == 1
 
 
 def test_grid_guards():
-    from dataclasses import replace
-
-    from orbidisk.stacky import fan_sequence
-
     fan = c2z3_chart()
-    seq = fan_sequence(fan)
-    # negated dual basis: every enumeration weight turns negative
-    flipped = replace(
-        seq, gamma_basis=tuple(tuple(-g for g in row) for row in seq.gamma_basis)
-    )
+    # negated pairing columns: every enumeration weight turns negative
+    flipped = ChartPipeline(fan, 4)
+    flipped._gamma_cols = tuple(tuple(-g for g in col) for col in flipped._gamma_cols)
     with pytest.raises(ComputationError, match="nonpositive enumeration weight"):
-        ChartPipeline(fan, 4, flipped).grid()
+        flipped.grid()
     # no anticone at all: the enumerated classes fail their classification
     pipe = ChartPipeline(fan, 4)
     pipe._anticones = set()

@@ -28,7 +28,7 @@ coeffs = st.fractions(
 )
 
 
-# the C2/Z6 twisted-sector weights: not units, denominators 2, 3 and 6
+# five weights that are not units, with denominators 2, 3 and 6
 Z6_TAU = SeriesRing(
     5,
     6,
