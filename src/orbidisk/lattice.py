@@ -252,38 +252,55 @@ def elementary_divisors(a) -> list[int]:
     return [d[i][i] for i in range(min(m, n)) if d[i][i] != 0]
 
 
-def rank(a) -> int:
-    """Rank over Q.
-
-    Each row is scaled by the lcm of its entries' denominators first, which
-    keeps the rank and makes the matrix integral.
+def _integer_rows(a) -> list[list[int]]:
+    """Each row of a rational matrix scaled by the lcm of its entries'
+    denominators: the same row space, integral entries.
     """
-    rows = []
+    out = []
     for row in a:
         den = lcm(*(x.denominator for x in row))
-        rows.append([int(x * den) for x in row])
-    return len(elementary_divisors(rows))
-
-
-def det(a) -> Fraction:
-    """Determinant of a square rational matrix (exact Gaussian elimination)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
+
+
+def _eliminate(w, n: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in
+    place; pivots are taken from the first n columns.
+
+    Every division is exact by Sylvester's identity.  Afterwards the k pivot
+    rows come first and the pivot columns are p times the k x k identity,
+    p the last pivot (plus or minus a k x k minor); every other row is zero
+    in the first n columns.  Returns the pivot columns and p (1 when there
+    is no pivot).
+    """
+    m = len(w)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if w[i][c] != 0), None)
+        if piv is None:
+            continue
+        w[r], w[piv] = w[piv], w[r]
+        p = w[r][c]
+        for i in range(m):
+            if i != r:
+                f = w[i][c]
+                w[i] = [(p * x - f * y) // prev for x, y in zip(w[i], w[r])]
+        prev = p
+        pivots.append(c)
+    return pivots, prev
+
+
+def rank(a) -> int:
+    """Rank over Q: the pivot count of one fraction-free elimination of the
+    rows scaled to integers.
+    """
+    if not a:
+        return 0
+    return len(_eliminate(_integer_rows(a), len(a[0]))[0])
 
 
 def integer_inverse(a) -> tuple[list[list[int]], int]:
@@ -298,21 +315,11 @@ def integer_inverse(a) -> tuple[list[list[int]], int]:
     if any(len(row) != n for row in a):
         raise ValueError("integer_inverse needs a square matrix")
     w = [row + e for row, e in zip(_integer_copy(a), identity_matrix(n))]
-    prev = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if w[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        w[c], w[piv] = w[piv], w[c]
-        p = w[c][c]
-        # after this step the first c + 1 columns are p times the identity
-        for r in range(n):
-            if r != c:
-                f = w[r][c]
-                w[r] = [(p * x - f * y) // prev for x, y in zip(w[r], w[c])]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    return [[sign * x for x in row[n:]] for row in w], sign * prev
+    pivots, p = _eliminate(w, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    sign = 1 if p > 0 else -1
+    return [[sign * x for x in row[n:]] for row in w], sign * p
 
 
 def integer_kernel(a) -> list[list[int]]:
@@ -340,34 +347,20 @@ def solve_rational(a, b) -> list[Fraction] | None:
 
     Returns x when the system is consistent with a unique solution, None when
     inconsistent.  Raises AmbiguousSolutionError when the system is
-    consistent but underdetermined.
+    consistent but underdetermined.  Entries may be int or Fraction: each
+    row of [a | b] is scaled to integers, one fraction-free elimination
+    solves it, and only the entries of x are built as Fractions.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(a[0]) if a else 0
+    w = _integer_rows([list(row) + [bv] for row, bv in zip(a, b)])
+    pivots, p = _eliminate(w, n)
+    if any(row[n] for row in w[len(pivots):]):
+        return None
     if len(pivots) < n:
         raise AmbiguousSolutionError("underdetermined system")
     x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
+    for row, c in zip(w, pivots):
+        x[c] = Fraction(row[n], p)
     return x
 
 
@@ -404,6 +397,8 @@ def cone_contains(generators, point) -> tuple[bool, list[Fraction] | None]:
     of the cone lies in the cone of a basis of the generators' span taken
     from the generators, so one direct solve per d-subset decides it, d the
     rank; dependent subsets raise AmbiguousSolutionError and are skipped.
+    The rank and every solve are fraction-free integer eliminations
+    (`solve_rational`), so int and Fraction generators both work.
     Generators off the accepting subset get coefficient 0.
     """
     gens = [list(g) for g in generators]

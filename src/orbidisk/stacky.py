@@ -17,7 +17,7 @@ nef block pair to zero with every extra divisor class by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -402,8 +402,12 @@ class PolytopeFacet:
     height: int  # <normal, x> == height on the facet, < height inside
 
 
+@lru_cache(maxsize=128)
 def fan_polytope_facets(fan: StackyFan) -> tuple[PolytopeFacet, ...]:
-    """Facets of the convex hull of the stacky vectors (origin interior)."""
+    """Facets of the convex hull of the stacky vectors (origin interior).
+
+    Cached: the enumeration is pure and the returned data immutable.
+    """
     if not is_complete(fan):
         raise NotCompleteError("fan polytope needs a complete fan")
     pts = fan.stacky_vectors

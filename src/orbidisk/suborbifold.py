@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattice import cone_contains, solve_integer
 from .stacky import (
@@ -70,7 +71,8 @@ def build_suborbifold(
 
     The facet has to contain the minimal face of the class's boundary vector;
     when several do, the one with the lexicographically least vertex set is
-    used unless an explicit choice is passed.
+    used unless an explicit choice is passed.  Every class whose chosen
+    facet is the same gets the same chart, cut once (`_cut_chart`).
     """
     if beta.sphere is not None and any(beta.sphere):
         raise FanError("charts are built for basic classes (no sphere part)")
@@ -90,6 +92,14 @@ def build_suborbifold(
                 f"of {b}"
             )
         chosen = facet
+    return _cut_chart(fan, chosen)
+
+
+@lru_cache(maxsize=128)
+def _cut_chart(fan: StackyFan, chosen: PolytopeFacet) -> Suborbifold:
+    """The chart over one facet, validated and tested Calabi-Yau.  Cached:
+    the cut is pure and the returned data immutable.
+    """
     ray_idx = [
         i
         for i, v in enumerate(fan.stacky_vectors)

@@ -124,8 +124,6 @@ def random_complete_2d_fan(rng: random.Random) -> StackyFan:
 
 def random_single_cone_fan(rng: random.Random, dim: int) -> StackyFan:
     """One full-dimensional simplicial cone (an affine chart)."""
-    from orbidisk.lattice import det
-
     while True:
         vecs = [
             tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)
@@ -225,10 +223,10 @@ def ratio_factor(c: Fraction) -> Fraction:
 def pcoords_by_solve(seq, ambient) -> tuple[Fraction, ...]:
     """Grading coordinates of an ambient relation vector by one Fraction
     solve against kernel_basis^T: the reference for pcoords_from_ambient."""
-    from orbidisk.lattice import solve_rational, transpose
+    from orbidisk.lattice import transpose
     from orbidisk.stacky import FanError
 
-    coords = solve_rational(
+    coords = solve_rational_by_fractions(
         transpose(seq.kernel_basis), [Fraction(x) for x in ambient]
     )
     if coords is None:
@@ -318,6 +316,77 @@ def solve_against_by_fractions(pipe, f):
                 else:
                     del residual[k]
     return pipe.qt_ring.from_scaled_terms(x)
+
+
+# Gaussian elimination over Fraction and the Smith rank: the references for
+# the fraction-free elimination of orbidisk.lattice.
+
+
+def det(a) -> Fraction:
+    """Determinant of a square rational matrix (exact Gaussian elimination)."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c] != 0:
+                f = m[r][c] * inv
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return out
+
+
+def solve_rational_by_fractions(a, b) -> list[Fraction] | None:
+    """a @ x = b by Gauss-Jordan elimination over Fraction: the unique x,
+    None when inconsistent, AmbiguousSolutionError when underdetermined."""
+    from orbidisk.lattice import AmbiguousSolutionError
+
+    m = len(a)
+    n = len(a[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    if len(pivots) < n:
+        raise AmbiguousSolutionError("underdetermined system")
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][n]
+    return x
+
+
+def rank_by_smith(a) -> int:
+    """Rank over Q as the number of nonzero elementary divisors of the rows
+    scaled by the lcm of their denominators."""
+    from orbidisk.lattice import elementary_divisors
+
+    rows = []
+    for row in a:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(x * den) for x in row])
+    return len(elementary_divisors(rows))
 
 
 # Fourier-Motzkin elimination, the reference for cone membership: one exact

@@ -7,14 +7,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from conftest import fm_solve
+from conftest import det, fm_solve, rank_by_smith, solve_rational_by_fractions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbidisk.lattice import (
     AmbiguousSolutionError,
     cone_contains,
-    det,
     elementary_divisors,
     hermite_normal_form,
     identity_matrix,
@@ -193,6 +192,51 @@ def test_solve_rational_examples():
         solve_rational([[1, 1]], [3])
 
 
+@st.composite
+def linear_systems(draw):
+    """a @ x = b with a = left @ right of inner size r <= min(m, n), so every
+    rank up to min(m, n) turns up; entries are drawn as ints or as
+    Fractions; b is a @ x for some x (consistent) or any vector (often
+    inconsistent)."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(m, n)))
+    entry = draw(
+        st.sampled_from(
+            [st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4)]
+        )
+    )
+    left = [[draw(entry) for _ in range(r)] for _ in range(m)]
+    right = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    a = [
+        [sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)]
+        for i in range(m)
+    ]
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(n)]
+        b = [sum(ai * xi for ai, xi in zip(row, x)) for row in a]
+    else:
+        b = [draw(entry) for _ in range(m)]
+    return a, b
+
+
+def _outcome(solve, a, b):
+    try:
+        return solve(a, b)
+    except AmbiguousSolutionError:
+        return "ambiguous"
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+def test_fraction_free_elimination_matches_fractions(case):
+    a, b = case
+    got = _outcome(solve_rational, a, b)
+    assert got == _outcome(solve_rational_by_fractions, a, b)
+    if isinstance(got, list):
+        assert all(type(x) is Fraction for x in got)
+    assert rank(a) == rank_by_smith(a)
+
+
 def test_solve_integer():
     assert solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
     assert solve_integer([[2]], [3]) is None
@@ -338,7 +382,9 @@ def test_integer_inverse_matches_rational_inverse(a):
     assert all(type(x) is int for row in m for x in row)
     for col in range(n):
         e = [1 if i == col else 0 for i in range(n)]
-        assert [Fraction(m[i][col], d) for i in range(n)] == solve_rational(a, e)
+        assert [Fraction(m[i][col], d) for i in range(n)] == solve_rational_by_fractions(
+            a, e
+        )
 
 
 def test_integer_inverse_examples():

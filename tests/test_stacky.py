@@ -13,6 +13,7 @@ from conftest import (
     REPO,
     c2z3_chart,
     c3z3_chart,
+    det,
     example_fans,
     f2_fan,
     f3_fan,
@@ -25,6 +26,7 @@ from conftest import (
     pcoords_by_solve,
     random_complete_2d_fan,
     random_single_cone_fan,
+    solve_rational_by_fractions,
 )
 
 from hypothesis import assume, given, settings
@@ -35,11 +37,9 @@ from orbidisk.fanfile import parse_fan_file
 from orbidisk.lattice import (
     AmbiguousSolutionError,
     cone_contains,
-    det,
     elementary_divisors,
     identity_matrix,
     rank,
-    solve_rational,
     transpose,
 )
 from orbidisk.stacky import (
@@ -236,7 +236,7 @@ def rational_box_scan(fan: StackyFan) -> dict:
         hi = [sum(max(0, v[j]) for v in vecs) for j in range(fan.dim)]
         for pt in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
             try:
-                t = solve_rational(cols, list(pt))
+                t = solve_rational_by_fractions(cols, list(pt))
             except AmbiguousSolutionError:
                 continue
             if t is None or any(x < 0 or x >= 1 for x in t):

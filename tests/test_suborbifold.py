@@ -5,12 +5,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import f2_fan, p2_fan, p2z3_extended
+from conftest import example_fans, f2_fan, p2_fan, p2z3_extended
 
+from orbidisk import suborbifold
+from orbidisk.mirror import potential_symbols
 from orbidisk.stacky import (
     DiskClassSymbol,
     FanError,
+    fan_polytope_facets,
     facets_containing,
+    is_complete,
     validate,
 )
 from orbidisk.suborbifold import (
@@ -52,8 +56,11 @@ def test_chart_invalid_facet_rejected():
     other = [
         f for f in facets_containing(fan, (-1, 0)) if f not in facets
     ][0]
+    before = suborbifold._cut_chart.cache_info()
     with pytest.raises(InvalidFacetError):
         build_suborbifold(fan, DiskClassSymbol.orbi((1, 0)), other)
+    # raised before the chart cache is looked up
+    assert suborbifold._cut_chart.cache_info() == before
 
 
 def test_chart_f2_midpoint_ray():
@@ -82,8 +89,10 @@ def test_cy_support_examples():
 def test_sphere_part_rejected():
     fan = p2z3_extended()
     beta = DiskClassSymbol.smooth(0, sphere=(Fraction(1),) * 9)
+    before = suborbifold._cut_chart.cache_info()
     with pytest.raises(FanError):
         build_suborbifold(fan, beta)
+    assert suborbifold._cut_chart.cache_info() == before
 
 
 def test_push_zero_and_relations():
@@ -124,3 +133,54 @@ def test_chart_vectors_inside_facet_cone():
         u = sub.support_vector
         for v in sub.fan.vectors:
             assert sum(a * b for a, b in zip(u, v)) == 1
+
+
+def _clear_chart_caches():
+    fan_polytope_facets.cache_clear()
+    suborbifold._cut_chart.cache_clear()
+
+
+def _complete_example_fans():
+    return [(name, fan) for name, fan in example_fans() if is_complete(fan)]
+
+
+def test_chart_cache_matches_a_fresh_cut():
+    """Every basic class of every complete example fan: classes sharing a
+    facet share one chart object, and each chart equals a cut made with the
+    caches cleared.  A class with no chart (f3: a ray lies inside the facet
+    cone of ray 1) is skipped."""
+    for name, fan in _complete_example_fans():
+        charts = {}
+        for sym in potential_symbols(fan):
+            try:
+                charts[sym] = build_suborbifold(fan, sym)
+            except FanError:
+                continue
+        by_facet = {}
+        for sub in charts.values():
+            assert by_facet.setdefault(sub.facet, sub) is sub, name
+        for sym, sub in charts.items():
+            _clear_chart_caches()
+            fresh = build_suborbifold(fan, sym)
+            assert fresh is not sub and fresh == sub, (name, sym)
+
+
+def test_validate_runs_once_per_distinct_chart(monkeypatch):
+    """The disk potentials of the 16 reflexive orbifolds and f2 cut 100
+    charts over 53 distinct facets; each of the 53 is validated once."""
+    calls = []
+
+    def counting_validate(fan):
+        calls.append(fan)
+        return validate(fan)
+
+    monkeypatch.setattr(suborbifold, "validate", counting_validate)
+    _clear_chart_caches()
+    cuts = []
+    for name, fan in _complete_example_fans():
+        if name == "f2" or name.startswith("r"):
+            for sym in potential_symbols(fan):
+                cuts.append((fan, build_suborbifold(fan, sym).facet))
+    assert len(cuts) == 100
+    assert len(set(cuts)) == 53
+    assert len(calls) == 53
