@@ -12,7 +12,6 @@ from .lattice import (
     cone_contains,
     hermite_normal_form,
     integer_kernel,
-    smith_normal_form,
     solve_rational,
 )
 from .mirror import (
@@ -37,7 +36,6 @@ from .stacky import (
     box_elements,
     fan_sequence,
     gorenstein_check,
-    maslov_index,
     semifano_check,
     validate,
     wall_curve_classes,
@@ -75,11 +73,9 @@ __all__ = [
     "hermite_normal_form",
     "integer_kernel",
     "log1p",
-    "maslov_index",
     "oracle_generating_functions",
     "sector_generating_functions",
     "semifano_check",
-    "smith_normal_form",
     "solve_fixed_point",
     "solve_rational",
     "validate",

@@ -132,126 +132,6 @@ def hermite_normal_form(a) -> tuple[list[list[int]], list[list[int]]]:
     return h, u
 
 
-def _smith(d, m: int, n: int) -> None:
-    """Bring the top-left m x n block of d to Smith normal form, in place.
-
-    Row operations act on whole rows and column operations on whole columns,
-    while pivots are read from the block only; so columns appended to the
-    block's rows record the left transform and rows appended below it record
-    the right one.
-    """
-
-    def row_op(i, j, x, y, pp, qq):
-        d[i], d[j] = (
-            [x * di + y * dj for di, dj in zip(d[i], d[j])],
-            [-qq * di + pp * dj for di, dj in zip(d[i], d[j])],
-        )
-
-    def col_op(i, j, x, y, pp, qq):
-        for row in d:
-            di, dj = row[i], row[j]
-            row[i], row[j] = x * di + y * dj, -qq * di + pp * dj
-
-    def diagonalize():
-        k = 0
-        while k < min(m, n):
-            pr = pc = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    if d[i][j] != 0:
-                        pr, pc = i, j
-                        break
-                if pr is not None:
-                    break
-            if pr is None:
-                break
-            if pr != k:
-                d[k], d[pr] = d[pr], d[k]
-            if pc != k:
-                for row in d:
-                    row[k], row[pc] = row[pc], row[k]
-            while True:
-                # plain subtraction when the pivot divides (keeps the pivot
-                # row clean); gcd transform otherwise (shrinks the pivot,
-                # which bounds the number of passes)
-                for i in range(k + 1, m):
-                    if d[i][k] != 0:
-                        if d[i][k] % d[k][k] == 0:
-                            q = d[i][k] // d[k][k]
-                            d[i] = [di - q * dk for di, dk in zip(d[i], d[k])]
-                        else:
-                            g, x, y = _gcdext(d[k][k], d[i][k])
-                            row_op(k, i, x, y, d[k][k] // g, d[i][k] // g)
-                for j in range(k + 1, n):
-                    if d[k][j] != 0:
-                        if d[k][j] % d[k][k] == 0:
-                            q = d[k][j] // d[k][k]
-                            for row in d:
-                                row[j] -= q * row[k]
-                        else:
-                            g, x, y = _gcdext(d[k][k], d[k][j])
-                            col_op(k, j, x, y, d[k][k] // g, d[k][j] // g)
-                if all(d[i][k] == 0 for i in range(k + 1, m)) and all(
-                    d[k][j] == 0 for j in range(k + 1, n)
-                ):
-                    break
-            k += 1
-        for i in range(min(m, n)):
-            if d[i][i] < 0:
-                d[i] = [-x for x in d[i]]
-
-    diagonalize()
-    # enforce the divisibility chain; adding column i+1 to column i breaks
-    # diagonality, so re-diagonalize until stable (each pass replaces a
-    # diagonal entry by a proper divisor, hence terminates)
-    while True:
-        bad = None
-        for i in range(min(m, n) - 1):
-            if d[i + 1][i + 1] != 0 and (
-                d[i][i] == 0 or d[i + 1][i + 1] % d[i][i] != 0
-            ):
-                bad = i
-                break
-        if bad is None:
-            return
-        for row in d:
-            row[bad] += row[bad + 1]
-        diagonalize()
-
-
-def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form: returns (s, d, t) with s @ a @ t = d diagonal.
-
-    s and t are unimodular; the diagonal entries are nonnegative and each
-    divides the next.  A non-integral entry raises ValueError.
-    """
-    m, n = len(a), len(a[0]) if a else 0
-    # [[a, 1_m], [1_n, 0]]: the block's row and column operations turn the
-    # appended identities into s and t
-    d = [row + e for row, e in zip(_integer_copy(a), identity_matrix(m))]
-    d += [e + [0] * m for e in identity_matrix(n)]
-    _smith(d, m, n)
-    return (
-        [row[n:] for row in d[:m]],
-        [row[:n] for row in d[:m]],
-        [row[:n] for row in d[m:]],
-    )
-
-
-def elementary_divisors(a) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form.
-
-    Runs the Smith loop on a copy of a alone, without the transforms, so time
-    and memory stay linear in the number of rows.
-    """
-    if not a or not a[0]:
-        return []
-    d = _integer_copy(a)
-    m, n = len(d), len(d[0])
-    _smith(d, m, n)
-    return [d[i][i] for i in range(min(m, n)) if d[i][i] != 0]
-
-
 def _integer_rows(a) -> list[list[int]]:
     """Each row of a rational matrix scaled by the lcm of its entries'
     denominators: the same row space, integral entries.

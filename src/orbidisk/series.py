@@ -1,13 +1,14 @@
 """Truncated multivariate power series over exact rationals.
 
-Exponents live in (1/M) * Z^r_{>=0} for a fixed per-ring modulus M; a term is
-kept when its weighted degree (sum of per-variable weight times exponent) is
-at most the ring's truncation order T.  Internally every exponent vector is
-stored as a tuple of integers scaled by M, so all exponent arithmetic is
-integral.  Coefficients are ``fractions.Fraction``; no floats anywhere.
+Exponents live in (1/M) * Z^r_{>=0} for a fixed per-ring modulus M; every
+variable has degree 1, and a term is kept when its total degree (the sum of
+its exponents) is at most the ring's truncation order T.  Internally every
+exponent vector is stored as a tuple of integers scaled by M, so all
+exponent arithmetic is integral.  Coefficients are ``fractions.Fraction``;
+no floats anywhere.
 
 Products run on a second, private view of a series: each key packed into one
-int (its weighted degree above one base-R digit per variable) and each
+int (its scaled degree above one base-R digit per variable) and each
 coefficient an integer numerator over the series' common denominator, so the
 one product loop, `_product`, adds and multiplies plain ints.  `__mul__` is
 that loop plus one Fraction per output term; the mirror-map inversion calls
@@ -35,9 +36,12 @@ class NoConvergenceError(RuntimeError):
 
 
 class SeriesRing:
-    """Ambient ring data: variable count, modulus, weights, truncation."""
+    """Ambient ring data: variable count, modulus, truncation.
 
-    def __init__(self, nvars: int, modulus: int, truncation, weights=None, names=None):
+    Every variable has degree 1; `weights` is that all-ones tuple.
+    """
+
+    def __init__(self, nvars: int, modulus: int, truncation, names=None):
         if modulus < 1:
             raise ValueError("modulus must be a positive integer")
         self.nvars = nvars
@@ -45,27 +49,21 @@ class SeriesRing:
         self.truncation = Fraction(truncation)
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
-        if weights is None:
-            weights = (Fraction(1),) * nvars
-        self.weights = tuple(Fraction(w) for w in weights)
-        if len(self.weights) != nvars or any(w <= 0 for w in self.weights):
-            raise ValueError("need one strictly positive weight per variable")
+        self.weights = (Fraction(1),) * nvars
         self.names = tuple(names) if names is not None else tuple(
             f"x{i}" for i in range(nvars)
         )
         if len(self.names) != nvars:
             raise ValueError("need one name per variable")
-        wden = lcm(*(w.denominator for w in self.weights)) if nvars else 1
-        self._wnum = tuple(int(w * wden) for w in self.weights)
-        # scaled weighted degree of a stored key k is sum(wnum * k); keep the
-        # term iff that is <= T * M * wden
-        bound = self.truncation * modulus * wden
+        # the scaled degree of a stored key k is sum(k); keep the term iff
+        # that is <= T * M
+        bound = self.truncation * modulus
         self._bound = bound.numerator // bound.denominator
         # one digit per variable: an in-bound key has every component at most
-        # bound // min(wnum), so the sum of two packed keys whose degrees add
-        # up to at most the bound carries no digit into the next; the scaled
-        # degree sits above the digits, at _top, and adds along with them
-        self._radix = self._bound // min(self._wnum) + 1 if nvars else 1
+        # the bound, so the sum of two packed keys whose degrees add up to at
+        # most the bound carries no digit into the next; the scaled degree
+        # sits above the digits, at _top, and adds along with them
+        self._radix = self._bound + 1
         self._top = self._radix**nvars
 
     def __eq__(self, other):
@@ -74,11 +72,10 @@ class SeriesRing:
             and self.nvars == other.nvars
             and self.modulus == other.modulus
             and self.truncation == other.truncation
-            and self.weights == other.weights
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.modulus, self.truncation, self.weights))
+        return hash((self.nvars, self.modulus, self.truncation))
 
     def __repr__(self):
         return (
@@ -87,7 +84,7 @@ class SeriesRing:
         )
 
     def scaled_degree(self, key) -> int:
-        return sum(w * k for w, k in zip(self._wnum, key))
+        return sum(key)
 
     def in_bounds(self, key) -> bool:
         return self.scaled_degree(key) <= self._bound
@@ -347,7 +344,7 @@ def solve_fixed_point(
     """Iterate a filtration-contracting self-map to its exact fixed point.
 
     The step map must be a contraction of gain delta: inputs agreeing up to
-    weighted order w give outputs agreeing up to w + delta.  The fixed point
+    total degree w give outputs agreeing up to w + delta.  The fixed point
     is then reached after at most ceil(T / delta) + 1 iterations; exceeding
     that raises NoConvergenceError.
     """

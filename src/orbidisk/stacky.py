@@ -26,7 +26,6 @@ from operator import mul
 from .lattice import (
     _gcdext,
     cone_contains,
-    elementary_divisors,
     hermite_normal_form,
     identity_matrix,
     integer_inverse,
@@ -135,7 +134,11 @@ class ValidationReport:
 
 
 def validate(fan: StackyFan) -> ValidationReport:
-    """Check the stacky fan axioms; collects every failure found."""
+    """Check the stacky fan axioms; collects every failure found.
+
+    The vectors generate Z^n (the fan map is onto) exactly when their row
+    Hermite normal form starts with the n x n identity.
+    """
     issues: list[str] = []
     n = fan.dim
     for v in fan.vectors:
@@ -164,10 +167,8 @@ def validate(fan: StackyFan) -> ValidationReport:
             cone_contains(fan.cone_vectors(c), v)[0] for c in fan.max_cones
         ):
             issues.append(f"extra vector {v} lies outside the support")
-    if fan.n_vectors:
-        divisors = elementary_divisors(transpose(fan.vectors))
-        if divisors != [1] * n:
-            issues.append("vectors do not generate the lattice (fan map not onto)")
+    if fan.n_vectors and hermite_normal_form(fan.vectors)[0][:n] != identity_matrix(n):
+        issues.append("vectors do not generate the lattice (fan map not onto)")
     return ValidationReport(not issues, tuple(issues))
 
 
@@ -198,12 +199,19 @@ def minimal_anticones(fan: StackyFan) -> list[frozenset[int]]:
 
 
 def cone_index(fan: StackyFan, cone) -> int:
-    """Order of the local group: product of elementary divisors of b_sigma."""
-    vecs = fan.cone_vectors(cone)
-    divisors = elementary_divisors(vecs)
-    out = 1
-    for d in divisors:
-        out *= d
+    """Order of the local group G_sigma: the index of the lattice spanned by
+    the cone's generators in the lattice points of their span.
+
+    That index is the gcd of the k x k minors of the k generators (Newman,
+    Integral Matrices, 1972), so it is also right on lower-dimensional cones.
+    FanError when every minor vanishes (dependent generators).
+    """
+    cols = transpose(fan.cone_vectors(cone))
+    out = 0
+    for _, _, d in _coordinate_inverses(cols, fan.dim, len(cone)):
+        out = gcd(out, d)
+    if out == 0:
+        raise FanError(f"cone {tuple(cone)} is not simplicial (generators dependent)")
     return out
 
 
@@ -248,17 +256,26 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
     return sorted(found.values(), key=lambda b: (b.age, b.point))
 
 
-def _cone_coordinates(cols, dim: int, k: int):
-    """(m, d) with m @ x = d * t whenever cols @ t = x, for k independent
-    columns in Z^dim; m reads only k coordinates of x on which the columns
-    are independent (all of them for a full-dimensional cone).  None when
-    the columns are dependent.
+def _coordinate_inverses(cols, dim: int, k: int):
+    """(sel, m, d) for each k-subset sel of the coordinates on which the k
+    columns in Z^dim are independent: the selected rows have inverse m / d,
+    d the absolute value of that k x k minor.
     """
     for sel in combinations(range(dim), k):
         try:
             m, d = integer_inverse([cols[j] for j in sel])
         except ValueError:
             continue
+        yield sel, m, d
+
+
+def _cone_coordinates(cols, dim: int, k: int):
+    """(m, d) with m @ x = d * t whenever cols @ t = x, for k independent
+    columns in Z^dim; m reads only k coordinates of x on which the columns
+    are independent (all of them for a full-dimensional cone).  None when
+    the columns are dependent.
+    """
+    for sel, m, d in _coordinate_inverses(cols, dim, k):
         full = []
         for row in m:
             out = [0] * dim
@@ -376,18 +393,6 @@ def semifano_check(fan: StackyFan) -> SemiFanoResult:
         if w.c1 < 0:
             return SemiFanoResult(False, w, walls)
     return SemiFanoResult(True, None, walls)
-
-
-def maslov_index(fan: StackyFan, beta: DiskClassSymbol) -> Fraction:
-    """Index of a disk class: 2 (or 2 age) plus twice the sphere-part degree."""
-    sphere = beta.sphere or (Fraction(0),) * fan.n_vectors
-    c1_alpha = sum(sphere[i] for i in range(fan.n_rays))
-    if beta.kind == "ray":
-        return 2 + 2 * c1_alpha
-    boxes = {b.point: b for b in box_elements(fan)}
-    if beta.point not in boxes:
-        raise FanError(f"{beta.point} is not a box element")
-    return 2 * boxes[beta.point].age + 2 * c1_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -560,26 +565,13 @@ def fan_sequence(fan: StackyFan, basis_p=None) -> FanSequenceData:
     when exhausted), and a chart with r' = 0 needs none.  Results are
     cached: the computation is pure and the returned data immutable.
     """
-    key = (
-        fan,
-        tuple(tuple(int(x) for x in row) for row in basis_p)
-        if basis_p is not None
-        else None,
-    )
-    cached = _SEQUENCE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _fan_sequence_uncached(fan, key[1])
-    if len(_SEQUENCE_CACHE) > 128:
-        _SEQUENCE_CACHE.clear()
-    _SEQUENCE_CACHE[key] = out
-    return out
+    if basis_p is not None:
+        basis_p = tuple(tuple(int(x) for x in row) for row in basis_p)
+    return _fan_sequence(fan, basis_p)
 
 
-_SEQUENCE_CACHE: dict = {}
-
-
-def _fan_sequence_uncached(fan: StackyFan, basis_p) -> FanSequenceData:
+@lru_cache(maxsize=128)
+def _fan_sequence(fan: StackyFan, basis_p) -> FanSequenceData:
     phi = transpose(fan.vectors)  # n x m'
     kernel = [list(r) for r in integer_kernel(phi)]
     r = len(kernel)
@@ -598,7 +590,7 @@ def _fan_sequence_uncached(fan: StackyFan, basis_p) -> FanSequenceData:
             "extra-vector divisor classes do not span the expected rank"
         )
     if basis_p is not None:
-        p = [tuple(int(x) for x in row) for row in basis_p]
+        p = basis_p
         u = _validate_basis(fan, divisors, u, n_extra, p, r_prime)
     elif r_prime:
         p, u = _search_basis(fan, divisors, extras, u, n_extra, r_prime)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -318,8 +319,9 @@ def solve_against_by_fractions(pipe, f):
     return pipe.qt_ring.from_scaled_terms(x)
 
 
-# Gaussian elimination over Fraction and the Smith rank: the references for
-# the fraction-free elimination of orbidisk.lattice.
+# Gaussian elimination over Fraction and the gcd of maximal minors: the
+# references for the fraction-free elimination and the Hermite form of
+# orbidisk.lattice.
 
 
 def det(a) -> Fraction:
@@ -377,16 +379,33 @@ def solve_rational_by_fractions(a, b) -> list[Fraction] | None:
     return x
 
 
-def rank_by_smith(a) -> int:
-    """Rank over Q as the number of nonzero elementary divisors of the rows
-    scaled by the lcm of their denominators."""
-    from orbidisk.lattice import elementary_divisors
+def rank_by_fractions(a) -> int:
+    """Rank over Q: the pivot count of row reduction over Fraction."""
+    m = [[Fraction(x) for x in row] for row in a]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
 
-    rows = []
-    for row in a:
-        den = math.lcm(*(Fraction(x).denominator for x in row))
-        rows.append([int(x * den) for x in row])
-    return len(elementary_divisors(rows))
+
+def maximal_minor_gcd(rows) -> int:
+    """gcd of the k x k minors of k integer rows: the index of their span in
+    its saturation (the product of the elementary divisors), 0 when the rows
+    are dependent; 1 for no rows."""
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
+    minors = (
+        int(det([[row[c] for c in cols] for row in rows]))
+        for cols in combinations(range(n), k)
+    )
+    return gcd(*minors)
 
 
 # Fourier-Motzkin elimination, the reference for cone membership: one exact

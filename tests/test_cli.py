@@ -6,12 +6,9 @@ import hashlib
 import json
 from pathlib import Path
 
-import pytest
 from golden.commands import golden_commands
 
-from orbidisk.cli import P2Z3_FILE, main
-from orbidisk.mirror import disk_generating_function
-from orbidisk.stacky import DiskClassSymbol
+from orbidisk.cli import main
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.sha256"
@@ -191,19 +188,6 @@ def test_verify_small_window(capsys):
     code, out, _ = run(capsys, "verify-p2z3", "--amax", "3", "--bmax", "3")
     assert code == 0
     assert "FAIL" not in out
-
-
-@pytest.mark.parametrize("window", [3, 6, 10])
-def test_verify_sectors_have_unit_tau_weights(window):
-    # verify-p2z3 compares series truncated at total degree amax + bmax with
-    # the oracle, which only holds when both tau variables have weight 1
-    fan = P2Z3_FILE.resolve_fan()
-    cache: dict = {}
-    for box in ((0, -1), (1, -1)):
-        dgf = disk_generating_function(
-            fan, DiskClassSymbol.orbi(box), 2 * window, pipeline_cache=cache
-        )
-        assert dgf.series.ring.weights == (1, 1)
 
 
 def test_invariant_output_round_trip(capsys):

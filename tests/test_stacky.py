@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from operator import mul
 
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
     f3_fan,
     fm_solve,
     local_chart,
+    maximal_minor_gcd,
     om2_chart,
     p2_fan,
     p2z3_bare,
@@ -37,13 +39,11 @@ from orbidisk.fanfile import parse_fan_file
 from orbidisk.lattice import (
     AmbiguousSolutionError,
     cone_contains,
-    elementary_divisors,
     identity_matrix,
     rank,
     transpose,
 )
 from orbidisk.stacky import (
-    DiskClassSymbol,
     FanError,
     NoValidBasisError,
     NotCompleteError,
@@ -57,7 +57,6 @@ from orbidisk.stacky import (
     fan_sequence,
     gorenstein_check,
     is_complete,
-    maslov_index,
     minimal_anticones,
     nu_of_class,
     semifano_check,
@@ -144,6 +143,39 @@ def test_validate_non_surjective():
     assert not rep.ok and any("onto" in i for i in rep.issues)
 
 
+@st.composite
+def vector_sets(draw):
+    """n to n + 2 vectors in Z^n, n <= 4, mapped by a matrix of determinant
+    1, 2 or 3, so that sets spanning index-2 and index-3 sublattices turn up
+    next to generating and dependent ones."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    vectors = draw(st.lists(vec, min_size=n, max_size=n + 2))
+    # a unimodular matrix (row operations on the identity) times diag(d, 1...)
+    d = draw(st.sampled_from([1, 2, 3]))
+    a = identity_matrix(n)
+    a[0][0] = d
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            k = draw(st.integers(-2, 2))
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    mapped = [[sum(map(mul, v, col)) for col in zip(*a)] for v in vectors]
+    return n, mapped, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_sets())
+def test_validate_onto_matches_the_maximal_minor_gcd(case):
+    n, vectors, d = case
+    fan = StackyFan.make(n, vectors, [])
+    not_onto = any("onto" in issue for issue in validate(fan).issues)
+    index = maximal_minor_gcd(transpose(vectors))
+    assert not_onto == (index != 1)
+    if d > 1:
+        assert not_onto and index % d == 0
+
+
 def test_validate_nested_cones():
     fan = StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1), (0,)])
     rep = validate(fan)
@@ -223,6 +255,46 @@ def test_box_count_is_cone_index():
         boxes = box_elements(fan)
         carried = [b for b in boxes if set(b.carrier) <= set(fan.max_cones[0])]
         assert len(carried) == cone_index(fan, fan.max_cones[0])
+
+
+@st.composite
+def single_cones(draw):
+    """k <= n <= 4 generators in Z^n, often non-primitive or spanning a
+    lower-dimensional cone, as a one-cone fan; the generators may be
+    dependent."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    vectors = draw(st.lists(vec, min_size=k, max_size=k))
+    return StackyFan.make(n, vectors, [tuple(range(k))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_cones())
+def test_cone_index_is_the_minor_gcd_and_the_box_count(fan):
+    cone = fan.max_cones[0]
+    index = maximal_minor_gcd(fan.cone_vectors(cone))
+    if index == 0:
+        with pytest.raises(FanError, match="not simplicial"):
+            cone_index(fan, cone)
+        return
+    assert cone_index(fan, cone) == index
+    # every box element of a one-cone fan is carried by that cone
+    assert len(box_elements(fan)) == index
+
+
+def test_cone_index_on_every_face_of_the_example_fans():
+    for _, fan in example_fans():
+        for face in fan.faces():
+            face = tuple(sorted(face))
+            assert cone_index(fan, face) == maximal_minor_gcd(fan.cone_vectors(face))
+
+
+def test_cone_index_rejects_dependent_generators():
+    fan = StackyFan.make(3, [(1, 0, 1), (2, 0, 2), (0, 0, 0)], [(0, 1, 2)])
+    for cone in [(0, 1), (2,), (0, 1, 2)]:
+        with pytest.raises(FanError, match=re.escape(f"cone {cone} is not simplicial")):
+            cone_index(fan, cone)
 
 
 def rational_box_scan(fan: StackyFan) -> dict:
@@ -344,20 +416,6 @@ def test_semifano_needs_complete():
     assert is_complete(p2_fan())
 
 
-# -- Maslov indices -------------------------------------------------------------
-
-
-def test_maslov_examples():
-    fan = p2z3_extended()
-    assert maslov_index(fan, DiskClassSymbol.smooth(0)) == 2
-    assert maslov_index(fan, DiskClassSymbol.orbi((0, -1))) == 2
-    sphere = tuple(Fraction(x) for x in (1, 1, 1, 0, 0, 0, 0, 0, 0))
-    beta = DiskClassSymbol.smooth(0, sphere=sphere)
-    assert maslov_index(fan, beta) == 2 + 2 * 3
-    null = tuple(Fraction(0) for _ in range(9))
-    assert maslov_index(fan, DiskClassSymbol.smooth(1, sphere=null)) == 2
-
-
 # -- fan polytope ---------------------------------------------------------------
 
 
@@ -425,12 +483,11 @@ def test_fan_sequence_nef_block_and_curve_classes():
             ]
             assert rank(extra_divs + [rest]) == rank(extra_divs)
         # the nef block completes the extra divisor classes' saturated span
-        # to a basis: the index of the span of [extra classes; nef block] is
-        # that of the extra classes alone
-        span = elementary_divisors(extra_divs) if extra_divs else []
-        full = elementary_divisors(extra_divs + [list(p) for p in seq.basis_p])
+        # to a basis: [extra classes; nef block] has r independent rows, and
+        # the index of their span is that of the extra classes alone
+        full = extra_divs + [list(p) for p in seq.basis_p]
         assert len(full) == seq.r
-        assert prod(full) == prod(span)
+        assert maximal_minor_gcd(full) == maximal_minor_gcd(extra_divs) != 0
 
 
 def _coords(seq, ambient):
@@ -454,6 +511,21 @@ def test_fan_sequence_explicit_basis():
         fan_sequence(fan, basis_p=[[2 * x for x in auto.basis_p[0]]])
     with pytest.raises(NoValidBasisError, match="Kahler"):
         fan_sequence(fan, basis_p=[[-x for x in auto.basis_p[0]]])
+
+
+def test_fan_sequence_cache():
+    fan = p2z3_extended()
+    auto = fan_sequence(fan)
+    assert fan_sequence(fan) is auto
+    # a supplied block is normalized to integer tuples, and cached apart
+    # from the searched one
+    supplied = fan_sequence(fan, basis_p=[list(row) for row in auto.basis_p])
+    assert supplied == auto and supplied is not auto
+    assert fan_sequence(fan, basis_p=auto.basis_p) is supplied
+    # a failure is not cached: an invalid block raises on every call
+    for _ in range(2):
+        with pytest.raises(NoValidBasisError, match="Kahler"):
+            fan_sequence(fan, basis_p=[[-x for x in auto.basis_p[0]]])
 
 
 def test_fan_sequence_extras_have_no_nef_charge():
@@ -529,7 +601,7 @@ def test_saturating_extension_matches_smith(data):
             for c in chosen:
                 k = data.draw(st.integers(-2, 2))
                 v = [a + k * b for a, b in zip(v, c)]
-        saturated = elementary_divisors(chosen + [v]) == [1] * (len(chosen) + 1)
+        saturated = maximal_minor_gcd(chosen + [v]) == 1
         before = [list(col) for col in u]
         nxt = stacky._saturating_extension(u, len(chosen), v)
         assert u == before
@@ -578,7 +650,7 @@ def test_kahler_test_matches_cone_contains_on_search_candidates(monkeypatch):
 
     monkeypatch.setattr(stacky, "_kahler_closure_test", recording_test)
     for _, fan in example_fans():
-        stacky._fan_sequence_uncached(fan, None)
+        stacky._fan_sequence.__wrapped__(fan, None)
     monkeypatch.undo()
     # 276 nef candidates over the example fans
     assert len(tested) > 250
