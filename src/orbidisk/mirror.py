@@ -46,7 +46,6 @@ from .lattice import (
 )
 from .series import SeriesRing, TruncatedSeries, _product, exp_series
 from .stacky import (
-    BoxElement,
     DiskClassSymbol,
     DualClassData,
     FanError,
@@ -57,6 +56,7 @@ from .stacky import (
     cone_index,
     dual_class_data,
     fan_sequence,
+    minimal_cone_coordinates,
     nu_of_class,
 )
 from .suborbifold import Suborbifold, build_suborbifold, push_class_pairings
@@ -110,15 +110,13 @@ class ChartPipeline:
         self.r_prime = self.seq.r_prime
         self.extras = list(range(fan.n_rays, fan.n_vectors))
         self.duals: list[DualClassData] = [
-            dual_class_data(fan, self.seq, j) for j in self.extras
+            dual_class_data(fan, j) for j in self.extras
         ]
-        m = 1
-        for mc in fan.max_cones:
-            m = lcm(m, cone_index(fan, mc))
-        for d in self.duals:
-            for x in d.pcoords:
-                m = lcm(m, x.denominator)
-        self.modulus = m
+        # Dual_j has coefficients in (1/|G_tau|)Z, tau its carrier, and G_tau
+        # is a subgroup of G_sigma for each maximal cone sigma over tau; the
+        # kernel basis is saturated, so every grid class's nef pairings lie
+        # in (1/M)Z
+        self.modulus = m = lcm(*(cone_index(fan, mc) for mc in fan.max_cones))
         self._den = m * m
         # a class's pairing numerators over M^2: its key dotted with these
         # columns, the pairings of the curve classes gamma_a and of the dual
@@ -457,8 +455,6 @@ class ChartPipeline:
             mono = self.y_ring.variable(self.r_prime + jdx)
             acc = self.y_ring.zero()
             for i, c in zip(dual.carrier, dual.cone_coeffs):
-                if i >= self.fan.n_rays:
-                    raise ComputationError("carrier contains non-ray vectors")
                 acc = acc + self.a_series(i) * c
             f = mono * exp_series(-acc)
         return self.solve_against(f)
@@ -492,26 +488,30 @@ class DiskGeneratingFunction:
     order: Fraction
     series: TruncatedSeries
     tau_points: tuple[tuple[int, ...], ...]
-    q_classes: tuple[tuple[Fraction, ...], ...]
+    q_classes: tuple[tuple[int, ...], ...]
 
     def invariants(self):
-        """Sorted (alpha pairing vector, insertions dict, value) triples."""
+        """(alpha pairing vector, insertions dict, value) triples in term
+        order; alpha = sum_a k_a q_classes[a] / M over the scaled q keys k_a,
+        added up in integer numerators over the chart modulus M."""
         out = []
+        ring = self.series.ring
+        m = ring.modulus
         r_prime = len(self.q_classes)
-        for exps, coeff in self.series.terms():
-            alpha = [Fraction(0)] * self.parent.n_vectors
-            for a in range(r_prime):
-                if exps[a]:
-                    for i, x in enumerate(self.q_classes[a]):
-                        alpha[i] += exps[a] * x
+        terms = self.series.scaled_terms()
+        for key in sorted(terms, key=lambda k: (ring.scaled_degree(k), k)):
+            nums = [0] * self.parent.n_vectors
+            for k, cls in zip(key, self.q_classes):
+                if k:
+                    nums = [x + k * y for x, y in zip(nums, cls)]
             insertions = {}
-            for jdx, pt in enumerate(self.tau_points):
-                e = exps[r_prime + jdx]
-                if e:
-                    if e.denominator != 1:  # pragma: no cover
+            for pt, k in zip(self.tau_points, key[r_prime:]):
+                if k:
+                    if k % m:  # pragma: no cover
                         raise ComputationError("fractional insertion count")
-                    insertions[pt] = int(e)
-            out.append((tuple(alpha), insertions, coeff))
+                    insertions[pt] = k // m
+            alpha = tuple(Fraction(x, m) for x in nums)
+            out.append((alpha, insertions, terms[key]))
         return out
 
 
@@ -560,8 +560,8 @@ def extract_invariant(
 ) -> Fraction:
     """Read one disk invariant off a generating function.
 
-    alpha is the ambient pairing vector of the sphere part (all zeros for the
-    basic class itself); insertions maps twisted-sector lattice points to
+    alpha is the ambient pairing vector of the curve class part (all zeros
+    for the basic class itself); insertions maps twisted-sector lattice points to
     multiplicities.  The value is the coefficient of the matching monomial.
     """
     tau_exps = [Fraction(0)] * len(dgf.tau_points)
@@ -578,7 +578,7 @@ def extract_invariant(
     if any(alpha):
         if r_prime == 0:
             raise UnsupportedInsertionsError(
-                "nonzero sphere class on a chart without curve classes"
+                "nonzero curve class on a chart without curve classes"
             )
         try:
             sol = solve_rational(
@@ -588,7 +588,7 @@ def extract_invariant(
             sol = None
         if sol is None or any(x < 0 for x in sol):
             raise UnsupportedInsertionsError(
-                "sphere class is not an effective chart class"
+                "curve class is not an effective chart class"
             )
         q_exps = list(sol)
     else:
@@ -636,17 +636,10 @@ class PotentialData:
 
 
 def potential_symbols(parent: StackyFan) -> list[DiskClassSymbol]:
-    """One symbol per basic class: every ray, every age-one box element."""
-    return [sym for sym, _ in _basic_classes(parent)]
-
-
-def _basic_classes(
-    parent: StackyFan,
-) -> list[tuple[DiskClassSymbol, BoxElement | None]]:
-    """Each basic class with its box element (None for a ray)."""
-    boxes = [b for b in box_elements(parent) if b.age == 1]
-    return [(DiskClassSymbol.smooth(i), None) for i in range(parent.n_rays)] + [
-        (DiskClassSymbol.orbi(b.point), b) for b in boxes
+    """One symbol per basic class: every ray, then every age-one box
+    element."""
+    return [DiskClassSymbol.smooth(i) for i in range(parent.n_rays)] + [
+        DiskClassSymbol.orbi(b.point) for b in box_elements(parent) if b.age == 1
     ]
 
 
@@ -657,30 +650,25 @@ def potential_entry(
     sym: DiskClassSymbol,
     order,
     pipeline_cache: dict | None = None,
-    box: BoxElement | None = None,
 ) -> PotentialEntry:
     """One disk-potential term: generating function times the area monomial.
 
-    box is the box element of an orbi class; it is looked up when omitted.
+    The area is the nef pairings of the boundary vector b's coordinates on
+    its minimal cone (`minimal_cone_coordinates`) minus those on sigma0.
     """
     sigma0 = parent.max_cones[cone_number]
     dgf = disk_generating_function(
         parent, sym, order, pipeline_cache=pipeline_cache
     )
-    if sym.kind == "ray":
-        boundary = parent.stacky_vectors[sym.ray]
-        vec = {sym.ray: Fraction(1)}
-    else:
-        boundary = tuple(sym.point)
-        if box is None:
-            box = next(b for b in box_elements(parent) if b.point == boundary)
-        vec = dict(zip(box.carrier, box.coords))
+    boundary = (
+        parent.stacky_vectors[sym.ray] if sym.kind == "ray" else tuple(sym.point)
+    )
     sigma_cols = transpose([parent.stacky_vectors[i] for i in sigma0])
     a_sol = solve_rational(sigma_cols, list(boundary))
     if a_sol is None:  # pragma: no cover - sigma0 full dimensional
         raise NormalizationConeError("normalization cone is degenerate")
     alpha = [Fraction(0)] * parent.n_vectors
-    for i, c in vec.items():
+    for i, c in zip(*minimal_cone_coordinates(parent, boundary)):
         alpha[i] += c
     for i, c in zip(sigma0, a_sol):
         alpha[i] -= c
@@ -709,9 +697,9 @@ def assemble_potential(
     """Disk potential: one generating term per basic class.
 
     Areas are normalized so the rays of the chosen maximal cone have zero
-    area; every other basic class's area is the nef pairing of its sphere
-    difference class.  Each entry's series carries the ambient q variables
-    and the tau variables of the class's own chart.
+    area; every other basic class's area is the nef pairing of the
+    difference of its boundary coordinates.  Each entry's series carries the
+    ambient q variables and the tau variables of the class's own chart.
     """
     if not 0 <= cone_number < len(parent.max_cones):
         raise NormalizationConeError(f"no maximal cone number {cone_number}")
@@ -723,8 +711,8 @@ def assemble_potential(
     seq = parent_seq if parent_seq is not None else fan_sequence(parent)
     cache: dict = {}
     entries = [
-        potential_entry(parent, seq, cone_number, sym, order, cache, box)
-        for sym, box in _basic_classes(parent)
+        potential_entry(parent, seq, cone_number, sym, order, cache)
+        for sym in potential_symbols(parent)
     ]
     entries.sort(key=lambda e: e.z_monomial)
     return PotentialData(parent, sigma0, Fraction(order), tuple(entries))
@@ -733,52 +721,40 @@ def assemble_potential(
 def _relabel_to_parent(
     dgf: DiskGeneratingFunction, seq: FanSequenceData, area, order
 ) -> TruncatedSeries:
-    """Express a chart series in ambient q variables and multiply in the area."""
-    chart_ring = dgf.series.ring
+    """Express a chart series in ambient q variables and multiply in the area.
+
+    A chart curve class pushes to an integral relation, so its parent nef
+    pairings img_a are integers.  Over M = lcm(chart modulus, area
+    denominators) and s = M / (chart modulus), a chart key k maps to
+    area * M + s * sum_a k_a img_a, its tau keys to s * k."""
+    chart_m = dgf.series.ring.modulus
     r_prime = seq.r_prime
-    n_tau = len(dgf.tau_points)
-    q_images = []
+    n_q = len(dgf.q_classes)
+    images = []
     for cls in dgf.q_classes:
         pc = seq.pcoords_from_ambient(cls)[:r_prime]
-        if any(x < 0 for x in pc):
+        if any(x < 0 or x.denominator != 1 for x in pc):
             raise ComputationError("pushed chart class is not effective upstairs")
-        q_images.append(pc)
-    modulus = lcm(
-        chart_ring.modulus,
-        *(x.denominator for x in area),
-        *(
-            chart_ring.modulus * x.denominator
-            for pc in q_images
-            for x in pc
-        ),
-    )
+        images.append([int(x) for x in pc])
+    modulus = lcm(chart_m, *(x.denominator for x in area))
+    s = modulus // chart_m
     ring = SeriesRing(
-        r_prime + n_tau,
+        r_prime + len(dgf.tau_points),
         modulus,
         Fraction(order),
         names=tuple(f"q{a}" for a in range(r_prime))
         + tuple("t" + "".join(str(c) for c in p) for p in dgf.tau_points),
     )
-
-    def scaled(x: Fraction) -> int:
-        v = x * modulus
-        if v.denominator != 1:  # pragma: no cover - modulus covers all denoms
-            raise ComputationError("exponent outside the ambient lattice")
-        return int(v)
-
+    base = [int(x * modulus) for x in area]
     out: dict[tuple[int, ...], Fraction] = {}
-    area_scaled = [scaled(x) for x in area] + [0] * n_tau
-    for exps, coeff in dgf.series.terms():
-        key = list(area_scaled)
-        for a, e in enumerate(exps[: len(dgf.q_classes)]):
-            if e:
-                for b in range(r_prime):
-                    key[b] += scaled(e * q_images[a][b])
-        for jdx in range(n_tau):
-            key[r_prime + jdx] += scaled(exps[len(dgf.q_classes) + jdx])
-        k = tuple(key)
-        if ring.in_bounds(k):
-            out[k] = out.get(k, 0) + coeff
+    for key, coeff in dgf.series.scaled_terms().items():
+        q = base
+        for k, img in zip(key, images):
+            if k:
+                q = [x + s * k * y for x, y in zip(q, img)]
+        parent_key = tuple(q) + tuple(s * t for t in key[n_q:])
+        if ring.in_bounds(parent_key):
+            out[parent_key] = out.get(parent_key, 0) + coeff
     return ring.from_scaled_terms(out)
 
 

@@ -24,6 +24,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .lattice import (
+    _eliminate,
     _gcdext,
     cone_contains,
     hermite_normal_form,
@@ -105,26 +106,23 @@ class BoxElement:
 
 @dataclass(frozen=True)
 class DiskClassSymbol:
-    """A basic disk class plus an optional sphere class correction.
+    """A basic disk class.
 
     kind is "ray" (smooth disk through the ray of that index) or "box"
-    (orbi disk through the twisted sector at the given lattice point).  The
-    sphere part is the pairing vector of the curve class with all divisor
-    classes, length m'.
+    (orbi disk through the twisted sector at the given lattice point).
     """
 
     kind: str
     ray: int | None = None
     point: tuple[int, ...] | None = None
-    sphere: tuple[Fraction, ...] | None = None
 
     @staticmethod
-    def smooth(ray: int, sphere=None) -> "DiskClassSymbol":
-        return DiskClassSymbol("ray", ray=ray, sphere=sphere)
+    def smooth(ray: int) -> "DiskClassSymbol":
+        return DiskClassSymbol("ray", ray=ray)
 
     @staticmethod
-    def orbi(point, sphere=None) -> "DiskClassSymbol":
-        return DiskClassSymbol("box", point=tuple(point), sphere=sphere)
+    def orbi(point) -> "DiskClassSymbol":
+        return DiskClassSymbol("box", point=tuple(point))
 
 
 @dataclass(frozen=True)
@@ -213,6 +211,23 @@ def cone_index(fan: StackyFan, cone) -> int:
     if out == 0:
         raise FanError(f"cone {tuple(cone)} is not simplicial (generators dependent)")
     return out
+
+
+def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
+    """(carrier, coeffs), b = sum_k coeffs[k] b_carrier[k] with every coeff
+    positive: the unique coordinates of b on the first (simplicial) maximal
+    cone holding it, whose support is the minimal cone of b.  A ray b_i
+    gives ((i,), (1,)), a box element its carrier and coords; FanError when
+    b lies outside the support.
+    """
+    for mc in fan.max_cones:
+        ok, lam = cone_contains(fan.cone_vectors(mc), b)
+        if ok:
+            return (
+                tuple(i for i, c in zip(mc, lam) if c),
+                tuple(c for c in lam if c),
+            )
+    raise FanError(f"vector {tuple(b)} lies outside the support")
 
 
 def box_elements(fan: StackyFan) -> list[BoxElement]:
@@ -504,11 +519,9 @@ class FanSequenceData:
     @cached_property
     def _pcoords_map(self) -> tuple[list[int], list[list[int]], int]:
         """(rows, t, den) with p_a = sum_c t[a][c] D_rows[c] / den: the first
-        independent divisor classes, and basis_p over their integer inverse."""
-        rows: list[int] = []
-        for i in range(self.fan.n_vectors):
-            if rank([self.divisors[c] for c in rows + [i]]) > len(rows):
-                rows.append(i)
+        independent divisor classes, the pivots of one elimination of their
+        columns, and basis_p over their integer inverse."""
+        rows, _ = _eliminate(transpose(self.divisors), self.fan.n_vectors)
         inv, den = integer_inverse([self.divisors[i] for i in rows])
         t = [[sum(map(mul, p, col)) for col in zip(*inv)] for p in self.basis_p]
         return rows, t, den
@@ -656,79 +669,48 @@ def _validate_basis(fan, divisors, u, n_extra, p, r_prime):
     return u
 
 
-def _dual_class_solve(fan, divisors, j):
-    """Carrier, cone coefficients, pairings and kernel-basis coordinates of
-    the dual class of extra vector j.
-    """
-    b = fan.vectors[j]
-    carrier = None
-    for mc in fan.max_cones:
-        ok, lam = cone_contains(fan.cone_vectors(mc), b)
-        if ok:
-            carrier = tuple(i for i, l in zip(mc, lam) if l != 0)
-            coeffs = tuple(l for l in lam if l != 0)
-            break
-    if carrier is None:
-        raise FanError(f"extra vector {b} lies outside the support")
-    rhs = []
-    for i in range(fan.n_vectors):
-        if i == j:
-            rhs.append(Fraction(1))
-        elif i in carrier:
-            rhs.append(-coeffs[carrier.index(i)])
-        else:
-            rhs.append(Fraction(0))
-    sol = solve_rational([list(map(Fraction, d)) for d in divisors], rhs)
-    if sol is None:
-        raise FanError("dual class system inconsistent")
-    return carrier, coeffs, tuple(rhs), sol
-
-
 def _search_basis(fan, divisors, extras, u, n_extra, r_prime):
     """The nef block and the transform u extended by it."""
     r = len(divisors[0])
     inside_kahler = _kahler_closure_test(fan, divisors)
     extra_divs = [divisors[j] for j in extras]
-    # candidates for the nef block: integral canonical-splitting lifts.  The
-    # splitting projection x - sum_j <x, Dual_j> D_j lands in the closed
-    # Kahler cone lift when the image of x is nef; taking floors instead of
-    # the exact pairings keeps the candidate integral while only adding
-    # nonnegative multiples of extra divisor classes.
-    duals = [_dual_class_solve(fan, divisors, j)[3] for j in extras]
+    # candidates for the nef block: integral canonical-splitting lifts of
+    # sums x of the ray classes D_i, i in S.  The splitting projection
+    # x - sum_j <x, Dual_j> D_j lands in the closed Kahler cone lift when the
+    # image of x is nef, and <x, Dual_j> = sum_S Dual_j[i]; taking floors
+    # keeps the candidate integral while only adding nonnegative multiples
+    # of extra divisor classes.
+    duals = [dual_class_data(fan, j).pairings for j in extras]
     nef_pool: list[tuple[int, ...]] = []
     nef_seen = set()
 
-    def add_nef(vec):
+    def add_nef(idx):
+        vec = [sum(divisors[i][k] for i in idx) for k in range(r)]
         if not any(vec):
             return
-        lifted = list(vec)
         for dj, ddiv in zip(duals, extra_divs):
-            s = sum(Fraction(x) * c for x, c in zip(vec, dj))
+            s = sum(dj[i] for i in idx)
             fl = s.numerator // s.denominator
             if fl:
-                lifted = [a - fl * b for a, b in zip(lifted, ddiv)]
-        if not any(lifted):
+                vec = [a - fl * b for a, b in zip(vec, ddiv)]
+        if not any(vec):
             return
-        for v in (primitive_vector(lifted), tuple(int(x) for x in lifted)):
+        for v in (primitive_vector(vec), tuple(vec)):
             if v not in nef_seen and inside_kahler(v):
                 nef_seen.add(v)
                 nef_pool.append(v)
 
     for i in range(fan.n_rays):
-        add_nef(divisors[i])
-    anticanonical = [
-        sum(divisors[i][k] for i in range(fan.n_rays)) for k in range(r)
-    ]
-    add_nef(anticanonical)
-    for i in range(fan.n_rays):
-        for j in range(i + 1, fan.n_rays):
-            add_nef([a + b for a, b in zip(divisors[i], divisors[j])])
+        add_nef((i,))
+    add_nef(range(fan.n_rays))  # the anticanonical class
+    for idx in combinations(range(fan.n_rays), 2):
+        add_nef(idx)
     found = _assemble_basis(u, n_extra, nef_pool, r_prime)
     if found is None:
         # on the hexagon (dP6) the pairwise sums reach only H - E_i and -K,
         # which are linearly dependent; sums of three ray divisors complete it
         for idx in combinations(range(fan.n_rays), 3):
-            add_nef([sum(divisors[i][k] for i in idx) for k in range(r)])
+            add_nef(idx)
         found = _assemble_basis(u, n_extra, nef_pool, r_prime)
     if found is None:
         raise NoValidBasisError(
@@ -803,37 +785,35 @@ def _saturating_extension(u, k: int, v) -> list[list[int]] | None:
 
 @dataclass(frozen=True)
 class DualClassData:
-    """Splitting data of one extra vector.
+    """Splitting data of one extra vector b_j = sum_i c_i b_i: its minimal
+    cone (carrier), the c_i over that cone's rays (cone_coeffs), and the
+    ambient vector of its dual class, that class's pairing with every
+    divisor class (pairings)."""
 
-    anticone is the anticone of the minimal cone containing the vector;
-    cone_coeffs are the coefficients c_i over that cone's rays; pairings is
-    the ambient vector of the dual class (its pairing with every divisor
-    class); pcoords are its pairings with the nef block.
-    """
-
-    index: int
-    anticone: frozenset[int]
     carrier: tuple[int, ...]
     cone_coeffs: tuple[Fraction, ...]
     pairings: tuple[Fraction, ...]
-    pcoords: tuple[Fraction, ...]
 
 
-def dual_class_data(fan: StackyFan, seq: FanSequenceData, j: int) -> DualClassData:
-    """Anticone, cone coefficients, and dual class of the j-th vector.
+def dual_class_data(fan: StackyFan, j: int) -> DualClassData:
+    """Cone coefficients and dual class of the j-th vector.
 
-    j must index an extra vector.  The dual class is the unique rational
-    relation pairing to 1 with the j-th divisor class, to -c_i with the
-    carrier-ray classes, and to 0 with everything else.
+    j must index an extra vector.  The dual class is the rational relation
+    e_j - sum_i c_i e_i over the minimal-cone coordinates of b_j: it pairs
+    to 1 with the j-th divisor class, to -c_i with the carrier-ray classes,
+    and to 0 with everything else.
     """
     if j < fan.n_rays or j >= fan.n_vectors:
         raise FanError(f"index {j} is not an extra vector")
-    carrier, coeffs, ambient, sol = _dual_class_solve(fan, seq.divisors, j)
-    anticone = frozenset(range(fan.n_vectors)) - frozenset(carrier)
-    pcoords = tuple(
-        sum(Fraction(p) * c for p, c in zip(row, sol)) for row in seq.basis_p
-    )
-    return DualClassData(j, anticone, carrier, coeffs, ambient, pcoords)
+    carrier, coeffs = minimal_cone_coordinates(fan, fan.vectors[j])
+    pairings = [Fraction(i == j) for i in range(fan.n_vectors)]
+    for i, c in zip(carrier, coeffs):
+        pairings[i] = -c
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [int(x * den) for x in pairings]
+    if any(sum(map(mul, nums, col)) for col in zip(*fan.vectors)):
+        raise FanError("dual class system inconsistent")
+    return DualClassData(carrier, coeffs, tuple(pairings))
 
 
 def age_one_box_points(fan: StackyFan) -> list[tuple[int, ...]]:

@@ -10,7 +10,6 @@ orbifold through the zero-padded inclusion of relation lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import cone_contains, solve_integer
@@ -74,12 +73,7 @@ def build_suborbifold(
     used unless an explicit choice is passed.  Every class whose chosen
     facet is the same gets the same chart, cut once (`_cut_chart`).
     """
-    if beta.sphere is not None and any(beta.sphere):
-        raise FanError("charts are built for basic classes (no sphere part)")
-    if beta.kind == "ray":
-        b = fan.stacky_vectors[beta.ray]
-    else:
-        b = tuple(beta.point)
+    b = fan.stacky_vectors[beta.ray] if beta.kind == "ray" else tuple(beta.point)
     candidates = facets_containing(fan, b)
     if not candidates:
         raise FanError(f"boundary vector {b} is interior to the fan polytope")
@@ -145,18 +139,18 @@ def _cut_chart(fan: StackyFan, chosen: PolytopeFacet) -> Suborbifold:
     return Suborbifold(fan, chosen, sub, tuple(ray_idx + collected))
 
 
-def push_class_pairings(sub: Suborbifold, pairings) -> tuple[Fraction, ...]:
+def push_class_pairings(sub: Suborbifold, pairings) -> tuple:
     """Relabel a chart relation class into the ambient orbifold.
 
     Input and output are pairing vectors with the divisor classes (chart
     length, parent length); the map is the zero-padded inclusion of
-    relations.
+    relations, so integer pairings stay integers.
     """
-    out = [Fraction(0)] * sub.parent.n_vectors
+    out = [0] * sub.parent.n_vectors
     for k, val in enumerate(pairings):
-        out[sub.parent_index[k]] = Fraction(val)
+        out[sub.parent_index[k]] = val
     # a chart relation must stay a relation upstairs
-    total = [Fraction(0)] * sub.parent.dim
+    total = [0] * sub.parent.dim
     for i, c in enumerate(out):
         if c:
             v = sub.parent.vectors[i]

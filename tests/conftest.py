@@ -139,14 +139,57 @@ REPO = Path(__file__).resolve().parents[1]
 BIG_PRIMES = (2**31 - 1, 2**61 - 1, 1_000_000_007, 998_244_353)
 
 
-def example_fans(bench: bool = True) -> list[tuple[str, StackyFan]]:
-    """The fan files in fans/ and, with bench, perfbench/fans/, by name."""
+def example_fans(
+    bench: bool = True, max_extras: int | None = None
+) -> list[tuple[str, StackyFan]]:
+    """The fan files in fans/ and, with bench, perfbench/fans/, by name.
+
+    max_extras leaves out the fans with more extra vectors: the sweeps that
+    run the whole mirror pipeline on every chart pass 12, which leaves out
+    mq (30 sectors; each of its charts has 12 and 18,564 grid classes at
+    order 6).
+    """
     from orbidisk.fanfile import parse_fan_file
 
     paths = sorted((REPO / "fans").glob("*.json"))
     if bench:
         paths += sorted((REPO / "perfbench" / "fans").glob("*.json"))
-    return [(p.stem, parse_fan_file(p).resolve_fan()) for p in paths]
+    fans = [(p.stem, parse_fan_file(p).resolve_fan()) for p in paths]
+    if max_extras is None:
+        return fans
+    return [(n, f) for n, f in fans if len(f.extra_vectors) <= max_extras]
+
+
+def partial_resolutions() -> list[tuple[str, StackyFan]]:
+    """The 163 partial resolutions of the 16 reflexive polygons of
+    perfbench/fans/r*.json: each with every subset of its non-vertex boundary
+    points (its age-one extras) promoted to rays, by name.
+
+    The rays are sorted counterclockwise from the positive x axis, each
+    maximal cone joins two angular neighbours, and the extras are the
+    age-one box elements of the result.  A name is the file stem followed by
+    "+x,y" for each promoted point.
+    """
+    from functools import cmp_to_key
+
+    out = []
+    for stem, base in example_fans():
+        if not stem.startswith("r"):
+            continue
+        points = base.extra_vectors
+        for k in range(len(points) + 1):
+            for promoted in combinations(points, k):
+                rays = sorted(
+                    base.stacky_vectors + promoted, key=cmp_to_key(_angular_cmp)
+                )
+                n = len(rays)
+                cones = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+                bare = StackyFan.make(2, rays, cones)
+                name = stem + "".join(f"+{x},{y}" for x, y in promoted)
+                out.append(
+                    (name, StackyFan.make(2, rays, cones, age_one_box_points(bare)))
+                )
+    return out
 
 
 def basic_class_charts(fan: StackyFan) -> list[StackyFan]:
@@ -235,6 +278,40 @@ def pcoords_by_solve(seq, ambient) -> tuple[Fraction, ...]:
     return tuple(
         sum(Fraction(p) * c for p, c in zip(row, coords)) for row in seq.basis_p
     )
+
+
+def relabel_by_fractions(dgf, seq, area, order) -> dict:
+    """Exponents -> coefficient of a chart series moved to the parent q
+    variables and multiplied by the area monomial, term by term in Fraction:
+    q_b = area_b + sum_a e_a <p_b, pushed gamma_a>, the tau exponents kept.
+    The reference for mirror._relabel_to_parent."""
+    n_q = len(dgf.q_classes)
+    images = [seq.pcoords_from_ambient(c)[: seq.r_prime] for c in dgf.q_classes]
+    out: dict = {}
+    for exps, coeff in dgf.series.terms():
+        q = [
+            area[b] + sum(exps[a] * images[a][b] for a in range(n_q))
+            for b in range(seq.r_prime)
+        ]
+        key = tuple(q) + tuple(exps[n_q:])
+        if sum(key) <= order:
+            out[key] = out.get(key, 0) + coeff
+    return {k: v for k, v in out.items() if v}
+
+
+def invariants_by_fractions(dgf) -> list:
+    """(alpha, insertions, value) of every term of a generating function,
+    alpha = sum_a e_a q_classes[a] in Fraction: the reference for
+    DiskGeneratingFunction.invariants."""
+    n_q = len(dgf.q_classes)
+    out = []
+    for exps, coeff in dgf.series.terms():
+        alpha = [Fraction(0)] * dgf.parent.n_vectors
+        for e, cls in zip(exps, dgf.q_classes):
+            alpha = [x + e * y for x, y in zip(alpha, cls)]
+        insertions = {p: int(e) for p, e in zip(dgf.tau_points, exps[n_q:]) if e}
+        out.append((tuple(alpha), insertions, coeff))
+    return out
 
 
 def schoolbook_product(f, g) -> dict:

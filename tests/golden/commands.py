@@ -40,6 +40,12 @@ def golden_commands(root: Path = Path(".")) -> dict[str, list[str]]:
     paths += sorted((root / "perfbench" / "fans").glob("r*.json"))
     for path in paths:
         cmds[f"potential-{path.stem}.out"] = ["potential", str(path), "--order", "6"]
+    # 3D orbifolds: the sector term of P(1,1,1,3) is the inverse of the
+    # [C^3/Z3] mirror map, tau + tau^4/648 - 29 tau^7/3674160 + ...
+    for name, order in (("p1113", "16"), ("p2z3xp1", "8")):
+        cmds[f"potential-{name}-order{order}.out"] = [
+            "potential", str(fans / f"{name}.json"), "--order", order
+        ]
     return cmds
 
 

@@ -12,6 +12,7 @@ from operator import mul
 import pytest
 from conftest import (
     REPO,
+    basic_class_charts,
     c2z3_chart,
     c3z3_chart,
     det,
@@ -58,6 +59,7 @@ from orbidisk.stacky import (
     gorenstein_check,
     is_complete,
     minimal_anticones,
+    minimal_cone_coordinates,
     nu_of_class,
     semifano_check,
     validate,
@@ -546,6 +548,11 @@ GOLDEN_BASES = {
     "p1xp1": ((1, 0), (0, 1)),
     "p2": ((1,),),
     "p2z3": ((0, -1, 2, 1, 2, 0, 1),),
+    "p3": ((1,),),
+    "p1113": ((-2, 1),),
+    "p1cubed": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "p2z3xp1": ((0, -1, 2, 0, 1, 2, 0, 1), (0, 0, 0, 1, 0, 0, 0, 0)),
+    "mq": ((0,) + (1,) * 30,),
     "c2z2": (),
     "c2z3": (),
     "c2z4": (),
@@ -680,11 +687,12 @@ def test_kahler_test_matches_cone_contains_at_random_vectors(data):
     _assert_kahler_agrees(fan, divisors, [x])
 
 
-# the grading data of every complete example fan: 5 in fans/, 16 reflexive
+# the grading data of every complete example fan: 10 in fans/ (5 of them
+# 3D), 16 reflexive
 COMPLETE_SEQUENCES = [
     fan_sequence(fan) for _, fan in example_fans() if is_complete(fan)
 ]
-assert len(COMPLETE_SEQUENCES) == 21
+assert len(COMPLETE_SEQUENCES) == 26
 
 
 @settings(max_examples=300, deadline=None)
@@ -716,8 +724,7 @@ def test_pcoords_from_ambient_matches_the_fraction_solve(data):
 
 def test_dual_class_quotient_chart():
     fan = c2z3_chart()
-    seq = fan_sequence(fan)
-    d2 = dual_class_data(fan, seq, 2)
+    d2 = dual_class_data(fan, 2)
     assert d2.cone_coeffs == (Fraction(2, 3), Fraction(1, 3))
     assert d2.pairings == (
         Fraction(-2, 3),
@@ -725,7 +732,7 @@ def test_dual_class_quotient_chart():
         Fraction(1),
         Fraction(0),
     )
-    d3 = dual_class_data(fan, seq, 3)
+    d3 = dual_class_data(fan, 3)
     assert d3.pairings == (
         Fraction(-1, 3),
         Fraction(-2, 3),
@@ -735,18 +742,34 @@ def test_dual_class_quotient_chart():
     assert nu_of_class(fan, [int(3 * c) for c in d2.pairings], 3) == (1, 0)
     assert nu_of_class(fan, [int(3 * c) for c in d3.pairings], 3) == (0, 1)
     with pytest.raises(FanError):
-        dual_class_data(fan, seq, 0)
+        dual_class_data(fan, 0)
 
 
 def test_dual_class_nu_identity():
     fan = p2z3_extended()
-    seq = fan_sequence(fan)
     for j in range(fan.n_rays, fan.n_vectors):
-        d = dual_class_data(fan, seq, j)
+        d = dual_class_data(fan, j)
         den = lcm(*(c.denominator for c in d.pairings))
         nums = [int(den * c) for c in d.pairings]
         assert nu_of_class(fan, nums, den) == fan.vectors[j]
         assert all(0 <= c < 1 for c in d.cone_coeffs)
+
+
+def test_minimal_cone_coordinates_of_rays_and_box_elements():
+    # a ray is its own minimal cone with coefficient 1, an age-one point is
+    # its box element's carrier and coordinates; the negative of a chart
+    # ray has height -1 and lies outside the chart's support
+    for name, fan in example_fans():
+        for i, b in enumerate(fan.stacky_vectors):
+            assert minimal_cone_coordinates(fan, b) == ((i,), (1,)), (name, i)
+        for box in box_elements(fan):
+            if box.age == 1:
+                got = minimal_cone_coordinates(fan, box.point)
+                assert got == (box.carrier, box.coords), (name, box)
+        for chart in basic_class_charts(fan):
+            outside = tuple(-x for x in chart.stacky_vectors[0])
+            with pytest.raises(FanError, match=re.escape(f"{outside} lies outside")):
+                minimal_cone_coordinates(chart, outside)
 
 
 def test_age_one_listing():

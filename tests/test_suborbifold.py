@@ -86,15 +86,6 @@ def test_cy_support_examples():
     assert cy_support_vector(p2_fan()) is None
 
 
-def test_sphere_part_rejected():
-    fan = p2z3_extended()
-    beta = DiskClassSymbol.smooth(0, sphere=(Fraction(1),) * 9)
-    before = suborbifold._cut_chart.cache_info()
-    with pytest.raises(FanError):
-        build_suborbifold(fan, beta)
-    assert suborbifold._cut_chart.cache_info() == before
-
-
 def test_push_zero_and_relations():
     fan = p2z3_extended()
     sub = build_suborbifold(fan, DiskClassSymbol.orbi((1, 0)))
