@@ -8,7 +8,6 @@ strings, never as decimals.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
@@ -36,6 +35,13 @@ from .stacky import (
     validate,
 )
 from .suborbifold import build_suborbifold
+
+# for build_parser's annotation only: build_parser imports argparse itself,
+# so that importing this module (verify_quotient_plane, the formatters) does
+# not pay for it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -456,6 +462,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="orbidisk",
         description=(

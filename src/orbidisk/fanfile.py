@@ -25,8 +25,8 @@ Whitespace is free; integers must be exact (no floats).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import frozen
 from .stacky import StackyFan, age_one_box_points
 
 
@@ -34,7 +34,7 @@ class FanFileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class FanFile:
     dim: int
     rays: tuple[tuple[int, ...], ...]

@@ -33,11 +33,11 @@ disk potential are assembled from those X's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
+from ._record import frozen
 from .lattice import (
     AmbiguousSolutionError,
     integer_inverse,
@@ -74,7 +74,7 @@ class OrderTooLowError(ComputationError):
     """Requested coefficient lies beyond the truncation order."""
 
 
-@dataclass(frozen=True)
+@frozen
 class GridPoint:
     key: tuple[int, ...]  # (curve part, sector multiplicities) times M
     nums: tuple[int, ...]  # divisor pairings times M^2
@@ -473,7 +473,7 @@ class ChartPipeline:
         return True
 
 
-@dataclass(frozen=True)
+@frozen
 class DiskGeneratingFunction:
     """Chart generating function with ambient labels.
 
@@ -617,7 +617,7 @@ class NormalizationConeError(ComputationError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class PotentialEntry:
     z_monomial: tuple[int, ...]
     area: tuple[Fraction, ...]  # exponents in the ambient nef grading
@@ -627,7 +627,7 @@ class PotentialEntry:
     symbol: DiskClassSymbol
 
 
-@dataclass(frozen=True)
+@frozen
 class PotentialData:
     fan: StackyFan
     normalization_cone: tuple[int, ...]

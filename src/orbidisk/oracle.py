@@ -19,11 +19,12 @@ an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+
+from ._record import frozen
 
 
 class NonRationalCoefficientError(ArithmeticError):
@@ -67,7 +68,7 @@ def _reduce(poly: list, n: int) -> tuple:
     return tuple(poly[:d])
 
 
-@dataclass(frozen=True)
+@frozen
 class Cyclotomic:
     """An element of Q(zeta), zeta = exp(i pi / n).
 
@@ -117,7 +118,7 @@ class Cyclotomic:
         return Fraction(self.coords[0])
 
 
-@dataclass(frozen=True)
+@frozen
 class CyclotomicSeries:
     """A truncated series in t_1..t_(n-1): exponent tuple -> nonzero coefficient."""
 

@@ -17,10 +17,10 @@ it directly and stays on packed views (`orbidisk.mirror`).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
 
 class RingMismatchError(ValueError):

@@ -16,13 +16,13 @@ nef block pair to zero with every extra divisor class by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 
+from ._record import frozen
 from .lattice import (
     _eliminate,
     _gcdext,
@@ -51,7 +51,7 @@ class NoValidBasisError(FanError):
     """Automatic search for the nef block failed; supply basis_p."""
 
 
-@dataclass(frozen=True)
+@frozen
 class StackyFan:
     """Combinatorial input: lattice rank, ray generators, extras, cones."""
 
@@ -94,7 +94,7 @@ class StackyFan:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class BoxElement:
     """Lattice point nu = sum t_k b_{i_k} with t_k in [0,1) on its carrier."""
 
@@ -104,7 +104,7 @@ class BoxElement:
     age: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class DiskClassSymbol:
     """A basic disk class.
 
@@ -125,7 +125,7 @@ class DiskClassSymbol:
         return DiskClassSymbol("box", point=tuple(point))
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidationReport:
     ok: bool
     issues: tuple[str, ...]
@@ -301,7 +301,7 @@ def _cone_coordinates(cols, dim: int, k: int):
     return None
 
 
-@dataclass(frozen=True)
+@frozen
 class GorensteinResult:
     ok: bool
     support_vectors: tuple[tuple[int, ...] | None, ...]
@@ -322,7 +322,7 @@ def gorenstein_check(fan: StackyFan) -> GorensteinResult:
     return GorensteinResult(witness is None, tuple(supports), witness)
 
 
-@dataclass(frozen=True)
+@frozen
 class WallClass:
     wall: tuple[int, ...]
     pairings: tuple[int, ...]  # with every divisor class, length m'
@@ -392,7 +392,7 @@ def is_complete(fan: StackyFan) -> bool:
     return all(v == 2 for v in owners.values())
 
 
-@dataclass(frozen=True)
+@frozen
 class SemiFanoResult:
     ok: bool
     witness_wall: WallClass | None
@@ -415,7 +415,7 @@ def semifano_check(fan: StackyFan) -> SemiFanoResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class PolytopeFacet:
     vertices: tuple[int, ...]  # indices of stacky vectors lying on the facet
     normal: tuple[int, ...]
@@ -475,7 +475,7 @@ def facets_containing(fan: StackyFan, point) -> tuple[PolytopeFacet, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class FanSequenceData:
     """Relation lattice of the fan map and the chosen nef block.
 
@@ -783,7 +783,7 @@ def _saturating_extension(u, k: int, v) -> list[list[int]] | None:
     return u
 
 
-@dataclass(frozen=True)
+@frozen
 class DualClassData:
     """Splitting data of one extra vector b_j = sum_i c_i b_i: its minimal
     cone (carrier), the c_i over that cone's rays (cone_coeffs), and the

@@ -9,9 +9,9 @@ orbifold through the zero-padded inclusion of relation lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import frozen
 from .lattice import cone_contains, solve_integer
 from .stacky import (
     DiskClassSymbol,
@@ -31,7 +31,7 @@ class InvalidFacetError(FanError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Suborbifold:
     parent: StackyFan
     facet: PolytopeFacet
