@@ -297,14 +297,6 @@ def cmd_potential(args) -> int:
     if cone_number is None:
         cone_number = 0
     order = Fraction(args.order)
-    if not 0 <= cone_number < len(fan.max_cones) or len(
-        fan.max_cones[cone_number]
-    ) != fan.dim:
-        print(
-            f"computation error: invalid normalization cone {cone_number}",
-            file=sys.stderr,
-        )
-        return EXIT_COMPUTE
     seq = fan_sequence(fan, ff.basis_p)
     data = assemble_potential(fan, cone_number, order, parent_seq=seq)
     entries, sigma0 = data.entries, data.normalization_cone

@@ -53,6 +53,7 @@ from .stacky import (
     StackyFan,
     anticones,
     box_elements,
+    cone_coordinates,
     cone_index,
     dual_class_data,
     fan_sequence,
@@ -654,7 +655,8 @@ def potential_entry(
     """One disk-potential term: generating function times the area monomial.
 
     The area is the nef pairings of the boundary vector b's coordinates on
-    its minimal cone (`minimal_cone_coordinates`) minus those on sigma0.
+    its minimal cone (`minimal_cone_coordinates`) minus those on sigma0
+    (`cone_coordinates`).
     """
     sigma0 = parent.max_cones[cone_number]
     dgf = disk_generating_function(
@@ -663,14 +665,10 @@ def potential_entry(
     boundary = (
         parent.stacky_vectors[sym.ray] if sym.kind == "ray" else tuple(sym.point)
     )
-    sigma_cols = transpose([parent.stacky_vectors[i] for i in sigma0])
-    a_sol = solve_rational(sigma_cols, list(boundary))
-    if a_sol is None:  # pragma: no cover - sigma0 full dimensional
-        raise NormalizationConeError("normalization cone is degenerate")
     alpha = [Fraction(0)] * parent.n_vectors
     for i, c in zip(*minimal_cone_coordinates(parent, boundary)):
         alpha[i] += c
-    for i, c in zip(sigma0, a_sol):
+    for i, c in zip(sigma0, cone_coordinates(parent, sigma0, boundary)):
         alpha[i] -= c
     area = seq.pcoords_from_ambient(alpha)[: seq.r_prime]
     if any(x < 0 for x in area):

@@ -25,7 +25,6 @@ from operator import mul
 from ._record import frozen
 from .lattice import (
     _eliminate,
-    _gcdext,
     cone_contains,
     hermite_normal_form,
     identity_matrix,
@@ -213,6 +212,51 @@ def cone_index(fan: StackyFan, cone) -> int:
     return out
 
 
+@lru_cache(maxsize=128)
+def _cone_inverses(fan: StackyFan) -> dict[tuple[int, ...], tuple]:
+    """Maximal cone -> (m, d), m @ x = d * t whenever x = sum_k t_k b_cone[k].
+
+    m reads only k coordinates of x on which the cone's k generators are
+    independent (all of them for a full-dimensional cone), so m @ x gives the
+    coordinates of x whenever x lies in the cone's span.  A cone with
+    dependent generators gets no entry.  Cached: the inverses are pure and
+    the returned data immutable.
+    """
+    table = {}
+    for mc in fan.max_cones:
+        cols = transpose(fan.cone_vectors(mc))
+        for sel, m, d in _coordinate_inverses(cols, fan.dim, len(mc)):
+            # zero on the unselected coordinates, so that m reads x itself
+            wide = (dict(zip(sel, row)) for row in m)
+            rows = tuple(tuple(w.get(j, 0) for j in range(fan.dim)) for w in wide)
+            table[mc] = (rows, d)
+            break
+    return table
+
+
+def _off_span(fan: StackyFan, mc, y, d, x) -> bool:
+    """Whether x is off the span of the maximal cone mc, given y = m @ x for
+    its inverse (m, d): only a lower-dimensional cone has points off it."""
+    return len(mc) < fan.dim and any(
+        sum(map(mul, col, y)) != d * c
+        for col, c in zip(zip(*fan.cone_vectors(mc)), x)
+    )
+
+
+def cone_coordinates(fan: StackyFan, cone, x) -> tuple[Fraction, ...] | None:
+    """The coordinates t of x = sum_k t_k b_cone[k] on a maximal cone (a
+    tuple of fan.max_cones), of any sign, or None when x is off the cone's
+    span.  FanError when the cone's generators are dependent."""
+    inverse = _cone_inverses(fan).get(cone)
+    if inverse is None:
+        raise FanError(f"cone {cone} is not simplicial (generators dependent)")
+    m, d = inverse
+    y = [sum(map(mul, row, x)) for row in m]
+    if _off_span(fan, cone, y, d, x):
+        return None
+    return tuple(Fraction(v, d) for v in y)
+
+
 def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
     """(carrier, coeffs), b = sum_k coeffs[k] b_carrier[k] with every coeff
     positive: the unique coordinates of b on the first (simplicial) maximal
@@ -220,12 +264,12 @@ def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
     gives ((i,), (1,)), a box element its carrier and coords; FanError when
     b lies outside the support.
     """
-    for mc in fan.max_cones:
-        ok, lam = cone_contains(fan.cone_vectors(mc), b)
-        if ok:
+    for mc, (m, d) in _cone_inverses(fan).items():
+        y = [sum(map(mul, row, b)) for row in m]
+        if all(v >= 0 for v in y) and not _off_span(fan, mc, y, d, b):
             return (
-                tuple(i for i, c in zip(mc, lam) if c),
-                tuple(c for c in lam if c),
+                tuple(i for i, c in zip(mc, y) if c),
+                tuple(Fraction(c, d) for c in y if c),
             )
     raise FanError(f"vector {tuple(b)} lies outside the support")
 
@@ -240,13 +284,8 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
     found: dict[tuple[int, ...], BoxElement] = {}
     origin = tuple([0] * fan.dim)
     found[origin] = BoxElement(origin, (), (), Fraction(0))
-    for mc in fan.max_cones:
+    for mc, (m, d) in _cone_inverses(fan).items():
         vecs = fan.cone_vectors(mc)
-        cols = transpose(vecs)
-        inverse = _cone_coordinates(cols, fan.dim, len(mc))
-        if inverse is None:  # pragma: no cover - validated cones are simplicial
-            continue
-        m, d = inverse
         lo = [sum(min(0, v[j]) for v in vecs) for j in range(fan.dim)]
         hi = [sum(max(0, v[j]) for v in vecs) for j in range(fan.dim)]
         for pt in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
@@ -259,10 +298,7 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
                     break
                 y.append(v)
             else:
-                if pt in found or any(
-                    sum(map(mul, c, y)) != d * x
-                    for c, x in zip(cols, pt)
-                ):
+                if pt in found or _off_span(fan, mc, y, d, pt):
                     continue
                 t = [Fraction(v, d) for v in y]
                 carrier = tuple(i for i, x in zip(mc, t) if x != 0)
@@ -282,23 +318,6 @@ def _coordinate_inverses(cols, dim: int, k: int):
         except ValueError:
             continue
         yield sel, m, d
-
-
-def _cone_coordinates(cols, dim: int, k: int):
-    """(m, d) with m @ x = d * t whenever cols @ t = x, for k independent
-    columns in Z^dim; m reads only k coordinates of x on which the columns
-    are independent (all of them for a full-dimensional cone).  None when
-    the columns are dependent.
-    """
-    for sel, m, d in _coordinate_inverses(cols, dim, k):
-        full = []
-        for row in m:
-            out = [0] * dim
-            for j, x in zip(sel, row):
-                out[j] = x
-            full.append(out)
-        return full, d
-    return None
 
 
 @frozen
@@ -338,16 +357,10 @@ def wall_curve_classes(fan: StackyFan) -> list[WallClass]:
     on the opposite rays.  Boundary walls (one owner) carry no compact curve
     and are skipped.
     """
-    n = fan.dim
-    if n < 2:
+    if fan.dim < 2:
         return []
-    owners: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for mc in fan.max_cones:
-        if len(mc) != n:
-            continue
-        for facet in combinations(mc, n - 1):
-            owners.setdefault(frozenset(facet), []).append(mc)
     out = []
+    owners = _wall_owners(fan)
     for wall, mcs in sorted(owners.items(), key=lambda kv: sorted(kv[0])):
         if len(mcs) == 1:
             continue
@@ -385,11 +398,19 @@ def is_complete(fan: StackyFan) -> bool:
     if n == 1:
         dirs = {1 if fan.stacky_vectors[mc[0]][0] > 0 else -1 for mc in fan.max_cones}
         return dirs == {1, -1}
-    owners: dict[frozenset[int], int] = {}
+    return all(len(mcs) == 2 for mcs in _wall_owners(fan).values())
+
+
+def _wall_owners(fan: StackyFan) -> dict[frozenset[int], list[tuple[int, ...]]]:
+    """Each (n-1)-face of a full-dimensional maximal cone -> the maximal
+    cones that contain it."""
+    n = fan.dim
+    owners: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for mc in fan.max_cones:
-        for facet in combinations(mc, n - 1):
-            owners[frozenset(facet)] = owners.get(frozenset(facet), 0) + 1
-    return all(v == 2 for v in owners.values())
+        if len(mc) == n:
+            for facet in combinations(mc, n - 1):
+                owners.setdefault(frozenset(facet), []).append(mc)
+    return owners
 
 
 @frozen
@@ -597,11 +618,9 @@ def _fan_sequence(fan: StackyFan, basis_p) -> FanSequenceData:
             fan, tuple(), tuple(tuple() for _ in divisors), tuple(),
             tuple(tuple() for _ in divisors), tuple(), 0, 0
         )
+    # n_extra = r - r_prime: the relations vanishing on every extra divisor
+    # class are the relations among the rays alone, of rank r_prime
     u, n_extra = _extra_transform([divisors[j] for j in extras], r)
-    if n_extra != r - r_prime:
-        raise NoValidBasisError(
-            "extra-vector divisor classes do not span the expected rank"
-        )
     if basis_p is not None:
         p = basis_p
         u = _validate_basis(fan, divisors, u, n_extra, p, r_prime)
@@ -719,16 +738,21 @@ def _search_basis(fan, divisors, extras, u, n_extra, r_prime):
     return found
 
 
-def _assemble_basis(u, k, pool, count, node_budget=200000):
+# search nodes one `_assemble_basis` call may visit before it gives up
+_NODE_BUDGET = 200000
+
+
+def _assemble_basis(u, k, pool, count):
     """Depth-first search for count pool members completing the k rows
     behind u to a unimodular basis: (rows, extended u), or None.
 
     Every partial choice must stay a saturated sublattice, which prunes hard:
     a full-size saturated set of rank r is exactly a unimodular basis.  Each
     search node carries the transform of `_saturating_extension`, so a
-    candidate costs one integer test.
+    candidate costs one integer test.  At most `_NODE_BUDGET` nodes are
+    visited.
     """
-    budget = [node_budget]
+    budget = [_NODE_BUDGET]
 
     def extend(u, k, count, start):
         if count == 0:
@@ -761,25 +785,16 @@ def _saturating_extension(u, k: int, v) -> list[list[int]] | None:
     tail = [sum(map(mul, v, col)) for col in u[k:]]
     if gcd(*tail) != 1:
         return None
-    w = [sum(map(mul, v, col)) for col in u[:k]] + tail
-    u = list(u)
-    # fold the tail into column k with determinant-1 column operations,
-    # leaving w[k] = 1 and zeros after it
-    for j in range(k + 1, len(w)):
-        if w[j]:
-            g, x, y = _gcdext(w[k], w[j])
-            a, b = w[k] // g, w[j] // g
-            u[k], u[j] = (
-                [x * s + y * t for s, t in zip(u[k], u[j])],
-                [-b * s + a * t for s, t in zip(u[k], u[j])],
-            )
-            w[k], w[j] = g, 0
-    if w[k] < 0:
-        u[k] = [-s for s in u[k]]
+    # the Hermite transform t of the tail as a column has t @ tail = e_0, so
+    # recombining the tail columns by its rows maps v to e_k on them
+    _, t = hermite_normal_form([[x] for x in tail])
+    entries = list(zip(*u[k:]))  # entry i of every tail column
+    u = u[:k] + [[sum(map(mul, row, e)) for e in entries] for row in t]
     # the chosen rows vanish on column k, so clearing the head keeps them
-    for i in range(k):
-        if w[i]:
-            u[i] = [s - w[i] * t for s, t in zip(u[i], u[k])]
+    for i, col in enumerate(u[:k]):
+        w = sum(map(mul, v, col))
+        if w:
+            u[i] = [a - w * b for a, b in zip(col, u[k])]
     return u
 
 

@@ -38,13 +38,8 @@ class Suborbifold:
     fan: StackyFan
     # chart vector index -> parent vector index, rays then extras
     parent_index: tuple[int, ...]
-
-    @property
-    def support_vector(self) -> tuple[int, ...]:
-        u = cy_support_vector(self.fan)
-        if u is None:  # pragma: no cover - construction guarantees CY
-            raise CalabiYauError("chart lost its Calabi-Yau support vector")
-        return u
+    # the functional pairing to 1 with every chart vector (`cy_support_vector`)
+    support_vector: tuple[int, ...]
 
 
 def cy_support_vector(fan: StackyFan) -> tuple[int, ...] | None:
@@ -54,13 +49,8 @@ def cy_support_vector(fan: StackyFan) -> tuple[int, ...] | None:
     fan).  When it exists it is automatically primitive and unique as soon as
     the vectors span the ambient space.
     """
-    vecs = [list(v) for v in fan.vectors]
-    u = solve_integer(vecs, [1] * len(vecs))
-    if u is None:
-        return None
-    if any(sum(a * b for a, b in zip(u, v)) != 1 for v in vecs):  # pragma: no cover
-        return None
-    return tuple(u)
+    u = solve_integer(fan.vectors, [1] * fan.n_vectors)
+    return None if u is None else tuple(u)
 
 
 def build_suborbifold(
@@ -94,32 +84,23 @@ def _cut_chart(fan: StackyFan, chosen: PolytopeFacet) -> Suborbifold:
     """The chart over one facet, validated and tested Calabi-Yau.  Cached:
     the cut is pure and the returned data immutable.
     """
-    ray_idx = [
-        i
-        for i, v in enumerate(fan.stacky_vectors)
-        if sum(x * y for x, y in zip(chosen.normal, v)) == chosen.height
-    ]
-    gens = [fan.stacky_vectors[i] for i in ray_idx]
-    collected = []
-    for j, v in enumerate(fan.vectors):
-        if j in ray_idx:
-            continue
-        if cone_contains(gens, v)[0]:
-            collected.append(j)
+    ray_idx = chosen.vertices
+    gens = fan.cone_vectors(ray_idx)
+    collected = tuple(
+        j
+        for j, v in enumerate(fan.vectors)
+        if j not in ray_idx and cone_contains(gens, v)[0]
+    )
     bad_rays = [j for j in collected if j < fan.n_rays]
     if bad_rays:
         raise FanError(
             f"rays {bad_rays} lie inside the facet cone but not on the facet"
         )
     reindex = {old: new for new, old in enumerate(ray_idx)}
-    sub_cones = set()
-    for mc in fan.max_cones:
-        if all(i in reindex for i in mc):
-            sub_cones.add(tuple(sorted(reindex[i] for i in mc)))
-        else:
-            inside = tuple(sorted(reindex[i] for i in mc if i in reindex))
-            if inside:
-                sub_cones.add(inside)
+    # each maximal cone's face on the facet
+    sub_cones = {
+        tuple(sorted(reindex[i] for i in mc if i in reindex)) for mc in fan.max_cones
+    } - {()}
     maximal = [
         c
         for c in sub_cones
@@ -127,16 +108,17 @@ def _cut_chart(fan: StackyFan, chosen: PolytopeFacet) -> Suborbifold:
     ]
     sub = StackyFan.make(
         fan.dim,
-        [fan.stacky_vectors[i] for i in ray_idx],
+        gens,
         sorted(maximal),
         extra_vectors=[fan.vectors[j] for j in collected],
     )
     rep = validate(sub)
     if not rep.ok:
         raise FanError(f"chart fan is not valid: {rep.issues}")
-    if cy_support_vector(sub) is None:
+    support = cy_support_vector(sub)
+    if support is None:
         raise CalabiYauError("chart is not Calabi-Yau; parent not Gorenstein?")
-    return Suborbifold(fan, chosen, sub, tuple(ray_idx + collected))
+    return Suborbifold(fan, chosen, sub, ray_idx + collected, support)
 
 
 def push_class_pairings(sub: Suborbifold, pairings) -> tuple:

@@ -8,6 +8,9 @@ name and then each argument, separated by tabs:
     python tests/golden/commands.py | while IFS=$'\\t' read -r name args; do
         orbidisk $args > "$out/$name"
     done
+
+Listing the `suborbifold` commands resolves fans, so the script needs
+`orbidisk` importable (`PYTHONPATH=src`).
 """
 
 from __future__ import annotations
@@ -46,6 +49,39 @@ def golden_commands(root: Path = Path(".")) -> dict[str, list[str]]:
         cmds[f"potential-{name}-order{order}.out"] = [
             "potential", str(fans / f"{name}.json"), "--order", order
         ]
+    cmds.update(_fan_fact_commands(root))
+    return cmds
+
+
+def _fan_fact_commands(root: Path) -> dict[str, list[str]]:
+    """`validate` and `box` on every example fan; on each complete fan,
+    `suborbifold` for ray 0 and for the first age-one box point.
+
+    f3 is not semi-Fano: its `validate` and ray-0 chart exit 1 and are left
+    out.
+    """
+    from orbidisk.fanfile import parse_fan_file
+    from orbidisk.stacky import box_elements, is_complete
+
+    paths = sorted((root / "fans").glob("*.json"))
+    paths += sorted((root / "perfbench" / "fans").glob("*.json"))
+    cmds = {}
+    for path in paths:
+        name = path.stem
+        if name != "f3":
+            cmds[f"validate-{name}.out"] = ["validate", str(path)]
+        cmds[f"box-{name}.out"] = ["box", str(path)]
+        fan = parse_fan_file(str(path)).resolve_fan()
+        if not is_complete(fan):
+            continue
+        classes = [] if name == "f3" else ["ray:0"]
+        age1 = [b.point for b in box_elements(fan) if b.age == 1]
+        if age1:
+            classes.append("box:" + ",".join(str(c) for c in age1[0]))
+        for klass in classes:
+            cmds[f"suborbifold-{name}-{klass}.out"] = [
+                "suborbifold", str(path), "--class", klass
+            ]
     return cmds
 
 

@@ -33,6 +33,26 @@ def test_validate_rejects_f3(capsys):
     assert "FAIL semi-fano" in out and "-1" in out
 
 
+def test_validate_reports_dependent_generators(capsys, tmp_path):
+    # the cone {0, 1} of (1,0) and (2,0) has no coordinates; the box scan at
+    # fan resolution skips it, and validation reports it and its overlaps
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "rays": [[1, 0], [2, 0], [0, 1], [-1, -1]],
+        "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]],
+        "extra_vectors": "auto-age1",
+    }))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL validation: cone (0, 1) is not simplicial (generators dependent)",
+        "FAIL validation: cones (0, 1) and (1, 2) do not intersect in a common face",
+        "FAIL validation: cones (0, 1) and (0, 3) do not intersect in a common face",
+        "FAIL validation: cones (1, 2) and (0, 3) do not intersect in a common face",
+    ]
+
+
 def test_validate_skips_nef_test_on_charts(capsys):
     code, out, _ = run(capsys, "validate", str(FANS / "c2z3_chart.json"))
     assert code == 0
@@ -144,6 +164,7 @@ def test_potential_bad_cone_exit(capsys):
         capsys, "potential", str(FANS / "p2.json"), "--cone", "9"
     )
     assert code == 3
+    assert "no maximal cone number 9" in err
 
 
 def test_invariants_deterministic(capsys):

@@ -42,6 +42,7 @@ from orbidisk.lattice import (
     cone_contains,
     identity_matrix,
     rank,
+    solve_rational,
     transpose,
 )
 from orbidisk.stacky import (
@@ -770,6 +771,53 @@ def test_minimal_cone_coordinates_of_rays_and_box_elements():
             outside = tuple(-x for x in chart.stacky_vectors[0])
             with pytest.raises(FanError, match=re.escape(f"{outside} lies outside")):
                 minimal_cone_coordinates(chart, outside)
+
+
+def test_cone_reader_matches_cone_contains_and_solve_rational():
+    # the coordinates read off each maximal cone's cached inverse, at random
+    # lattice points and at integer combinations of a cone's generators
+    # (the only points on a lower-dimensional cone's span), against a direct
+    # solve and cone_contains; minimal_cone_coordinates takes the first cone
+    # that holds the point and raises outside the support
+    rng = random.Random(23)
+    fans = [fan for _, fan in example_fans()]
+    fans += [random_single_cone_fan(rng, rng.choice([2, 3])) for _ in range(8)]
+    fans.append(StackyFan.make(2, [(2, 4)], [(0,)]))
+    fans.append(StackyFan.make(3, [(1, 0, 1), (1, 3, 1)], [(0, 1)]))
+    fans.append(StackyFan.make(3, [(1, 0, 1), (1, 3, 1), (0, 1, 2)], [(0, 1), (1, 2)]))
+    for fan in fans:
+        for _ in range(30):
+            if rng.random() < 0.5:
+                x = tuple(rng.randint(-4, 4) for _ in range(fan.dim))
+            else:
+                gens = fan.cone_vectors(rng.choice(fan.max_cones))
+                c = [rng.randint(-2, 3) for _ in gens]
+                x = tuple(sum(map(mul, c, col)) for col in zip(*gens))
+            holder = None
+            for mc in fan.max_cones:
+                gens = fan.cone_vectors(mc)
+                want = solve_rational(transpose(gens), list(x))
+                got = stacky.cone_coordinates(fan, mc, x)
+                assert got == (None if want is None else tuple(want)), (fan, mc, x)
+                ok, lam = cone_contains(gens, x)
+                assert ok == (got is not None and min(got) >= 0)
+                if ok and holder is None:
+                    holder = (mc, lam)
+            if holder is None:
+                with pytest.raises(FanError, match="outside the support"):
+                    minimal_cone_coordinates(fan, x)
+            else:
+                mc, lam = holder
+                assert minimal_cone_coordinates(fan, x) == (
+                    tuple(i for i, c in zip(mc, lam) if c),
+                    tuple(c for c in lam if c),
+                )
+    dependent = StackyFan.make(2, [(1, 0), (2, 0), (0, 1)], [(0, 1), (1, 2)])
+    with pytest.raises(FanError, match="dependent"):
+        stacky.cone_coordinates(dependent, (0, 1), (1, 0))
+    # the dependent cone gets no entry: the scans read the other cone only
+    assert minimal_cone_coordinates(dependent, (1, 0)) == ((1,), (Fraction(1, 2),))
+    assert [b.point for b in box_elements(dependent)] == [(0, 0), (1, 0)]
 
 
 def test_age_one_listing():
