@@ -27,8 +27,13 @@ X(forward(y)) = F(y) by peeling the residual level by level in the rank
 (total degree, sector count), each peeled y^d becoming q^qpart tau^m.  The
 residual is integer numerators on packed keys over one denominator, reduced
 by their gcd after each level; a Fraction is made only for each coefficient
-written into X.  Generating functions of basic disk classes and the full
-disk potential are assembled from those X's.
+written into X.  The forward image of a peeled monomial, a product of one
+power-list entry per variable, is never built: it splits into a head, the
+product for all but its last variable (cached by step counts, so a longer
+head costs one product), and that variable's entry, and the product loop
+adds -coefficient x head x entry straight into the residual.  Generating
+functions of basic disk classes and the full disk potential are assembled
+from those X's.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .lattice import (
     solve_rational,
     transpose,
 )
-from .series import SeriesRing, TruncatedSeries, _product, exp_series
+from .series import SeriesRing, TruncatedSeries, _add_product, _product, exp_series
 from .stacky import (
     DiskClassSymbol,
     DualClassData,
@@ -100,6 +105,14 @@ def _sector_ratio(nums, m: int) -> tuple[int, int]:
     return num, den
 
 
+def _trim(steps) -> tuple[int, ...]:
+    """steps as a tuple without its trailing zeros."""
+    n = len(steps)
+    while n and not steps[n - 1]:
+        n -= 1
+    return tuple(steps[:n])
+
+
 class ChartPipeline:
     """All mirror-map data of one Calabi-Yau chart at a fixed order."""
 
@@ -141,8 +154,11 @@ class ChartPipeline:
         self._anticones = anticones(fan)
         self._a_series: dict[int, TruncatedSeries] = {}
         self._log_corrections: list[TruncatedSeries] | None = None
-        # per (q, tau) variable: packed views of powers of one step's image
+        # packed views of forward images: per (q, tau) variable, the powers of
+        # one step's image; per tuple of step counts, the head image
+        self._one = self.y_ring.one()._packed_view()
         self._powers: dict[int, list] = {}
+        self._heads: dict[tuple[int, ...], tuple] = {(): self._one}
 
     # -- grid and omega sets ------------------------------------------------
 
@@ -335,36 +351,55 @@ class ChartPipeline:
 
     # -- the triangular inversion ----------------------------------------------
 
-    def _image(self, tkey) -> tuple[list[tuple[int, int, int]], int]:
-        """Packed view of the forward image in y of the (q, tau) monomial with
-        scaled key tkey.
+    def _power(self, v: int, k: int) -> tuple[list[tuple[int, int, int]], int]:
+        """Packed view of the k-th power of the forward image of one step of
+        (q, tau) variable v: q_a^(1/M) maps to y_a^(1/M) exp(L_a/M), tau_j to
+        A_j."""
+        powers = self._powers.get(v)
+        if powers is None:
+            ring = self.y_ring
+            if v < self.r_prime:
+                root = [Fraction(int(a == v), self.modulus) for a in range(self.r)]
+                step = ring.monomial(root) * exp_series(
+                    self.log_corrections()[v] * Fraction(1, self.modulus)
+                )
+            else:
+                step = self.a_series(self.extras[v - self.r_prime])
+            powers = self._powers[v] = [self._one, step._packed_view()]
+        while len(powers) <= k:
+            powers.append(_product(self.y_ring, powers[-1], powers[1]))
+        return powers[k]
 
-        A product of per-variable power lists: one step q_a^(1/M) maps to
-        y_a^(1/M) exp(L_a/M), one step tau_j to A_j.
-        """
-        ring = self.y_ring
-        out = one = ring.one()._packed_view()
-        for v, k in enumerate(tkey):
-            if v >= self.r_prime:
-                if k % self.modulus:
-                    raise ComputationError("fractional sector exponent")
-                k //= self.modulus
-            if not k:
-                continue
-            powers = self._powers.get(v)
-            if powers is None:
-                if v < self.r_prime:
-                    root = [Fraction(int(a == v), self.modulus) for a in range(self.r)]
-                    step = ring.monomial(root) * exp_series(
-                        self.log_corrections()[v] * Fraction(1, self.modulus)
-                    )
-                else:
-                    step = self.a_series(self.extras[v - self.r_prime])
-                powers = self._powers[v] = [one, step._packed_view()]
-            while len(powers) <= k:
-                powers.append(_product(ring, powers[-1], powers[1]))
-            out = powers[k] if out is one else _product(ring, out, powers[k])
-        return out
+    def _steps(self, tkey) -> tuple[int, ...]:
+        """Per-variable step counts of the (q, tau) monomial with scaled key
+        tkey, trailing zeros dropped: k steps q_a^(1/M) for each q, k/M
+        factors tau_j for each tau."""
+        steps = list(tkey)
+        for v in range(self.r_prime, self.r):
+            if steps[v] % self.modulus:
+                raise ComputationError("fractional sector exponent")
+            steps[v] //= self.modulus
+        return _trim(steps)
+
+    def _factors(self, steps: tuple[int, ...]) -> tuple[tuple, tuple]:
+        """(head, last) packed views whose product is the forward image in y
+        of the monomial with these step counts: the last is the power-list
+        entry of its last variable, the head the product of the others."""
+        if not steps:
+            return self._one, self._one
+        v = len(steps) - 1
+        return self._head(_trim(steps[:v])), self._power(v, steps[v])
+
+    def _head(self, steps: tuple[int, ...]) -> tuple[list[tuple[int, int, int]], int]:
+        """Packed view of the forward image of the monomial with these step
+        counts, cached by them; each head extends a shorter one by one
+        product."""
+        head = self._heads.get(steps)
+        if head is None:
+            rest, last = self._factors(steps)
+            head = last if rest is self._one else _product(self.y_ring, rest, last)
+            self._heads[steps] = head
+        return head
 
     def _rank(self, p: int) -> tuple[int, int]:
         """(total degree, sector count), both scaled, of packed key p.
@@ -384,14 +419,17 @@ class ChartPipeline:
 
         Triangular in the rank filtration (total degree, then sector count):
         each round moves the residual's lowest level into X, y^d becoming the
-        (q, tau) monomial of the same key, and subtracts its
-        forward images in place, so the lowest level strictly rises; there are
-        finitely many levels.  Each round scales the integer residual and its
-        denominator by L, the lcm of its images' denominators E, subtracts
-        c (L/E) n per image term n/E of a peeled c, then reduces by the gcd.
+        (q, tau) monomial of the same key, and subtracts its forward images,
+        so the lowest level strictly rises; there are finitely many levels.
+        No image is built: each is a cached head H/E times a power-list
+        entry P/F (`_factors`), and each round scales the integer residual
+        and its denominator by L, the lcm of the E F, adds -c (L/(E F)) H P
+        of a peeled c straight into the residual with the product loop, then
+        reduces by the gcd.
         """
         if f.ring != self.y_ring:
             raise ComputationError("series is not in the chart y ring")
+        bound, unpack = self.y_ring._bound, self.y_ring._unpack
         terms, den = f._packed_view()
         residual = {p: n for _, p, n in terms}
         # rank of every key that has entered the residual, computed once
@@ -405,30 +443,20 @@ class ChartPipeline:
                     "inversion is not contracting; malformed mirror data"
                 )
             last = level
-            peel = [
-                (self.y_ring._unpack(p), c)
-                for p, c in residual.items()
-                if ranks[p] == level
-            ]
-            images = [self._image(key) for key, _ in peel]
-            scale = lcm(*(e for _, e in images))
+            peel = [(unpack(p), c) for p, c in residual.items() if ranks[p] == level]
+            factors = [self._factors(self._steps(key)) for key, _ in peel]
+            scale = lcm(*(head[1] * power[1] for head, power in factors))
             residual = {p: n * scale for p, n in residual.items()}
-            for (key, c), (image, e) in zip(peel, images):
+            for (key, c), ((head, dh), (power, dp)) in zip(peel, factors):
                 x[key] = Fraction(c, den)
-                c *= scale // e
-                for _, k, n in image:
-                    w = residual.get(k, 0) - c * n
-                    if w:
-                        residual[k] = w
-                        if k not in ranks:
-                            ranks[k] = self._rank(k)
-                    else:
-                        del residual[k]
+                _add_product(residual, bound, head, power, -c * (scale // (dh * dp)))
             den *= scale
             g = gcd(den, *residual.values())
-            if g > 1:
-                den //= g
-                residual = {p: n // g for p, n in residual.items()}
+            den //= g
+            residual = {p: n // g for p, n in residual.items() if n}
+            for p in residual:
+                if p not in ranks:
+                    ranks[p] = self._rank(p)
         return self.qt_ring.from_scaled_terms(x)
 
     # -- generating functions --------------------------------------------------

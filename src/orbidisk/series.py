@@ -10,9 +10,11 @@ no floats anywhere.
 Products run on a second, private view of a series: each key packed into one
 int (its scaled degree above one base-R digit per variable) and each
 coefficient an integer numerator over the series' common denominator, so the
-one product loop, `_product`, adds and multiplies plain ints.  `__mul__` is
-that loop plus one Fraction per output term; the mirror-map inversion calls
-it directly and stays on packed views (`orbidisk.mirror`).
+one product loop, `_add_product`, adds and multiplies plain ints.  It adds
+c times a product into a given dict: `_product` gives it a fresh one, and
+`__mul__` is `_product` plus one Fraction per output term; the mirror-map
+inversion calls both directly, adds into its residual and stays on packed
+views (`orbidisk.mirror`).
 """
 
 from __future__ import annotations
@@ -276,29 +278,36 @@ class TruncatedSeries:
         return out
 
 
-def _product(ring: SeriesRing, a, b) -> tuple[list[tuple[int, int, int]], int]:
-    """The packed view of the product of two packed views, truncated to ring.
+def _add_product(acc: dict[int, int], bound: int, fa, fb, c: int) -> None:
+    """Add c times the product of two packed term lists into acc, by packed
+    key, truncated to the scaled degree bound.
 
     The one series-product loop: a pair of terms is multiplied only when
     their degrees add up to at most the bound, so packed keys add without
-    carries, and the denominator of the result is reduced to the lcm of its
-    coefficients' denominators, as `_packed_view` would give.
+    carries.  Keys that cancel stay in acc with numerator 0.
     """
-    (fa, da), (fb, db) = a, b
     if len(fa) > len(fb):
         fa, fb = fb, fa
-    bound = ring._bound
-    acc: dict[int, int] = {}
     get = acc.get
     for wa, ka, na in fa:
         room = bound - wa
         if room < fb[0][0]:
             break
+        na *= c
         for wb, kb, nb in fb:
             if wb > room:
                 break
             k = ka + kb
             acc[k] = get(k, 0) + na * nb
+
+
+def _product(ring: SeriesRing, a, b) -> tuple[list[tuple[int, int, int]], int]:
+    """The packed view of the product of two packed views, truncated to ring,
+    its denominator reduced to the lcm of its coefficients' denominators, as
+    `_packed_view` would give."""
+    (fa, da), (fb, db) = a, b
+    acc: dict[int, int] = {}
+    _add_product(acc, ring._bound, fa, fb, 1)
     g = gcd(da * db, *acc.values())
     top = ring._top
     return [(p // top, p, acc[p] // g) for p in sorted(acc) if acc[p]], da * db // g

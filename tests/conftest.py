@@ -396,6 +396,78 @@ def solve_against_by_fractions(pipe, f):
     return pipe.qt_ring.from_scaled_terms(x)
 
 
+def solve_against_by_images(pipe, f):
+    """X(q, tau) with X(forward(y)) = f(y) on an integer residual over one
+    denominator, subtracting each peeled monomial's whole forward image: a
+    packed product of per-variable power lists, built, reduced by its gcd
+    and then walked.  The earlier kernel of ChartPipeline.solve_against,
+    kept as its reference."""
+    from orbidisk.mirror import ComputationError
+    from orbidisk.series import _product, exp_series
+
+    ring, m = pipe.y_ring, pipe.modulus
+    one = ring.one()._packed_view()
+    powers: dict = {}
+
+    def image(tkey):
+        out = one
+        for v, k in enumerate(tkey):
+            if v >= pipe.r_prime:
+                if k % m:
+                    raise ComputationError("fractional sector exponent")
+                k //= m
+            if not k:
+                continue
+            if v not in powers:
+                if v < pipe.r_prime:
+                    root = [Fraction(int(a == v), m) for a in range(pipe.r)]
+                    step = ring.monomial(root) * exp_series(
+                        pipe.log_corrections()[v] * Fraction(1, m)
+                    )
+                else:
+                    step = pipe.a_series(pipe.extras[v - pipe.r_prime])
+                powers[v] = [one, step._packed_view()]
+            pv = powers[v]
+            while len(pv) <= k:
+                pv.append(_product(ring, pv[-1], pv[1]))
+            out = pv[k] if out is one else _product(ring, out, pv[k])
+        return out
+
+    terms, den = f._packed_view()
+    residual = {p: n for _, p, n in terms}
+    ranks = {p: pipe._rank(p) for p in residual}
+    x: dict = {}
+    last = (-1, -1)
+    while residual:
+        level = min(ranks[p] for p in residual)
+        if level <= last:
+            raise ComputationError(
+                "inversion is not contracting; malformed mirror data"
+            )
+        last = level
+        peel = [(ring._unpack(p), c) for p, c in residual.items() if ranks[p] == level]
+        images = [image(key) for key, _ in peel]
+        scale = math.lcm(*(e for _, e in images))
+        residual = {p: n * scale for p, n in residual.items()}
+        for (key, c), (terms, e) in zip(peel, images):
+            x[key] = Fraction(c, den)
+            c *= scale // e
+            for _, k, n in terms:
+                w = residual.get(k, 0) - c * n
+                if w:
+                    residual[k] = w
+                    if k not in ranks:
+                        ranks[k] = pipe._rank(k)
+                else:
+                    del residual[k]
+        den *= scale
+        g = gcd(den, *residual.values())
+        if g > 1:
+            den //= g
+            residual = {p: n // g for p, n in residual.items()}
+    return pipe.qt_ring.from_scaled_terms(x)
+
+
 # Gaussian elimination over Fraction and the gcd of maximal minors: the
 # references for the fraction-free elimination and the Hermite form of
 # orbidisk.lattice.

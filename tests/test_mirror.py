@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from conftest import (
     BIG_PRIMES,
+    REPO,
     assert_grid_is_brute_force,
     basic_class_charts,
     c2z3_chart,
@@ -24,6 +25,7 @@ from conftest import (
     pairings_from_key,
     ratio_factor,
     solve_against_by_fractions,
+    solve_against_by_images,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -326,7 +328,67 @@ def test_integer_inversion_matches_fraction_reference(data):
     f, x = forward_of(pipe, poly)
     got = pipe.solve_against(f)
     assert got == x
+    assert got == solve_against_by_images(pipe, f)
     assert got == solve_against_by_fractions(pipe, f)
+
+
+def chart_job(pipe):
+    """What a benchmark chart job computes: the round trip, then the
+    generating function of every sector."""
+    assert pipe.round_trip_identity()
+    for point in pipe.fan.extra_vectors:
+        pipe.generating_function(DiskClassSymbol.orbi(point))
+
+
+def test_many_sector_chart_inversion_matches_references():
+    # a chart of mq has 12 sectors, where the cached heads of the forward
+    # images are reused most; the sweeps above leave mq out, as its
+    # monomials are too many to enumerate
+    from orbidisk.fanfile import parse_fan_file
+    from orbidisk.suborbifold import build_suborbifold
+
+    fan = parse_fan_file(REPO / "fans" / "mq.json").resolve_fan()
+    chart = build_suborbifold(fan, DiskClassSymbol.smooth(0)).fan
+    assert len(chart.extra_vectors) == 12
+    pipe = ChartPipeline(chart, 3)
+    calls = []
+    solve = pipe.solve_against
+
+    def record(f):
+        x = solve(f)
+        calls.append((f, x))
+        return x
+
+    pipe.solve_against = record
+    chart_job(pipe)
+    # every variable of the chart is a sector: the round trip inverts the 12
+    # sector series, then come the 12 sector generating functions
+    assert pipe.r_prime == 0 and len(calls) == 2 * 12
+    for f, x in calls:
+        assert x == solve_against_by_images(pipe, f)
+        assert x == solve_against_by_fractions(pipe, f)
+
+
+def test_chart_job_product_count(monkeypatch):
+    # the c2z5 chart job of the benchmark at order 6: each forward image is a
+    # cached head times a power-list entry, fused into the residual, so the
+    # products are the power lists and the heads only; building every image
+    # as a product takes 256
+    from orbidisk import mirror
+    from orbidisk.fanfile import parse_fan_file
+
+    count = 0
+    product = mirror._product
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return product(*args)
+
+    monkeypatch.setattr(mirror, "_product", counted)
+    fan = parse_fan_file(REPO / "perfbench" / "fans" / "c2z5.json").resolve_fan()
+    chart_job(ChartPipeline(fan, 6))
+    assert count == 57
 
 
 def test_non_contracting_chart_still_raises():
