@@ -12,12 +12,15 @@ nonnegative integer (no extra vector lies in a maximal cone).  Every y and
 orbifold mirror theorem, so the truncation window is total degree <= order
 and y^d and q^qpart tau^m carry the same key.
 
-The effective classes up to the order are enumerated cone by cone: for each
-maximal cone, the classes pairing to nonnegative integers with the vectors
-outside it.  A class is carried as its key times the chart modulus M and its
-divisor pairings times M^2, all integers; effectiveness, the omega sets and
-each correction coefficient are decided on those integers.  Each ray or
-extra vector contributes a hypergeometric-type correction series A_j.  The
+The effective classes up to the order are enumerated by one walk per
+maximal cone over the classes pairing to nonnegative integers with the
+vectors outside it.  A class is carried as its key times the chart modulus M
+and its divisor pairings times M^2, all integers, and the walk steps both
+together, as both are linear in the outside pairings.  Each ray or extra
+vector j contributes a hypergeometric-type correction series A_j, summed
+over its set omega_j; a class enters at most one of those sets, so the walk
+files each class straight into its set, checking its effectiveness there,
+and builds no grid of all classes (`grid` lists them for the tests).  The
 map
 
     q_a = y_a exp(sum_j Q_ja A_j(y)),   tau_j = A_j(y)
@@ -88,20 +91,30 @@ class GridPoint:
     nu: tuple[int, ...]
 
 
-def _sector_ratio(nums, m: int) -> tuple[int, int]:
+def _sector_factor(p: int, m: int) -> tuple[int, int]:
+    """(numerator, denominator) of one pairing's factor of a sector series
+    coefficient: with cc = ceil(p / m), the collapsed factorial ratio
+    m^cc / prod_{0<=k<cc} (p - km) if cc >= 0, else prod_{cc<=k<0} (p - km) /
+    m^-cc (1/c! on integers c >= 0, 0 on c < 0)."""
+    cc = -(-p // m)
+    if cc >= 0:
+        return m**cc, prod(p - k * m for k in range(cc))
+    return prod(p - k * m for k in range(cc, 0)), m**-cc
+
+
+def _sector_ratio(nums, m: int, memo: dict | None = None) -> tuple[int, int]:
     """(numerator, denominator) of the extra-vector series coefficient: the
-    product over the pairings p / m, with cc = ceil(p / m), of the collapsed
-    factorial ratio m^cc / prod_{0<=k<cc} (p - km) if cc >= 0, else
-    prod_{cc<=k<0} (p - km) / m^-cc (1/c! on integers c >= 0, 0 on c < 0)."""
+    product of `_sector_factor` over the pairings p / m, each factor taken
+    from memo (by p, for this m) once computed."""
+    if memo is None:
+        memo = {}
     num = den = 1
     for p in nums:
-        cc = -(-p // m)
-        if cc >= 0:
-            num *= m**cc
-            den *= prod(p - k * m for k in range(cc))
-        else:
-            den *= m**-cc
-            num *= prod(p - k * m for k in range(cc, 0))
+        f = memo.get(p)
+        if f is None:
+            f = memo[p] = _sector_factor(p, m)
+        num *= f[0]
+        den *= f[1]
     return num, den
 
 
@@ -151,8 +164,11 @@ class ChartPipeline:
         )
         self.qt_ring = SeriesRing(self.r, m, self.order, names=names)
         self._grid: dict[tuple[int, ...], GridPoint] | None = None
+        self._omegas: list[list[GridPoint]] | None = None
         self._anticones = anticones(fan)
         self._a_series: dict[int, TruncatedSeries] = {}
+        # `_sector_factor` by pairing numerator, shared by the sector series
+        self._sector_factors: dict[int, tuple[int, int]] = {}
         self._log_corrections: list[TruncatedSeries] | None = None
         # packed views of forward images: per (q, tau) variable, the powers of
         # one step's image; per tuple of step counts, the head image
@@ -160,116 +176,133 @@ class ChartPipeline:
         self._powers: dict[int, list] = {}
         self._heads: dict[tuple[int, ...], tuple] = {(): self._one}
 
-    # -- grid and omega sets ------------------------------------------------
+    # -- the cone walk and the omega sets ---------------------------------------
+
+    def _classes(self):
+        """(scaled key, pairing numerators over M^2) of every class within the
+        order that pairs to a nonnegative integer with each vector outside
+        some maximal cone, walked cone by cone; a class lying over several
+        cones comes once per cone.
+
+        On one cone the r outside pairings k_e fix the class: inverting the
+        r x r block of pairing columns on the outside vectors gives the key
+        col_e of the class pairing to 1 with e and to 0 with the other
+        outside vectors, and its total degree w_e = sum(col_e).  The walk
+        runs over the k >= 0 with sum_e w_e k_e within the order, stepping the
+        key sum_e k_e col_e and its n pairing numerators together (both are
+        linear in k), and yields the class when its key is integral.  The
+        budget bounds the walk only when every w_e > 0, and an integral class
+        must have a nonnegative key; otherwise ComputationError.
+        """
+        fan, r, sq = self.fan, self.r, self._den
+        cols, last = self._gamma_cols, self.r - 1
+        for cone in fan.max_cones:
+            outside = [e for e in range(fan.n_vectors) if e not in cone]
+            if len(outside) != r:
+                raise ComputationError(
+                    f"maximal cone {tuple(cone)} is not full-dimensional"
+                )
+            # integer arithmetic throughout: block = M x pairings, block^-1 =
+            # inv / den, so a key is M^2 inv k / den; each step is M^2 times a
+            # column of inv followed by its pairing numerators, all over den
+            inv, den = integer_inverse([list(cols[e]) for e in outside])
+            steps = []
+            for idx in range(r):
+                col = [row[idx] * sq for row in inv]
+                steps.append(col + [sum(map(mul, col, c)) for c in cols])
+            g = gcd(den, *(x for step in steps for x in step))
+            den //= g
+            steps = [[x // g for x in step] for step in steps]
+            weights = [sum(step[:r]) for step in steps]
+            if any(w <= 0 for w in weights):
+                raise ComputationError(
+                    f"cone {tuple(cone)} has a nonpositive enumeration weight"
+                )
+
+            def walk(pos, acc, left):
+                step, w = steps[pos], weights[pos]
+                for _ in range(left // w + 1):
+                    if pos < last:
+                        yield from walk(pos + 1, acc, left)
+                    elif den == 1 or not any(x % den for x in acc[:r]):
+                        cls = acc if den == 1 else [x // den for x in acc]
+                        key = tuple(cls[:r])
+                        if min(key) < 0:
+                            raise ComputationError(
+                                f"effective class {key} has a negative curve part"
+                            )
+                        yield key, tuple(cls[r:])
+                    acc = [x + y for x, y in zip(acc, step)]
+                    left -= w
+
+            start = [0] * (r + fan.n_vectors)
+            if r:
+                yield from walk(0, start, self.y_ring._bound * den)
+            else:
+                yield (), tuple(start)  # the origin is the only class
+
+    def _member(self, key, nums, nu) -> GridPoint:
+        """The GridPoint of an enumerated class, which must be effective: its
+        nonnegative integral pairings p / M^2 must contain an anticone."""
+        den = self._den
+        if frozenset(
+            i for i, p in enumerate(nums) if p >= 0 and not p % den
+        ) not in self._anticones:
+            raise ComputationError(f"enumerated class {key} is not effective")
+        return GridPoint(key, nums, True, nu)
 
     def grid(self) -> dict[tuple[int, ...], GridPoint]:
         """Effective classes up to the truncation order, by scaled key.
 
-        A class is effective exactly when, for some maximal cone, it pairs to
-        a nonnegative integer with each of the r vectors outside the cone, so
-        the grid is the union over the maximal cones of `_cone_keys`.  Every
-        key found is classified again and must come out effective.  Each
-        GridPoint carries the class as integer numerators over the modulus.
+        Every class of the cone walk (`_classes`), once, in walk order; each
+        must be effective.  The series do not read it: they read the omega
+        sets that `_omega_sets` files from the same walk.
         """
-        if self._grid is not None:
-            return self._grid
-        out: dict[tuple[int, ...], GridPoint] = {}
-        for cone in self.fan.max_cones:
-            for key in self._cone_keys(cone):
-                if key in out:
-                    continue
-                gp = self._classify(key)
-                if not gp.effective:
-                    raise ComputationError(
-                        f"enumerated class {key} is not effective"
-                    )
-                out[key] = gp
-        self._grid = out
-        return out
+        if self._grid is None:
+            out: dict[tuple[int, ...], GridPoint] = {}
+            for key, nums in self._classes():
+                if key not in out:
+                    nu = nu_of_class(self.fan, nums, self._den)
+                    out[key] = self._member(key, nums, nu)
+            self._grid = out
+        return self._grid
 
-    def _cone_keys(self, cone):
-        """Keys within the order pairing to nonnegative integers with every
-        vector outside the cone.
+    def _omega_sets(self) -> list[list[GridPoint]]:
+        """omega_j for every vector j, each sorted by key, from one cone walk.
 
-        Those r pairings k_e fix the class: inverting the r x r block of
-        pairing columns on the outside vectors gives the key col_e of the
-        class pairing to 1 with e and to 0 with the other outside vectors,
-        and its total degree w_e = sum(col_e).  The vectors k >= 0 with
-        sum_e w_e k_e within the order are enumerated, and sum_e k_e col_e is
-        yielded when it is integral.  The budget bounds the enumeration only
-        when every w_e > 0, and an integral class must have a nonnegative
-        key; otherwise ComputationError.
+        A class enters at most one set.  A ray j takes the classes whose
+        pairings are all integers (so the box point is 0), the j-th the only
+        negative one; a sector takes the classes whose box point is its
+        vector and whose pairings include no negative integer.  The origin
+        meets neither condition.  Each class is checked effective once, as it
+        joins its set.
         """
-        outside = [e for e in range(self.fan.n_vectors) if e not in cone]
-        if len(outside) != self.r:
-            raise ComputationError(
-                f"maximal cone {tuple(cone)} is not full-dimensional"
-            )
-        block = [list(self._gamma_cols[e]) for e in outside]
-        # integer arithmetic throughout: block = M x pairings, block^-1 =
-        # m / den, so key = M^2 m k / den, every key scaled by den
-        m, den = integer_inverse(block)
-        cols = [[row[idx] * self._den for row in m] for idx in range(self.r)]
-        weights = [sum(col) for col in cols]
-        if any(w <= 0 for w in weights):
-            raise ComputationError(
-                f"cone {tuple(cone)} has a nonpositive enumeration weight"
-            )
-
-        def walk(pos, acc, left):
-            if pos == self.r:
-                if all(x % den == 0 for x in acc):
-                    key = tuple(x // den for x in acc)
-                    if any(x < 0 for x in key):
-                        raise ComputationError(
-                            f"effective class {key} has a negative curve part"
-                        )
-                    yield key
-                return
-            col, w = cols[pos], weights[pos]
-            for k in range(left // w + 1):
-                yield from walk(
-                    pos + 1, [x + k * c for x, c in zip(acc, col)], left - k * w
-                )
-
-        yield from walk(0, [0] * self.r, self.y_ring._bound * den)
-
-    def _classify(self, key) -> GridPoint:
-        """The class of a scaled key, carried by its pairing numerators p over
-        M^2: p / M^2 is a nonnegative integer when p >= 0 and M^2 | p, and
-        the class is effective when those vectors contain an anticone."""
-        den = self._den
-        nums = tuple(sum(map(mul, key, col)) for col in self._gamma_cols)
-        int_nonneg = frozenset(
-            i for i, p in enumerate(nums) if p >= 0 and p % den == 0
-        )
-        effective = int_nonneg in self._anticones
-        nu = nu_of_class(self.fan, nums, den) if effective else ()
-        return GridPoint(key, nums, effective, nu)
+        if self._omegas is None:
+            fan, den, n_rays = self.fan, self._den, self.fan.n_rays
+            origin = (0,) * fan.dim
+            sector = {fan.vectors[j]: j for j in self.extras}
+            sets: list[dict] = [{} for _ in range(fan.n_vectors)]
+            for key, nums in self._classes():
+                if any(p % den for p in nums):
+                    if any(p < 0 and not p % den for p in nums):
+                        continue
+                    nu = nu_of_class(fan, nums, den)
+                    j = sector.get(nu)
+                    if j is None:
+                        continue
+                else:
+                    negative = [i for i, p in enumerate(nums) if p < 0]
+                    if len(negative) != 1 or negative[0] >= n_rays:
+                        continue
+                    j, nu = negative[0], origin
+                if key not in sets[j]:
+                    sets[j][key] = self._member(key, nums, nu)
+            self._omegas = [[s[key] for key in sorted(s)] for s in sets]
+        return self._omegas
 
     def omega(self, j: int) -> list[GridPoint]:
-        """Effective classes feeding the j-th correction series."""
-        m = self._den
-        ray = j < self.fan.n_rays
-        # a ray's classes have box point 0, a sector's its own vector
-        nu = (0,) * self.fan.dim if ray else self.fan.vectors[j]
-        out = []
-        origin = (0,) * self.r
-        for key, gp in self.grid().items():
-            if key == origin or gp.nu != nu:
-                continue
-            ps = gp.nums
-            if ray:
-                # c_j a negative integer, every other pairing a nonnegative one
-                if ps[j] >= 0 or ps[j] % m or any(
-                    p < 0 or p % m for i, p in enumerate(ps) if i != j
-                ):
-                    continue
-            elif any(p < 0 and p % m == 0 for p in ps):
-                continue
-            out.append(gp)
-        out.sort(key=lambda g: g.key)
-        return out
+        """Effective classes feeding the j-th correction series, by key."""
+        return list(self._omega_sets()[j])
 
     def a_series(self, j: int) -> TruncatedSeries:
         """Correction series attached to the j-th ray or extra vector.
@@ -282,14 +315,14 @@ class ChartPipeline:
             return self._a_series[j]
         m = self._den
         terms: dict[tuple[int, ...], Fraction] = {}
-        for gp in self.omega(j):
+        for gp in self._omega_sets()[j]:
             ps = gp.nums
             if j < self.fan.n_rays:
                 cj = ps[j] // m
                 num = (-1) ** (-cj - 1) * factorial(-cj - 1)
                 den = prod(factorial(p // m) for i, p in enumerate(ps) if i != j)
             else:
-                num, den = _sector_ratio(ps, m)
+                num, den = _sector_ratio(ps, m, self._sector_factors)
             if num:
                 terms[gp.key] = Fraction(num, den)
         series = self.y_ring.from_scaled_terms(terms)
@@ -522,13 +555,21 @@ class DiskGeneratingFunction:
     def invariants(self):
         """(alpha pairing vector, insertions dict, value) triples in term
         order; alpha = sum_a k_a q_classes[a] / M over the scaled q keys k_a,
-        added up in integer numerators over the chart modulus M."""
+        added up in integer numerators over the chart modulus M, with one
+        Fraction per distinct numerator."""
         out = []
-        ring = self.series.ring
-        m = ring.modulus
+        m = self.series.ring.modulus
         r_prime = len(self.q_classes)
         terms = self.series.scaled_terms()
-        for key in sorted(terms, key=lambda k: (ring.scaled_degree(k), k)):
+        fractions: dict[int, Fraction] = {}
+
+        def fraction(x: int) -> Fraction:
+            f = fractions.get(x)
+            if f is None:
+                f = fractions[x] = Fraction(x, m)
+            return f
+
+        for key in sorted(terms, key=lambda k: (sum(k), k)):
             nums = [0] * self.parent.n_vectors
             for k, cls in zip(key, self.q_classes):
                 if k:
@@ -539,8 +580,7 @@ class DiskGeneratingFunction:
                     if k % m:  # pragma: no cover
                         raise ComputationError("fractional insertion count")
                     insertions[pt] = k // m
-            alpha = tuple(Fraction(x, m) for x in nums)
-            out.append((alpha, insertions, terms[key]))
+            out.append((tuple(map(fraction, nums)), insertions, terms[key]))
         return out
 
 
@@ -592,8 +632,10 @@ def extract_invariant(
     alpha is the ambient pairing vector of the curve class part (all zeros
     for the basic class itself); insertions maps twisted-sector lattice points to
     multiplicities.  The value is the coefficient of the matching monomial.
+    Integer multiplicities and an all-zero alpha are read without a
+    Fraction.
     """
-    tau_exps = [Fraction(0)] * len(dgf.tau_points)
+    tau_exps = [0] * len(dgf.tau_points)
     for pt, mult in insertions.items():
         pt = tuple(pt)
         if pt not in dgf.tau_points:
@@ -601,8 +643,8 @@ def extract_invariant(
                 f"sector {pt} is not carried by the chart at facet "
                 f"{dgf.facet_vertices}"
             )
-        tau_exps[dgf.tau_points.index(pt)] = Fraction(mult)
-    alpha = tuple(Fraction(x) for x in alpha)
+        tau_exps[dgf.tau_points.index(pt)] = mult
+    alpha = tuple(alpha)
     r_prime = len(dgf.q_classes)
     if any(alpha):
         if r_prime == 0:
@@ -611,7 +653,8 @@ def extract_invariant(
             )
         try:
             sol = solve_rational(
-                transpose([list(q) for q in dgf.q_classes]), list(alpha)
+                transpose([list(q) for q in dgf.q_classes]),
+                [Fraction(x) for x in alpha],
             )
         except AmbiguousSolutionError:  # pragma: no cover
             sol = None
@@ -621,7 +664,7 @@ def extract_invariant(
             )
         q_exps = list(sol)
     else:
-        q_exps = [Fraction(0)] * r_prime
+        q_exps = [0] * r_prime
     exps = tuple(q_exps) + tuple(tau_exps)
     ring = dgf.series.ring
     try:

@@ -67,6 +67,7 @@ class SeriesRing:
         # sits above the digits, at _top, and adds along with them
         self._radix = self._bound + 1
         self._top = self._radix**nvars
+        self._fractions: tuple[Fraction, ...] | None = None
 
     def __eq__(self, other):
         return (
@@ -97,6 +98,14 @@ class SeriesRing:
             p = p * self._radix + k
         return p
 
+    def _exponent_fractions(self) -> tuple[Fraction, ...]:
+        """Fraction(x, M) for every scaled exponent x from 0 to the bound,
+        built once per ring."""
+        if self._fractions is None:
+            m = self.modulus
+            self._fractions = tuple(Fraction(x, m) for x in range(self._radix))
+        return self._fractions
+
     def _unpack(self, p: int) -> tuple[int, ...]:
         key = [0] * self.nvars
         for i in range(self.nvars - 1, -1, -1):
@@ -107,11 +116,14 @@ class SeriesRing:
         """Convert public exponents (rationals) to the internal integer key."""
         key = []
         for e in exponents:
-            v = Fraction(e) * self.modulus
-            if v.denominator != 1:
-                raise ValueError(
-                    f"exponent {e} not in (1/{self.modulus})Z"
-                )
+            if type(e) is int:
+                v = e * self.modulus
+            else:
+                v = Fraction(e) * self.modulus
+                if v.denominator != 1:
+                    raise ValueError(
+                        f"exponent {e} not in (1/{self.modulus})Z"
+                    )
             if v < 0:
                 raise ValueError(f"negative exponent {e}")
             key.append(int(v))
@@ -180,9 +192,9 @@ class TruncatedSeries:
 
     def terms(self):
         """Sorted (exponents, coefficient) pairs; exponents as Fractions."""
-        m = self.ring.modulus
-        for key in sorted(self._terms, key=lambda k: (self.ring.scaled_degree(k), k)):
-            yield tuple(Fraction(x, m) for x in key), self._terms[key]
+        exponent = self.ring._exponent_fractions()
+        for key in sorted(self._terms, key=lambda k: (sum(k), k)):
+            yield tuple(exponent[x] for x in key), self._terms[key]
 
     def _packed_view(self) -> tuple[list[tuple[int, int, int]], int]:
         """(sorted (scaled degree, packed key, numerator) triples, D): each

@@ -19,6 +19,7 @@ from conftest import (
     example_fans,
     f2_fan,
     om2_chart,
+    omega_from_grid,
     p1xp1_fan,
     p2_fan,
     p2z3_extended,
@@ -444,6 +445,22 @@ def test_extract_errors(quotient_plane_tables):
     sphere = tuple(Fraction(x) for x in (1, 1, 1, 0, 0, 0, 0, 0, 0))
     with pytest.raises(UnsupportedInsertionsError):
         extract_invariant(g112, sphere, {(0, -1): 1})
+    # integer multiplicities take a fast path with the same errors
+    with pytest.raises(UnsupportedInsertionsError, match="negative exponent"):
+        extract_invariant(g112, (0,) * 9, {(0, -1): -1})
+    with pytest.raises(UnsupportedInsertionsError, match="not in"):
+        extract_invariant(g112, (0,) * 9, {(0, -1): Fraction(1, 2)})
+
+
+def test_extract_integer_and_fraction_inputs_agree(quotient_plane_tables):
+    _, g112, _ = quotient_plane_tables
+    for a in range(7):
+        for b in range(7 - a):
+            ints = extract_invariant(g112, (0,) * 9, {(0, -1): a, (1, -1): b})
+            fracs = extract_invariant(
+                g112, (Fraction(0),) * 9, {(0, -1): Fraction(a), (1, -1): Fraction(b)}
+            )
+            assert ints == fracs == g112.series.coefficient((a, b))
 
 
 def test_f2_generating_function():
@@ -752,6 +769,39 @@ def test_grid_matches_brute_force_scan():
         assert assert_grid_is_brute_force(chart, order) >= 1
 
 
+def test_mq_omega_sets_match_grid_filter():
+    # the four charts of mq at order 4, 12 sectors and 1,820 classes each:
+    # the omega sets filed by the cone walk equal the filter over the grid;
+    # the simplex scan of assert_grid_is_brute_force would take minutes here
+    from orbidisk.fanfile import parse_fan_file
+
+    charts = basic_class_charts(parse_fan_file(REPO / "fans" / "mq.json").resolve_fan())
+    assert len(charts) == 4
+    for chart in charts:
+        pipe = ChartPipeline(chart, 4)
+        filed = [pipe.omega(j) for j in range(chart.n_vectors)]
+        assert len(pipe.grid()) == 1820
+        for j in range(chart.n_vectors):
+            assert filed[j] == omega_from_grid(pipe, j), (chart, j)
+
+
+def test_series_build_no_grid():
+    # every correction series comes from the omega sets the cone walk files,
+    # so none of them builds the grid of all classes
+    from orbidisk.fanfile import parse_fan_file
+    from orbidisk.suborbifold import build_suborbifold
+
+    c2z5 = parse_fan_file(REPO / "perfbench" / "fans" / "c2z5.json").resolve_fan()
+    p2z3 = parse_fan_file(REPO / "fans" / "p2z3.json").resolve_fan()
+    box = build_suborbifold(p2z3, DiskClassSymbol.orbi((-1, 0))).fan
+    for chart, order in ((c2z5, 6), (box, 20)):
+        pipe = ChartPipeline(chart, order)
+        for j in range(chart.n_vectors):
+            pipe.a_series(j)
+        assert any(pipe.omega(j) for j in range(chart.n_vectors))
+        assert pipe._grid is None
+
+
 def test_potential_f2_exceptional_correction():
     data = assemble_potential(f2_fan(), 0, 6)
     by_z = {e.z_monomial: e for e in data.entries}
@@ -869,6 +919,11 @@ def test_grid_guards():
     pipe._anticones = set()
     with pytest.raises(ComputationError, match="not effective"):
         pipe.grid()
+    # the omega sets check each class that joins them the same way
+    pipe = ChartPipeline(fan, 4)
+    pipe._anticones = set()
+    with pytest.raises(ComputationError, match="not effective"):
+        pipe.a_series(2)
     # a lower-dimensional maximal cone leaves more than r vectors outside it
     lopsided = StackyFan.make(2, [(0, 1), (1, 1), (2, 1)], [(0, 1), (2,)])
     with pytest.raises(ComputationError, match="not full-dimensional"):

@@ -212,6 +212,29 @@ def test_terms_are_sorted_and_exact():
 
 
 @settings(max_examples=40)
+@given(series_in(SeriesRing(2, 3, 4)))
+def test_terms_match_fraction_exponents(f):
+    # terms() reads its exponents from one table per ring
+    m = f.ring.modulus
+    want = [
+        (tuple(Fraction(x, m) for x in key), f.scaled_terms()[key])
+        for key in sorted(f.scaled_terms(), key=lambda k: (sum(k), k))
+    ]
+    assert list(f.terms()) == want
+
+
+def test_scale_exponents_integer_fast_path():
+    r = SeriesRing(3, 4, 5)
+    assert r.scale_exponents((2, 0, 1)) == r.scale_exponents(
+        (Fraction(2), Fraction(0), Fraction(1))
+    ) == (8, 0, 4)
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        r.scale_exponents((0, -1, 0))
+    with pytest.raises(ValueError, match="not in"):
+        r.scale_exponents((0, Fraction(1, 3), 0))
+
+
+@settings(max_examples=40)
 @given(series_in(SeriesRing(2, 2, 3)), series_in(SeriesRing(2, 2, 3)))
 def test_stored_terms_stay_legal(f, g):
     for series in (f * g, f + g, f - g):
