@@ -99,6 +99,23 @@ def test_defaults_and_pinned_reprs():
     )
 
 
+def test_binding_errors_and_keyword_defaults():
+    """Calls bind as the signature `(kind, ray=None, point=None)` would."""
+    with pytest.raises(TypeError, match="multiple values"):
+        DiskClassSymbol("box", kind="ray")
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        DiskClassSymbol("box", colour=1)
+    with pytest.raises(TypeError, match="positional"):
+        DiskClassSymbol("box", None, (1, 0), "extra")
+    with pytest.raises(TypeError, match="missing"):
+        DiskClassSymbol(ray=0)
+    with pytest.raises(TypeError, match="missing"):
+        StackyFan(2, (), ())
+    assert DiskClassSymbol("box", point=(1, 0)) == DiskClassSymbol("box", None, (1, 0))
+    assert DiskClassSymbol(point=(1, 0), kind="box") == DiskClassSymbol.orbi((1, 0))
+    assert StackyFan(2, (), max_cones=(), extra_vectors=()) == StackyFan(2, (), (), ())
+
+
 def test_a_default_before_a_required_field_is_refused():
     class Bad:
         a: int = 0
@@ -155,3 +172,34 @@ def test_import_footprint():
     assert "orbidisk.cli" in new
     assert not {"dataclasses", "inspect", "argparse", "typing"} & set(new)
     assert (command, order) == ("potential", "4")
+
+
+def test_import_compiles_no_generated_source():
+    """`import orbidisk.cli` compiles no source from a string: the record
+    methods are closures, not code generated per class.
+
+    `fractions` is imported before the hook because its `decimal` import
+    compiles a named tuple.
+    """
+    probe = (
+        "import fractions, json, sys\n"
+        "seen = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile' and args[1] == '<string>':\n"
+        "        seen.append(event)\n"
+        "sys.addaudithook(hook)\n"
+        "import orbidisk.cli\n"
+        "print(json.dumps(len(seen)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert json.loads(out) == 0
