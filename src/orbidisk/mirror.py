@@ -12,16 +12,23 @@ nonnegative integer (no extra vector lies in a maximal cone).  Every y and
 orbifold mirror theorem, so the truncation window is total degree <= order
 and y^d and q^qpart tau^m carry the same key.
 
-The effective classes up to the order are enumerated by one walk per
-maximal cone over the classes pairing to nonnegative integers with the
-vectors outside it.  A class is carried as its key times the chart modulus M
-and its divisor pairings times M^2, all integers, and the walk steps both
-together, as both are linear in the outside pairings.  Each ray or extra
-vector j contributes a hypergeometric-type correction series A_j, summed
-over its set omega_j; a class enters at most one of those sets, so the walk
-files each class straight into its set, checking its effectiveness there,
-and builds no grid of all classes (`grid` lists them for the tests).  The
-map
+The effective classes up to the order are enumerated cone by cone.  On a
+maximal cone a class is fixed by its pairings k >= 0 with the vectors
+outside it; it is carried as its key times the chart modulus M and its
+divisor pairings times M^2, all integers, and both are linear in k.  The
+classes with an integral key form a lattice K, and those with every pairing
+integral a sublattice whose cosets are the cone's box elements.  Each ray or
+extra vector j contributes a hypergeometric-type correction series A_j,
+summed over its set omega_j, and omega_j lies in one coset: the zero coset
+for a ray, the coset of Dual_j for a sector.  So each set is walked over its
+own coset, on one cone holding its minimal cone.  The Hermite basis of the
+sublattice splits k into free pairings, which every coset takes in full,
+and pinned ones, which the coset fixes modulo the basis; one walk over the
+free pairings serves all the cosets walked on the cone, and each of its
+ends is completed from a table of pinned parts per coset.  Every class is
+filed by construction: only its signs and its effectiveness are checked,
+and no grid of all classes is built (`grid` walks all of K for the tests).
+The map
 
     q_a = y_a exp(sum_j Q_ja A_j(y)),   tau_j = A_j(y)
 
@@ -42,12 +49,14 @@ from those X's.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import add, attrgetter, itemgetter, mul
 
 from ._record import frozen
 from .lattice import (
     AmbiguousSolutionError,
+    hermite_normal_form,
     integer_inverse,
     solve_rational,
     transpose,
@@ -89,6 +98,19 @@ class GridPoint:
     nums: tuple[int, ...]  # divisor pairings times M^2
     effective: bool
     nu: tuple[int, ...]
+
+
+class _Cone:
+    """The walk's set-up on one maximal cone: the vectors outside it and,
+    for each, the class pairing to 1 with it and to 0 with the other
+    outside vectors, as its scaled key and pairing numerators times den,
+    and its scaled degree times den."""
+
+    __slots__ = ("cone", "outside", "keys", "pairs", "den", "weights")
+
+    def __init__(self, cone, outside, keys, pairs, den, weights):
+        self.cone, self.outside, self.den = cone, outside, den
+        self.keys, self.pairs, self.weights = keys, pairs, weights
 
 
 def _sector_factor(p: int, m: int) -> tuple[int, int]:
@@ -163,6 +185,7 @@ class ChartPipeline:
             "t" + "".join(str(c) for c in fan.vectors[j]) for j in self.extras
         )
         self.qt_ring = SeriesRing(self.r, m, self.order, names=names)
+        self._cone_walks: list[_Cone] | None = None
         self._grid: dict[tuple[int, ...], GridPoint] | None = None
         self._omegas: list[list[GridPoint]] | None = None
         self._anticones = anticones(fan)
@@ -176,77 +199,198 @@ class ChartPipeline:
         self._powers: dict[int, list] = {}
         self._heads: dict[tuple[int, ...], tuple] = {(): self._one}
 
-    # -- the cone walk and the omega sets ---------------------------------------
+    # -- the coset walk and the omega sets -------------------------------------
 
-    def _classes(self):
-        """(scaled key, pairing numerators over M^2) of every class within the
-        order that pairs to a nonnegative integer with each vector outside
-        some maximal cone, walked cone by cone; a class lying over several
-        cones comes once per cone.
+    def _cones(self) -> list[_Cone]:
+        """The walk's set-up on every maximal cone, computed once.
 
         On one cone the r outside pairings k_e fix the class: inverting the
         r x r block of pairing columns on the outside vectors gives the key
         col_e of the class pairing to 1 with e and to 0 with the other
-        outside vectors, and its total degree w_e = sum(col_e).  The walk
-        runs over the k >= 0 with sum_e w_e k_e within the order, stepping the
-        key sum_e k_e col_e and its n pairing numerators together (both are
-        linear in k), and yields the class when its key is integral.  The
-        budget bounds the walk only when every w_e > 0, and an integral class
-        must have a nonnegative key; otherwise ComputationError.
+        outside vectors, and its total degree w_e = sum(col_e).  A class is
+        carried as its key times the chart modulus M and its pairings times
+        M^2, all times a common den, and both are linear in k.  The budget
+        bounds a walk only when every w_e > 0; otherwise, or when a cone is
+        not full-dimensional, ComputationError.
         """
-        fan, r, sq = self.fan, self.r, self._den
-        cols, last = self._gamma_cols, self.r - 1
-        for cone in fan.max_cones:
-            outside = [e for e in range(fan.n_vectors) if e not in cone]
-            if len(outside) != r:
-                raise ComputationError(
-                    f"maximal cone {tuple(cone)} is not full-dimensional"
+        if self._cone_walks is None:
+            fan, r, sq, cols = self.fan, self.r, self._den, self._gamma_cols
+            out = []
+            for cone in fan.max_cones:
+                outside = [e for e in range(fan.n_vectors) if e not in cone]
+                if len(outside) != r:
+                    raise ComputationError(
+                        f"maximal cone {tuple(cone)} is not full-dimensional"
+                    )
+                # integer arithmetic throughout: block = M x pairings,
+                # block^-1 = inv / den, so a key is M^2 inv k / den; each
+                # step's key is M^2 times a column of inv, and its pairing
+                # numerators follow from it, all over den
+                inv, den = integer_inverse([list(cols[e]) for e in outside])
+                keys = [[row[idx] * sq for row in inv] for idx in range(r)]
+                pairs = [[sum(map(mul, key, c)) for c in cols] for key in keys]
+                g = gcd(den, *(x for v in keys + pairs for x in v))
+                keys = [[x // g for x in key] for key in keys]
+                pairs = [[x // g for x in p] for p in pairs]
+                weights = [sum(key) for key in keys]
+                if any(w <= 0 for w in weights):
+                    raise ComputationError(
+                        f"cone {tuple(cone)} has a nonpositive enumeration weight"
+                    )
+                out.append(
+                    _Cone(tuple(cone), tuple(outside), keys, pairs, den // g, weights)
                 )
-            # integer arithmetic throughout: block = M x pairings, block^-1 =
-            # inv / den, so a key is M^2 inv k / den; each step is M^2 times a
-            # column of inv followed by its pairing numerators, all over den
-            inv, den = integer_inverse([list(cols[e]) for e in outside])
-            steps = []
-            for idx in range(r):
-                col = [row[idx] * sq for row in inv]
-                steps.append(col + [sum(map(mul, col, c)) for c in cols])
-            g = gcd(den, *(x for step in steps for x in step))
-            den //= g
-            steps = [[x // g for x in step] for step in steps]
-            weights = [sum(step[:r]) for step in steps]
-            if any(w <= 0 for w in weights):
-                raise ComputationError(
-                    f"cone {tuple(cone)} has a nonpositive enumeration weight"
-                )
+            self._cone_walks = out
+        return self._cone_walks
 
-            def walk(pos, acc, left):
-                step, w = steps[pos], weights[pos]
-                for _ in range(left // w + 1):
-                    if pos < last:
-                        yield from walk(pos + 1, acc, left)
-                    elif den == 1 or not any(x % den for x in acc[:r]):
-                        cls = acc if den == 1 else [x // den for x in acc]
-                        key = tuple(cls[:r])
-                        if min(key) < 0:
-                            raise ComputationError(
-                                f"effective class {key} has a negative curve part"
-                            )
-                        yield key, tuple(cls[r:])
-                    acc = [x + y for x, y in zip(acc, step)]
+    def _lattice(self, cone: _Cone, integral: bool) -> list[list[int]]:
+        """Row Hermite basis, upper triangular with positive pivots, of the
+        outside pairings k in Z^r of the classes with an integral key: the
+        walk's lattice K; with `integral`, of those whose pairings are all
+        integral too: its sublattice of integral classes.
+
+        Each condition is a congruence a . k = 0 mod m on one key entry or
+        one pairing with a vector of the cone (an outside pairing is k_e
+        itself, integral on every k), divided by its gcd with m; one that
+        repeats another, or its negative, is dropped.
+        """
+        r = self.r
+        if not r:
+            return []
+        entries = [(column, cone.den) for column in zip(*cone.keys)]
+        if integral:
+            m = cone.den * self._den
+            entries += [([p[i] for p in cone.pairs], m) for i in cone.cone]
+        congruences: list[tuple] = []
+        for column, m in entries:
+            g = gcd(m, *column)
+            m //= g
+            row = tuple(x // g % m for x in column)
+            if m > 1 and (row, m) not in congruences:
+                if (tuple(-x % m for x in row), m) not in congruences:
+                    congruences.append((row, m))
+        # rows (a^T | 1) and (diag(m) | 0): their lattice meets 0 on the
+        # congruence columns exactly at (0, k) with every a . k = 0 mod m, so
+        # the Hermite rows below the pivots on those columns are the basis
+        n = len(congruences)
+        a = [
+            [row[e] for row, _ in congruences] + [int(i == e) for i in range(r)]
+            for e in range(r)
+        ] + [
+            [m * (t == i) for t in range(n)] + [0] * r
+            for i, (_, m) in enumerate(congruences)
+        ]
+        return [row[n:] for row in hermite_normal_form(a)[0][n:]]
+
+    def _classes(self, cone: _Cone, basis, starts, files) -> None:
+        """Calls files[s](scaled key, pairing numerators over M^2) on every
+        class within the order whose outside pairings k on the cone are
+        nonnegative and lie in the coset starts[s] + L, L the lattice with
+        the Hermite row basis `basis` (`_lattice`).
+
+        Up to the first pivot above 1, each row is e_i + u_i with u_i on the
+        later, pinned coordinates (a Hermite basis has zeros above a pivot
+        1), so these first, free coordinates take every value on every
+        coset.  k = (f, d) lies in the coset of a start c exactly when its
+        class -sum_i f_i u_i + d mod B, B the pinned block of the basis, is
+        the class of c.  The walk runs once over the free coordinates, stepping
+        the key and the n pairing numerators together with the class phi of
+        f.  At each end it takes from a table, built once per call, the
+        pinned parts d that complete f into each coset, by degree, while
+        the degree stays within the order.  A class must have a nonnegative
+        key, or ComputationError.
+        """
+        r, n, den, weights = self.r, self.fan.n_vectors, cone.den, cone.weights
+        if not r:
+            for file in files:
+                file((), (0,) * n)  # the origin is the only class
+            return
+        budget, keys, pairs = self.y_ring._bound * den, cone.keys, cone.pairs
+        pivots = [row[i] for i, row in enumerate(basis)]
+        free = next((i for i, p in enumerate(pivots) if p > 1), r)
+        block = [row[free:] for row in basis[free:]]
+
+        def index(x) -> int:
+            """The class of pinned part x mod B, numbered by its reduced
+            coordinates (each in [0, pivot)) in mixed radix."""
+            out = 0
+            for j, row in enumerate(block):
+                t = x[j] // row[j]
+                if t:
+                    x = [a - t * b for a, b in zip(x, row)]
+                out = out * row[j] + x[j]
+            return out
+
+        # per coordinate, where each class goes when the coordinate steps:
+        # phi moves by -u_i, and a start's class less that of d by -e_j
+        classes = list(product(*(range(p) for p in pivots[free:])))
+        moves = [row[free:] for row in basis[:free]] + [
+            [int(a == j) for a in range(r - free)] for j in range(r - free)
+        ]
+        shifts = [
+            [index([a - b for a, b in zip(c, m)]) for c in classes] for m in moves
+        ]
+        # each start's class: its pinned part less sum_i f_i u_i
+        need = []
+        for start in starts:
+            c = list(start[free:])
+            for f, row in zip(start, basis[:free]):
+                if f:
+                    c = [a - f * b for a, b in zip(c, row[free:])]
+            need.append(index(c))
+        # the pinned parts d >= 0 within the order, each filed under the
+        # class phi of the free parts it completes into each start's coset
+        pinned = [([0] * r, [0] * n, 0, need)]
+        for e in range(free, r):
+            shift = shifts[e]
+            grown = []
+            for key, nums, deg, owed in pinned:
+                while deg <= budget:
+                    grown.append((key, nums, deg, owed))
+                    key = list(map(add, key, keys[e]))
+                    nums = list(map(add, nums, pairs[e]))
+                    deg += weights[e]
+                    owed = [shift[v] for v in owed]
+            pinned = grown
+        tables: list[list] = [[] for _ in classes]
+        for key, nums, deg, owed in pinned:
+            for phi, file in zip(owed, files):
+                tables[phi].append((deg, key, nums, file))
+        for table in tables:
+            table.sort(key=itemgetter(0))
+
+        def walk(pos, key, nums, phi, left):
+            if pos < free:
+                dkey, dnums, w, shift = keys[pos], pairs[pos], weights[pos], shifts[pos]
+                while left >= 0:
+                    walk(pos + 1, key, nums, phi, left)
+                    key = list(map(add, key, dkey))
+                    nums = list(map(add, nums, dnums))
+                    phi = shift[phi]
                     left -= w
+                return
+            for deg, dkey, dnums, file in tables[phi]:
+                if deg > left:
+                    return
+                k = tuple(map(add, key, dkey))
+                p = tuple(map(add, nums, dnums))
+                if den != 1:
+                    k = tuple([x // den for x in k])
+                    p = tuple([x // den for x in p])
+                if min(k) < 0:
+                    raise ComputationError(
+                        f"effective class {k} has a negative curve part"
+                    )
+                file(k, p)
 
-            start = [0] * (r + fan.n_vectors)
-            if r:
-                yield from walk(0, start, self.y_ring._bound * den)
-            else:
-                yield (), tuple(start)  # the origin is the only class
+        walk(0, [0] * r, [0] * n, 0, budget)
 
     def _member(self, key, nums, nu) -> GridPoint:
         """The GridPoint of an enumerated class, which must be effective: its
         nonnegative integral pairings p / M^2 must contain an anticone."""
         den = self._den
         if frozenset(
-            i for i, p in enumerate(nums) if p >= 0 and not p % den
+            [i for i, p in enumerate(nums) if p >= 0 and not p % den]
         ) not in self._anticones:
             raise ComputationError(f"enumerated class {key} is not effective")
         return GridPoint(key, nums, True, nu)
@@ -254,51 +398,108 @@ class ChartPipeline:
     def grid(self) -> dict[tuple[int, ...], GridPoint]:
         """Effective classes up to the truncation order, by scaled key.
 
-        Every class of the cone walk (`_classes`), once, in walk order; each
-        must be effective.  The series do not read it: they read the omega
-        sets that `_omega_sets` files from the same walk.
+        Every class of every cone's walk over its whole lattice K (all of
+        its cosets at once), once, in walk order; each must be effective.
+        The series do not read it: they read the omega sets that
+        `_omega_sets` walks coset by coset.
         """
         if self._grid is None:
             out: dict[tuple[int, ...], GridPoint] = {}
-            for key, nums in self._classes():
+
+            def file(key, nums):
                 if key not in out:
                     nu = nu_of_class(self.fan, nums, self._den)
                     out[key] = self._member(key, nums, nu)
+
+            for cone in self._cones():
+                lattice = self._lattice(cone, False)
+                self._classes(cone, lattice, [[0] * self.r], [file])
             self._grid = out
         return self._grid
 
-    def _omega_sets(self) -> list[list[GridPoint]]:
-        """omega_j for every vector j, each sorted by key, from one cone walk.
+    def _targets(self) -> list[tuple[list[int], list[int]]]:
+        """Per maximal cone, the rays and the sectors whose omega sets are
+        walked on it.
 
-        A class enters at most one set.  A ray j takes the classes whose
-        pairings are all integers (so the box point is 0), the j-th the only
-        negative one; a sector takes the classes whose box point is its
-        vector and whose pairings include no negative integer.  The origin
-        meets neither condition.  Each class is checked effective once, as it
-        joins its set.
+        Each ray and each sector goes to the first maximal cone holding its
+        minimal cone: every class of its set pairs to nonnegative integers
+        with the vectors outside that cone, so the cone's walk finds the
+        whole set.  A sector whose vector is not a box element (a cone
+        coefficient >= 1) has no classes.
+        """
+        cones = [set(cone) for cone in self.fan.max_cones]
+        rays: list[list[int]] = [[] for _ in cones]
+        sectors: list[list[int]] = [[] for _ in cones]
+        for j in range(self.fan.n_rays):
+            at = next((c for c, cone in enumerate(cones) if j in cone), None)
+            if at is not None:
+                rays[at].append(j)
+        for j, dual in zip(self.extras, self.duals):
+            if all(c < 1 for c in dual.cone_coeffs):
+                carrier = set(dual.carrier)
+                at = next(c for c, cone in enumerate(cones) if carrier <= cone)
+                sectors[at].append(j)
+        return list(zip(rays, sectors))
+
+    def _omega_sets(self) -> list[list[GridPoint]]:
+        """omega_j for every vector j, each sorted by key.
+
+        On a maximal cone the walk's classes with all pairings integral
+        form a sublattice of its lattice K, whose cosets are the cone's box
+        elements.  A sector j's set is the coset of Dual_j (pairings -c_i
+        mod 1 with its carrier, integral elsewhere, so its box point is
+        v_j), less the classes with a negative integral pairing; a ray j's
+        set is the classes of the zero coset whose one negative pairing is
+        the j-th.  Only the cosets with a target are walked, each on one
+        cone (`_targets`), and each class is checked effective as it joins
+        its set.
         """
         if self._omegas is None:
-            fan, den, n_rays = self.fan, self._den, self.fan.n_rays
-            origin = (0,) * fan.dim
-            sector = {fan.vectors[j]: j for j in self.extras}
-            sets: list[dict] = [{} for _ in range(fan.n_vectors)]
-            for key, nums in self._classes():
-                if any(p % den for p in nums):
-                    if any(p < 0 and not p % den for p in nums):
-                        continue
-                    nu = nu_of_class(fan, nums, den)
-                    j = sector.get(nu)
-                    if j is None:
-                        continue
-                else:
-                    negative = [i for i, p in enumerate(nums) if p < 0]
-                    if len(negative) != 1 or negative[0] >= n_rays:
-                        continue
-                    j, nu = negative[0], origin
-                if key not in sets[j]:
-                    sets[j][key] = self._member(key, nums, nu)
-            self._omegas = [[s[key] for key in sorted(s)] for s in sets]
+            sets: list[list[GridPoint]] = [[] for _ in range(self.fan.n_vectors)]
+            for cone, (rays, sectors) in zip(self._cones(), self._targets()):
+                # the zero coset if a ray is walked here, then the coset of
+                # Dual_j for each sector j: its outside pairings are e_j
+                starts, files = [], []
+                if rays:
+                    starts.append([0] * self.r)
+                    files.append(self._ray_filer(cone, rays, sets))
+                for j in sectors:
+                    starts.append([int(e == j) for e in cone.outside])
+                    files.append(self._sector_filer(cone, j, sets[j]))
+                if starts:
+                    lattice = self._lattice(cone, True)
+                    self._classes(cone, lattice, starts, files)
+            for s in sets:
+                s.sort(key=attrgetter("key"))
+            self._omegas = sets
         return self._omegas
+
+    def _ray_filer(self, cone: _Cone, rays, sets):
+        """Files a class of the cone's zero coset into the set of the ray
+        among `rays` that it pairs to a negative integer with, when it has
+        one negative pairing (only the cone's own can be)."""
+        member, origin, inside = self._member, (0,) * self.fan.dim, cone.cone
+
+        def file(key, nums):
+            negative = [i for i in inside if nums[i] < 0]
+            if len(negative) == 1 and negative[0] in rays:
+                sets[negative[0]].append(member(key, nums, origin))
+
+        return file
+
+    def _sector_filer(self, cone: _Cone, j: int, into: list):
+        """Files a class of the coset of Dual_j into `into` when its
+        integral pairings, those with the cone's vectors off j's carrier,
+        are nonnegative."""
+        carrier = self.duals[j - self.fan.n_rays].carrier
+        signed = [i for i in cone.cone if i not in carrier]
+        member, nu = self._member, self.fan.vectors[j]
+
+        def file(key, nums):
+            if not signed or all(nums[i] >= 0 for i in signed):
+                into.append(member(key, nums, nu))
+
+        return file
 
     def omega(self, j: int) -> list[GridPoint]:
         """Effective classes feeding the j-th correction series, by key."""
@@ -605,13 +806,13 @@ def disk_generating_function(
         for a in range(pipe.r_prime)
     )
     return DiskGeneratingFunction(
-        parent=parent,
-        symbol=symbol,
-        facet_vertices=sub.facet.vertices,
-        order=Fraction(order),
-        series=g,
-        tau_points=tuple(sub.fan.extra_vectors),
-        q_classes=q_classes,
+        parent,
+        symbol,
+        sub.facet.vertices,
+        Fraction(order),
+        g,
+        tuple(sub.fan.extra_vectors),
+        q_classes,
     )
 
 
@@ -748,12 +949,12 @@ def potential_entry(
         )
     series = _relabel_to_parent(dgf, seq, area, order)
     return PotentialEntry(
-        z_monomial=tuple(boundary),
-        area=tuple(area),
-        series=series,
-        tau_points=dgf.tau_points,
-        facet_vertices=dgf.facet_vertices,
-        symbol=sym,
+        tuple(boundary),
+        tuple(area),
+        series,
+        dgf.tau_points,
+        dgf.facet_vertices,
+        sym,
     )
 
 

@@ -62,10 +62,10 @@ class StackyFan:
     @staticmethod
     def make(dim, stacky_vectors, max_cones, extra_vectors=()) -> "StackyFan":
         return StackyFan(
-            dim=dim,
-            stacky_vectors=tuple(tuple(int(x) for x in v) for v in stacky_vectors),
-            extra_vectors=tuple(tuple(int(x) for x in v) for v in extra_vectors),
-            max_cones=tuple(tuple(sorted(int(i) for i in c)) for c in max_cones),
+            dim,
+            tuple(tuple(int(x) for x in v) for v in stacky_vectors),
+            tuple(tuple(int(x) for x in v) for v in extra_vectors),
+            tuple(tuple(sorted(int(i) for i in c)) for c in max_cones),
         )
 
     @property
@@ -117,11 +117,11 @@ class DiskClassSymbol:
 
     @staticmethod
     def smooth(ray: int) -> "DiskClassSymbol":
-        return DiskClassSymbol("ray", ray=ray)
+        return DiskClassSymbol("ray", ray, None)
 
     @staticmethod
     def orbi(point) -> "DiskClassSymbol":
-        return DiskClassSymbol("box", point=tuple(point))
+        return DiskClassSymbol("box", None, tuple(point))
 
 
 @frozen

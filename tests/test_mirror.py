@@ -785,6 +785,44 @@ def test_mq_omega_sets_match_grid_filter():
             assert filed[j] == omega_from_grid(pipe, j), (chart, j)
 
 
+def test_omega_walk_files_each_class_by_its_coset(monkeypatch):
+    # the omega sets come from walks over the cosets that have a target, so
+    # no class's box point is computed: nu_of_class runs at most once per
+    # (cone, coset), never once per class
+    from orbidisk import mirror
+    from orbidisk.fanfile import parse_fan_file
+
+    calls = []
+    nu = mirror.nu_of_class
+    monkeypatch.setattr(
+        mirror, "nu_of_class", lambda *a: calls.append(a) or nu(*a)
+    )
+    c2z5 = parse_fan_file(REPO / "perfbench" / "fans" / "c2z5.json").resolve_fan()
+    mq = parse_fan_file(REPO / "fans" / "mq.json").resolve_fan()
+    for chart, order, walked, filed in (
+        (c2z5, 6, 210, 168),
+        (basic_class_charts(mq)[0], 4, 1484, 411),
+    ):
+        pipe = ChartPipeline(chart, order)
+        yielded = []
+        classes = pipe._classes
+
+        def tally(file):
+            return lambda *cls: yielded.append(cls) or file(*cls)
+
+        pipe._classes = lambda cone, basis, starts, files: classes(
+            cone, basis, starts, [tally(f) for f in files]
+        )
+        calls.clear()
+        sets = pipe._omega_sets()
+        cosets = sum(1 + len(sectors) for _, sectors in pipe._targets())
+        assert len(calls) <= cosets, chart
+        # the walk yields only the classes of the target cosets: on the mq
+        # chart 1,484 of the grid's 1,820, and 411 of them are filed
+        assert len(yielded) == walked, chart
+        assert sum(map(len, sets)) == filed, chart
+
+
 def test_series_build_no_grid():
     # every correction series comes from the omega sets the cone walk files,
     # so none of them builds the grid of all classes

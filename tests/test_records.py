@@ -203,3 +203,21 @@ def test_import_compiles_no_generated_source():
         check=True,
     ).stdout
     assert json.loads(out) == 0
+
+
+def test_potential_solve_binds_no_keywords(monkeypatch):
+    """The package builds its records by position: a whole potential solve
+    never takes the keyword path of the record constructor (`_bind`)."""
+    from orbidisk.fanfile import parse_fan_file
+    from orbidisk.mirror import assemble_potential
+
+    calls = []
+    bind = _record._bind
+    monkeypatch.setattr(
+        _record, "_bind", lambda *a: calls.append(a[0].__name__) or bind(*a)
+    )
+    path = REPO / "perfbench" / "fans" / "r11_v4_b8.json"
+    fan = parse_fan_file(path).resolve_fan()
+    data = assemble_potential(fan, 0, 6, parent_seq=fan_sequence(fan))
+    assert data.entries
+    assert calls == []
