@@ -21,14 +21,17 @@ integral a sublattice whose cosets are the cone's box elements.  Each ray or
 extra vector j contributes a hypergeometric-type correction series A_j,
 summed over its set omega_j, and omega_j lies in one coset: the zero coset
 for a ray, the coset of Dual_j for a sector.  So each set is walked over its
-own coset, on one cone holding its minimal cone.  The Hermite basis of the
-sublattice splits k into free pairings, which every coset takes in full,
-and pinned ones, which the coset fixes modulo the basis; one walk over the
-free pairings serves all the cosets walked on the cone, and each of its
-ends is completed from a table of pinned parts per coset.  Every class is
-filed by construction: only its signs and its effectiveness are checked,
-and no grid of all classes is built (`grid` walks all of K for the tests).
-The map
+own coset, on one cone holding its minimal cone, and only over the outside
+vectors its classes can use: a pairing that no step raises only falls from
+0, so a sector skips every vector lowering a pairing its classes keep
+nonnegative, and a ray every vector lowering two such pairings.  The
+Hermite basis of the sublattice splits k into free pairings, which every
+coset takes in full, and pinned ones, which the coset fixes modulo the
+basis; one walk over the free pairings serves all the cosets walked on the
+cone over the same vectors, and each of its ends is completed from a table
+of pinned parts per coset.  Every class is filed by construction: only its
+signs and its effectiveness are checked, and no grid of all classes is
+built (`grid` walks all of K for the tests).  The map
 
     q_a = y_a exp(sum_j Q_ja A_j(y)),   tau_j = A_j(y)
 
@@ -111,6 +114,20 @@ class _Cone:
     def __init__(self, cone, outside, keys, pairs, den, weights):
         self.cone, self.outside, self.den = cone, outside, den
         self.keys, self.pairs, self.weights = keys, pairs, weights
+
+    def part(self, use) -> _Cone:
+        """The walk over the outside vectors at the positions `use` only,
+        the others' pairings held at 0."""
+        if len(use) == len(self.keys):
+            return self
+        return _Cone(
+            self.cone,
+            tuple(self.outside[e] for e in use),
+            [self.keys[e] for e in use],
+            [self.pairs[e] for e in use],
+            self.den,
+            [self.weights[e] for e in use],
+        )
 
 
 def _sector_factor(p: int, m: int) -> tuple[int, int]:
@@ -254,10 +271,12 @@ class ChartPipeline:
         itself, integral on every k), divided by its gcd with m; one that
         repeats another, or its negative, is dropped.
         """
-        r = self.r
+        r = len(cone.keys)
         if not r:
             return []
-        entries = [(column, cone.den) for column in zip(*cone.keys)]
+        entries = []
+        if cone.den > 1:  # with den 1 every key is integral
+            entries = [(column, cone.den) for column in zip(*cone.keys)]
         if integral:
             m = cone.den * self._den
             entries += [([p[i] for p in cone.pairs], m) for i in cone.cone]
@@ -301,13 +320,14 @@ class ChartPipeline:
         key, or ComputationError.
         """
         r, n, den, weights = self.r, self.fan.n_vectors, cone.den, cone.weights
-        if not r:
+        keys, pairs, walked = cone.keys, cone.pairs, len(cone.keys)
+        if not walked:
             for file in files:
-                file((), (0,) * n)  # the origin is the only class
+                file((0,) * r, (0,) * n)  # the origin is the only class
             return
-        budget, keys, pairs = self.y_ring._bound * den, cone.keys, cone.pairs
+        budget = self.y_ring._bound * den
         pivots = [row[i] for i, row in enumerate(basis)]
-        free = next((i for i, p in enumerate(pivots) if p > 1), r)
+        free = next((i for i, p in enumerate(pivots) if p > 1), walked)
         block = [row[free:] for row in basis[free:]]
 
         def index(x) -> int:
@@ -325,7 +345,7 @@ class ChartPipeline:
         # phi moves by -u_i, and a start's class less that of d by -e_j
         classes = list(product(*(range(p) for p in pivots[free:])))
         moves = [row[free:] for row in basis[:free]] + [
-            [int(a == j) for a in range(r - free)] for j in range(r - free)
+            [int(a == j) for a in range(walked - free)] for j in range(walked - free)
         ]
         shifts = [
             [index([a - b for a, b in zip(c, m)]) for c in classes] for m in moves
@@ -341,7 +361,7 @@ class ChartPipeline:
         # the pinned parts d >= 0 within the order, each filed under the
         # class phi of the free parts it completes into each start's coset
         pinned = [([0] * r, [0] * n, 0, need)]
-        for e in range(free, r):
+        for e in range(free, walked):
             shift = shifts[e]
             grown = []
             for key, nums, deg, owed in pinned:
@@ -451,24 +471,35 @@ class ChartPipeline:
         v_j), less the classes with a negative integral pairing; a ray j's
         set is the classes of the zero coset whose one negative pairing is
         the j-th.  Only the cosets with a target are walked, each on one
-        cone (`_targets`), and each class is checked effective as it joins
-        its set.
+        cone (`_targets`) and over the outside vectors its classes can use
+        (`_usable`); the cosets that use the same vectors share one walk.
+        Each class is checked effective as it joins its set.
         """
         if self._omegas is None:
             sets: list[list[GridPoint]] = [[] for _ in range(self.fan.n_vectors)]
             for cone, (rays, sectors) in zip(self._cones(), self._targets()):
-                # the zero coset if a ray is walked here, then the coset of
-                # Dual_j for each sector j: its outside pairings are e_j
-                starts, files = [], []
+                # (target, filer) of each coset walked here, by the outside
+                # vectors its classes can use: target None for the zero
+                # coset, j for the coset of Dual_j
+                walks: dict[tuple[int, ...], list] = {}
                 if rays:
-                    starts.append([0] * self.r)
-                    files.append(self._ray_filer(cone, rays, sets))
+                    use = self._usable(cone, cone.cone, 2)
+                    filer = self._ray_filer(cone, rays, sets)
+                    walks.setdefault(use, []).append((None, filer))
                 for j in sectors:
-                    starts.append([int(e == j) for e in cone.outside])
-                    files.append(self._sector_filer(cone, j, sets[j]))
-                if starts:
-                    lattice = self._lattice(cone, True)
-                    self._classes(cone, lattice, starts, files)
+                    carrier = self.duals[j - self.fan.n_rays].carrier
+                    signed = [i for i in cone.cone if i not in carrier]
+                    filer = self._sector_filer(cone, signed, j, sets[j])
+                    walks.setdefault(self._usable(cone, signed, 1), []).append(
+                        (j, filer)
+                    )
+                for use, targets in walks.items():
+                    part = cone.part(use)
+                    # Dual_j pairs to 1 with j and to 0 with the other
+                    # outside vectors
+                    starts = [[int(e == j) for e in part.outside] for j, _ in targets]
+                    lattice = self._lattice(part, True)
+                    self._classes(part, lattice, starts, [f for _, f in targets])
             for s in sets:
                 s.sort(key=attrgetter("key"))
             self._omegas = sets
@@ -487,12 +518,10 @@ class ChartPipeline:
 
         return file
 
-    def _sector_filer(self, cone: _Cone, j: int, into: list):
+    def _sector_filer(self, cone: _Cone, signed, j: int, into: list):
         """Files a class of the coset of Dual_j into `into` when its
-        integral pairings, those with the cone's vectors off j's carrier,
-        are nonnegative."""
-        carrier = self.duals[j - self.fan.n_rays].carrier
-        signed = [i for i in cone.cone if i not in carrier]
+        integral pairings, those with the cone's vectors off j's carrier
+        (`signed`), are nonnegative."""
         member, nu = self._member, self.fan.vectors[j]
 
         def file(key, nums):
@@ -500,6 +529,25 @@ class ChartPipeline:
                 into.append(member(key, nums, nu))
 
         return file
+
+    @staticmethod
+    def _usable(cone: _Cone, watched, most: int) -> tuple[int, ...]:
+        """Positions of the outside vectors whose steps lower fewer than
+        `most` of the `watched` pairings that no step raises.
+
+        Such a pairing is 0 at the start of every coset walked (0 for the
+        zero coset, and Dual_j pairs to 0 with the vectors off its carrier)
+        and can only fall, so a class that steps a vector lowering it keeps
+        it negative: a sector's class must keep its watched pairings >= 0
+        (most = 1), and a ray's class has only one negative pairing (most =
+        2).  The classes that can join a set use only these vectors.
+        """
+        falling = [i for i in watched if all(p[i] <= 0 for p in cone.pairs)]
+        return tuple(
+            e
+            for e, p in enumerate(cone.pairs)
+            if sum(p[i] < 0 for i in falling) < most
+        )
 
     def omega(self, j: int) -> list[GridPoint]:
         """Effective classes feeding the j-th correction series, by key."""
