@@ -824,6 +824,20 @@ def test_omega_walk_files_each_class_by_its_coset(monkeypatch):
         assert sum(map(len, sets)) == filed, chart
 
 
+def test_omega_walk_keeps_the_sign_check():
+    # the sector (1, 0, 1), mid-edge of the cone {0, 1, 2}, must keep its
+    # pairing with the ray (0, 1, 1) nonnegative; (2, 1, 1) lowers that
+    # pairing and (1, -1, 1) raises it, so its walk uses every outside
+    # vector and the per-class sign check decides which classes join
+    rays = [(0, 0, 1), (2, 0, 1), (0, 1, 1), (2, 1, 1), (1, -1, 1)]
+    cones = [(0, 1, 2), (1, 2, 3), (0, 1, 4)]
+    fan = StackyFan.make(3, rays, cones, [(1, 0, 1), (1, 1, 1)])
+    pipe = ChartPipeline(fan, 4)
+    cone = pipe._cones()[0]
+    assert pipe._usable(cone, [2], 1) == tuple(range(len(cone.outside)))
+    assert assert_grid_is_brute_force(fan, 4) == 97
+
+
 def test_series_build_no_grid():
     # every correction series comes from the omega sets the cone walk files,
     # so none of them builds the grid of all classes
