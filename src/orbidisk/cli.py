@@ -99,6 +99,17 @@ def _parse_class(spec: str, fan: StackyFan) -> DiskClassSymbol:
     raise FanFileError(f"class must be ray:IDX or box:X,Y (got {spec!r})")
 
 
+def _parse_order(spec: str) -> Fraction:
+    """The --order value: a nonnegative rational, as "n" or "p/q"."""
+    try:
+        order = Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        order = None
+    if order is None or order < 0:
+        raise FanFileError(f"order must be a nonnegative rational (got {spec!r})")
+    return order
+
+
 def _parse_facet(spec: str | None, fan: StackyFan, symbol: DiskClassSymbol):
     if spec is None:
         return None
@@ -270,6 +281,7 @@ def _check_disk_counting_input(fan: StackyFan) -> list[str]:
 
 
 def cmd_invariants(args) -> int:
+    order = _parse_order(args.order)
     ff = parse_fan_file(args.file)
     fan = ff.resolve_fan()
     issues = _check_disk_counting_input(fan)
@@ -279,13 +291,14 @@ def cmd_invariants(args) -> int:
         return EXIT_VALIDATION
     symbol = _parse_class(args.klass, fan)
     facet = _parse_facet(args.facet, fan, symbol)
-    dgf = disk_generating_function(fan, symbol, Fraction(args.order), facet)
+    dgf = disk_generating_function(fan, symbol, order, facet)
     payload, rows = _invariant_payload(dgf)
     _emit(payload, args.format, rows, ("alpha", "insertions", "value"))
     return EXIT_OK
 
 
 def cmd_potential(args) -> int:
+    order = _parse_order(args.order)
     ff = parse_fan_file(args.file)
     fan = ff.resolve_fan()
     issues = _check_disk_counting_input(fan)
@@ -296,7 +309,6 @@ def cmd_potential(args) -> int:
     cone_number = args.cone if args.cone is not None else ff.normalization_cone
     if cone_number is None:
         cone_number = 0
-    order = Fraction(args.order)
     seq = fan_sequence(fan, ff.basis_p)
     data = assemble_potential(fan, cone_number, order, parent_seq=seq)
     entries, sigma0 = data.entries, data.normalization_cone

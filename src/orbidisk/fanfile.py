@@ -119,7 +119,7 @@ def parse_fan_text(text: str) -> FanFile:
         extras = tuple(_int_vector(v, dim, "extra vector") for v in extras)
     basis = doc.get("basis_p")
     if basis is not None:
-        if not isinstance(basis, list):
+        if not isinstance(basis, list) or not all(isinstance(v, list) for v in basis):
             raise FanFileError("basis_p must be a list of integer vectors")
         width = len(basis[0]) if basis else 0
         basis = tuple(_int_vector(v, width, "basis vector") for v in basis)

@@ -15,9 +15,9 @@ and y^d and q^qpart tau^m carry the same key.
 The effective classes up to the order are enumerated cone by cone.  On a
 maximal cone a class is fixed by its pairings k >= 0 with the vectors
 outside it; it is carried as its key times the chart modulus M and its
-divisor pairings times M^2, all integers, and both are linear in k.  The
-classes with an integral key form a lattice K, and those with every pairing
-integral a sublattice whose cosets are the cone's box elements.  Each ray or
+divisor pairings times M^2, both linear in k and integral on every k in Z^r
+(`_cones` gives the reason).  The classes with every pairing integral form
+a sublattice of Z^r whose cosets are the cone's box elements.  Each ray or
 extra vector j contributes a hypergeometric-type correction series A_j,
 summed over its set omega_j, and omega_j lies in one coset: the zero coset
 for a ray, the coset of Dual_j for a sector.  So each set is walked over its
@@ -31,7 +31,7 @@ basis; one walk over the free pairings serves all the cosets walked on the
 cone over the same vectors, and each of its ends is completed from a table
 of pinned parts per coset.  Every class is filed by construction: only its
 signs and its effectiveness are checked, and no grid of all classes is
-built (`grid` walks all of K for the tests).  The map
+built (`grid` walks all of Z^r for the tests).  The map
 
     q_a = y_a exp(sum_j Q_ja A_j(y)),   tau_j = A_j(y)
 
@@ -60,6 +60,7 @@ from ._record import frozen
 from .lattice import (
     AmbiguousSolutionError,
     hermite_normal_form,
+    identity_matrix,
     integer_inverse,
     solve_rational,
     transpose,
@@ -78,7 +79,6 @@ from .stacky import (
     dual_class_data,
     fan_sequence,
     minimal_cone_coordinates,
-    nu_of_class,
 )
 from .suborbifold import Suborbifold, build_suborbifold, push_class_pairings
 
@@ -100,19 +100,18 @@ class GridPoint:
     key: tuple[int, ...]  # (curve part, sector multiplicities) times M
     nums: tuple[int, ...]  # divisor pairings times M^2
     effective: bool
-    nu: tuple[int, ...]
 
 
 class _Cone:
     """The walk's set-up on one maximal cone: the vectors outside it and,
-    for each, the class pairing to 1 with it and to 0 with the other
-    outside vectors, as its scaled key and pairing numerators times den,
-    and its scaled degree times den."""
+    for each, the step class pairing to 1 with it and to 0 with the other
+    outside vectors, as its scaled key, its pairing numerators over M^2 and
+    its scaled degree, all integers."""
 
-    __slots__ = ("cone", "outside", "keys", "pairs", "den", "weights")
+    __slots__ = ("cone", "outside", "keys", "pairs", "weights")
 
-    def __init__(self, cone, outside, keys, pairs, den, weights):
-        self.cone, self.outside, self.den = cone, outside, den
+    def __init__(self, cone, outside, keys, pairs, weights):
+        self.cone, self.outside = cone, outside
         self.keys, self.pairs, self.weights = keys, pairs, weights
 
     def part(self, use) -> _Cone:
@@ -125,7 +124,6 @@ class _Cone:
             tuple(self.outside[e] for e in use),
             [self.keys[e] for e in use],
             [self.pairs[e] for e in use],
-            self.den,
             [self.weights[e] for e in use],
         )
 
@@ -223,12 +221,23 @@ class ChartPipeline:
 
         On one cone the r outside pairings k_e fix the class: inverting the
         r x r block of pairing columns on the outside vectors gives the key
-        col_e of the class pairing to 1 with e and to 0 with the other
+        col_e of the step class pairing to 1 with e and to 0 with the other
         outside vectors, and its total degree w_e = sum(col_e).  A class is
         carried as its key times the chart modulus M and its pairings times
-        M^2, all times a common den, and both are linear in k.  The budget
-        bounds a walk only when every w_e > 0; otherwise, or when a cone is
-        not full-dimensional, ComputationError.
+        M^2, and both are linear in k.
+
+        Both are integers on every k in Z^r.  A class with integral outside
+        pairings pairs into (1/|G_sigma|)Z with the cone's vectors, as
+        sum_i <D_i, d> b_i = 0, and |G_sigma| divides M.  Its sector part m_j
+        is an outside pairing k_j (no extra vector lies in a maximal cone).
+        Its curve part is <p_a, d> - sum_j <p_a, Dual_j> k_j, p_a the nef
+        class dual to gamma_a: p_a is an integral combination of the
+        divisor classes (the relation lattice is saturated), and Dual_j
+        pairs into (1/|G_tau|)Z, G_tau a subgroup of G_sigma for its carrier
+        tau, so both pairings lie in (1/M)Z.  A step class whose scaled key
+        is not integral therefore raises ComputationError, as does a cone
+        that is not full-dimensional.  The budget bounds a walk only when
+        every w_e > 0; otherwise, ComputationError.
         """
         if self._cone_walks is None:
             fan, r, sq, cols = self.fan, self.r, self._den, self._gamma_cols
@@ -239,55 +248,43 @@ class ChartPipeline:
                     raise ComputationError(
                         f"maximal cone {tuple(cone)} is not full-dimensional"
                     )
-                # integer arithmetic throughout: block = M x pairings,
-                # block^-1 = inv / den, so a key is M^2 inv k / den; each
-                # step's key is M^2 times a column of inv, and its pairing
-                # numerators follow from it, all over den
+                # block = M x pairings and block^-1 = inv / den, so each
+                # step's key is M^2 times a column of inv, over den
                 inv, den = integer_inverse([list(cols[e]) for e in outside])
                 keys = [[row[idx] * sq for row in inv] for idx in range(r)]
+                if any(x % den for key in keys for x in key):
+                    raise ComputationError(
+                        f"cone {tuple(cone)} has a non-integral step class"
+                    )
+                keys = [[x // den for x in key] for key in keys]
                 pairs = [[sum(map(mul, key, c)) for c in cols] for key in keys]
-                g = gcd(den, *(x for v in keys + pairs for x in v))
-                keys = [[x // g for x in key] for key in keys]
-                pairs = [[x // g for x in p] for p in pairs]
                 weights = [sum(key) for key in keys]
                 if any(w <= 0 for w in weights):
                     raise ComputationError(
                         f"cone {tuple(cone)} has a nonpositive enumeration weight"
                     )
-                out.append(
-                    _Cone(tuple(cone), tuple(outside), keys, pairs, den // g, weights)
-                )
+                out.append(_Cone(tuple(cone), tuple(outside), keys, pairs, weights))
             self._cone_walks = out
         return self._cone_walks
 
-    def _lattice(self, cone: _Cone, integral: bool) -> list[list[int]]:
+    def _lattice(self, cone: _Cone) -> list[list[int]]:
         """Row Hermite basis, upper triangular with positive pivots, of the
-        outside pairings k in Z^r of the classes with an integral key: the
-        walk's lattice K; with `integral`, of those whose pairings are all
-        integral too: its sublattice of integral classes.
+        outside pairings k in Z^r of the cone's integral classes: those
+        whose pairings with the cone's vectors are integral too (an outside
+        pairing is k_e itself).  Its cosets in Z^r are the box elements.
 
-        Each condition is a congruence a . k = 0 mod m on one key entry or
-        one pairing with a vector of the cone (an outside pairing is k_e
-        itself, integral on every k), divided by its gcd with m; one that
-        repeats another, or its negative, is dropped.
+        Each condition is a congruence a . k = 0 mod m on one pairing with a
+        vector of the cone, m = M^2 divided by its gcd with a.
         """
         r = len(cone.keys)
         if not r:
             return []
-        entries = []
-        if cone.den > 1:  # with den 1 every key is integral
-            entries = [(column, cone.den) for column in zip(*cone.keys)]
-        if integral:
-            m = cone.den * self._den
-            entries += [([p[i] for p in cone.pairs], m) for i in cone.cone]
-        congruences: list[tuple] = []
-        for column, m in entries:
-            g = gcd(m, *column)
-            m //= g
-            row = tuple(x // g % m for x in column)
-            if m > 1 and (row, m) not in congruences:
-                if (tuple(-x % m for x in row), m) not in congruences:
-                    congruences.append((row, m))
+        congruences = []
+        for i in cone.cone:
+            column = [p[i] for p in cone.pairs]
+            g = gcd(self._den, *column)
+            m = self._den // g
+            congruences.append(([x // g % m for x in column], m))
         # rows (a^T | 1) and (diag(m) | 0): their lattice meets 0 on the
         # congruence columns exactly at (0, k) with every a . k = 0 mod m, so
         # the Hermite rows below the pivots on those columns are the basis
@@ -305,7 +302,8 @@ class ChartPipeline:
         """Calls files[s](scaled key, pairing numerators over M^2) on every
         class within the order whose outside pairings k on the cone are
         nonnegative and lie in the coset starts[s] + L, L the lattice with
-        the Hermite row basis `basis` (`_lattice`).
+        the Hermite row basis `basis` (`_lattice`, or the identity for all
+        of Z^r).
 
         Up to the first pivot above 1, each row is e_i + u_i with u_i on the
         later, pinned coordinates (a Hermite basis has zeros above a pivot
@@ -319,13 +317,13 @@ class ChartPipeline:
         the degree stays within the order.  A class must have a nonnegative
         key, or ComputationError.
         """
-        r, n, den, weights = self.r, self.fan.n_vectors, cone.den, cone.weights
+        r, n, weights = self.r, self.fan.n_vectors, cone.weights
         keys, pairs, walked = cone.keys, cone.pairs, len(cone.keys)
         if not walked:
             for file in files:
                 file((0,) * r, (0,) * n)  # the origin is the only class
             return
-        budget = self.y_ring._bound * den
+        budget = self.y_ring._bound
         pivots = [row[i] for i, row in enumerate(basis)]
         free = next((i for i, p in enumerate(pivots) if p > 1), walked)
         block = [row[free:] for row in basis[free:]]
@@ -394,9 +392,6 @@ class ChartPipeline:
                     return
                 k = tuple(map(add, key, dkey))
                 p = tuple(map(add, nums, dnums))
-                if den != 1:
-                    k = tuple([x // den for x in k])
-                    p = tuple([x // den for x in p])
                 if min(k) < 0:
                     raise ComputationError(
                         f"effective class {k} has a negative curve part"
@@ -405,7 +400,7 @@ class ChartPipeline:
 
         walk(0, [0] * r, [0] * n, 0, budget)
 
-    def _member(self, key, nums, nu) -> GridPoint:
+    def _member(self, key, nums) -> GridPoint:
         """The GridPoint of an enumerated class, which must be effective: its
         nonnegative integral pairings p / M^2 must contain an anticone."""
         den = self._den
@@ -413,27 +408,26 @@ class ChartPipeline:
             [i for i, p in enumerate(nums) if p >= 0 and not p % den]
         ) not in self._anticones:
             raise ComputationError(f"enumerated class {key} is not effective")
-        return GridPoint(key, nums, True, nu)
+        return GridPoint(key, nums, True)
 
     def grid(self) -> dict[tuple[int, ...], GridPoint]:
         """Effective classes up to the truncation order, by scaled key.
 
-        Every class of every cone's walk over its whole lattice K (all of
-        its cosets at once), once, in walk order; each must be effective.
-        The series do not read it: they read the omega sets that
-        `_omega_sets` walks coset by coset.
+        Every class of every cone's walk over all of Z^r (every coset at
+        once), once, in walk order; each must be effective.  The series do
+        not read it: they read the omega sets that `_omega_sets` walks coset
+        by coset.
         """
         if self._grid is None:
             out: dict[tuple[int, ...], GridPoint] = {}
 
             def file(key, nums):
                 if key not in out:
-                    nu = nu_of_class(self.fan, nums, self._den)
-                    out[key] = self._member(key, nums, nu)
+                    out[key] = self._member(key, nums)
 
+            whole = identity_matrix(self.r)
             for cone in self._cones():
-                lattice = self._lattice(cone, False)
-                self._classes(cone, lattice, [[0] * self.r], [file])
+                self._classes(cone, whole, [[0] * self.r], [file])
             self._grid = out
         return self._grid
 
@@ -464,16 +458,17 @@ class ChartPipeline:
     def _omega_sets(self) -> list[list[GridPoint]]:
         """omega_j for every vector j, each sorted by key.
 
-        On a maximal cone the walk's classes with all pairings integral
-        form a sublattice of its lattice K, whose cosets are the cone's box
-        elements.  A sector j's set is the coset of Dual_j (pairings -c_i
-        mod 1 with its carrier, integral elsewhere, so its box point is
-        v_j), less the classes with a negative integral pairing; a ray j's
-        set is the classes of the zero coset whose one negative pairing is
-        the j-th.  Only the cosets with a target are walked, each on one
-        cone (`_targets`) and over the outside vectors its classes can use
-        (`_usable`); the cosets that use the same vectors share one walk.
-        Each class is checked effective as it joins its set.
+        On a maximal cone the classes with all pairings integral form a
+        sublattice of the outside pairings Z^r (`_lattice`), whose cosets
+        are the cone's box elements.  A sector j's set is the coset of
+        Dual_j (pairings -c_i mod 1 with its carrier, integral elsewhere,
+        so its box point is v_j), less the classes with a negative integral
+        pairing; a ray j's set is the classes of the zero coset whose one
+        negative pairing is the j-th.  Only the cosets with a target are
+        walked, each on one cone (`_targets`) and over the outside vectors
+        its classes can use (`_usable`); the cosets that use the same
+        vectors share one walk.  Each class is checked effective as it
+        joins its set.
         """
         if self._omegas is None:
             sets: list[list[GridPoint]] = [[] for _ in range(self.fan.n_vectors)]
@@ -489,7 +484,7 @@ class ChartPipeline:
                 for j in sectors:
                     carrier = self.duals[j - self.fan.n_rays].carrier
                     signed = [i for i in cone.cone if i not in carrier]
-                    filer = self._sector_filer(cone, signed, j, sets[j])
+                    filer = self._sector_filer(signed, sets[j])
                     walks.setdefault(self._usable(cone, signed, 1), []).append(
                         (j, filer)
                     )
@@ -498,7 +493,7 @@ class ChartPipeline:
                     # Dual_j pairs to 1 with j and to 0 with the other
                     # outside vectors
                     starts = [[int(e == j) for e in part.outside] for j, _ in targets]
-                    lattice = self._lattice(part, True)
+                    lattice = self._lattice(part)
                     self._classes(part, lattice, starts, [f for _, f in targets])
             for s in sets:
                 s.sort(key=attrgetter("key"))
@@ -509,24 +504,24 @@ class ChartPipeline:
         """Files a class of the cone's zero coset into the set of the ray
         among `rays` that it pairs to a negative integer with, when it has
         one negative pairing (only the cone's own can be)."""
-        member, origin, inside = self._member, (0,) * self.fan.dim, cone.cone
+        member, inside = self._member, cone.cone
 
         def file(key, nums):
             negative = [i for i in inside if nums[i] < 0]
             if len(negative) == 1 and negative[0] in rays:
-                sets[negative[0]].append(member(key, nums, origin))
+                sets[negative[0]].append(member(key, nums))
 
         return file
 
-    def _sector_filer(self, cone: _Cone, signed, j: int, into: list):
-        """Files a class of the coset of Dual_j into `into` when its
-        integral pairings, those with the cone's vectors off j's carrier
+    def _sector_filer(self, signed, into: list):
+        """Files a class of a sector's coset into `into` when its integral
+        pairings, those with the cone's vectors off the sector's carrier
         (`signed`), are nonnegative."""
-        member, nu = self._member, self.fan.vectors[j]
+        member = self._member
 
         def file(key, nums):
             if not signed or all(nums[i] >= 0 for i in signed):
-                into.append(member(key, nums, nu))
+                into.append(member(key, nums))
 
         return file
 

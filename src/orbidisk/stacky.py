@@ -834,19 +834,3 @@ def dual_class_data(fan: StackyFan, j: int) -> DualClassData:
 def age_one_box_points(fan: StackyFan) -> list[tuple[int, ...]]:
     return sorted(b.point for b in box_elements(fan) if b.age == 1)
 
-
-def nu_of_class(fan: StackyFan, nums, den: int) -> tuple[int, ...]:
-    """The box point sum_i ceil(<D_i, d>) b_i attached to a rational class
-    whose pairings are <D_i, d> = nums[i] / den.
-
-    A class's pairings satisfy sum_i <D_i, d> b_i = 0, so the box point is
-    also sum_i (ceil(<D_i, d>) - <D_i, d>) b_i, to which only the
-    non-integral pairings contribute, each ((-nums[i]) mod den) b_i / den.
-    """
-    out = [0] * fan.dim
-    for c, v in zip(nums, fan.vectors):
-        up = -c % den
-        if up:
-            for k, x in enumerate(v):
-                out[k] += up * x
-    return tuple(x // den for x in out)

@@ -218,13 +218,21 @@ def basic_class_charts(fan: StackyFan) -> list[StackyFan]:
     return out
 
 
+def box_point(fan, nums, den) -> tuple[int, ...]:
+    """The box point sum_i ceil(p_i / den) b_i of a class whose divisor
+    pairings are p_i / den: the reference for the coset each omega set is
+    walked over."""
+    return tuple(
+        sum(-(-p // den) * v[k] for p, v in zip(nums, fan.vectors))
+        for k in range(fan.dim)
+    )
+
+
 def classify(pipe, key):
     """The GridPoint of a scaled key, its pairing numerators p over M^2 found
     by one dot product each: p / M^2 is a nonnegative integer when p >= 0
     and M^2 | p, and the class is effective when those vectors contain an
-    anticone; its box point is sum_i ceil(p_i / M^2) b_i over every pairing.
-    The reference for the pairings the cone walk carries and for
-    `nu_of_class`."""
+    anticone.  The reference for the pairings the cone walk carries."""
     from orbidisk.mirror import GridPoint
 
     den = pipe._den
@@ -232,14 +240,7 @@ def classify(pipe, key):
     int_nonneg = frozenset(
         i for i, p in enumerate(nums) if p >= 0 and p % den == 0
     )
-    effective = int_nonneg in pipe._anticones
-    nu = ()
-    if effective:
-        nu = tuple(
-            sum(-(-p // den) * v[k] for p, v in zip(nums, pipe.fan.vectors))
-            for k in range(pipe.fan.dim)
-        )
-    return GridPoint(key, nums, effective, nu)
+    return GridPoint(key, nums, int_nonneg in pipe._anticones)
 
 
 def omega_from_grid(pipe, j, grid=None) -> list:
@@ -253,7 +254,7 @@ def omega_from_grid(pipe, j, grid=None) -> list:
     out = []
     origin = (0,) * pipe.r
     for key, gp in (pipe.grid() if grid is None else grid).items():
-        if key == origin or gp.nu != nu:
+        if key == origin or box_point(pipe.fan, gp.nums, m) != nu:
             continue
         ps = gp.nums
         if ray:

@@ -6,6 +6,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from golden.commands import golden_commands
 
 from orbidisk.cli import main
@@ -203,6 +204,25 @@ def test_bad_class_spec(capsys):
         capsys, "invariants", str(FANS / "p2.json"), "--class", "nope"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, fan, order, code",
+    [
+        ("invariants", "p2z3.json", "abc", 2),
+        ("invariants", "p2z3.json", "3/2", 0),
+        ("potential", "p2.json", "1/0", 2),
+        ("potential", "p2.json", "-1", 2),
+        ("potential", "p2.json", "0", 0),
+        ("potential", "p2.json", "3/2", 0),
+    ],
+)
+def test_order_parse(capsys, command, fan, order, code):
+    # a bad order is a parse error that names the value, for both commands
+    spec = ["--class", "box:0,-1"] if command == "invariants" else []
+    got, _, err = run(capsys, command, str(FANS / fan), *spec, "--order", order)
+    assert got == code
+    assert (repr(order) in err) == (code == 2)
 
 
 def test_verify_small_window(capsys):

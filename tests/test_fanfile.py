@@ -53,6 +53,8 @@ def test_explicit_extras():
         ' "extra_vectors": "auto"}',
         '{"dim": 2, "rays": [[1,0],[0,1]], "max_cones": [[0,1]],'
         ' "normalization_cone": 5}',
+        '{"dim": 2, "rays": [[1,0],[0,1]], "max_cones": [[0,1]],'
+        ' "basis_p": [1, 2]}',
     ],
 )
 def test_rejects_malformed(text):

@@ -14,6 +14,7 @@ from conftest import (
     REPO,
     assert_grid_is_brute_force,
     basic_class_charts,
+    box_point,
     c2z3_chart,
     c3z3_chart,
     example_fans,
@@ -147,7 +148,7 @@ def test_omega_set_quotient_chart():
         # never a negative integer pairing, and the box point matches
         for c in pairings(pipe, gp):
             assert not (c.denominator == 1 and c < 0)
-        assert gp.nu == (1, 0)
+        assert box_point(pipe.fan, gp.nums, pipe._den) == (1, 0)
 
 
 def test_omega_set_om2():
@@ -785,18 +786,10 @@ def test_mq_omega_sets_match_grid_filter():
             assert filed[j] == omega_from_grid(pipe, j), (chart, j)
 
 
-def test_omega_walk_files_each_class_by_its_coset(monkeypatch):
-    # the omega sets come from walks over the cosets that have a target, so
-    # no class's box point is computed: nu_of_class runs at most once per
-    # (cone, coset), never once per class
-    from orbidisk import mirror
+def test_omega_walk_files_each_class_by_its_coset():
+    # the omega sets come from walks over the cosets that have a target
     from orbidisk.fanfile import parse_fan_file
 
-    calls = []
-    nu = mirror.nu_of_class
-    monkeypatch.setattr(
-        mirror, "nu_of_class", lambda *a: calls.append(a) or nu(*a)
-    )
     c2z5 = parse_fan_file(REPO / "perfbench" / "fans" / "c2z5.json").resolve_fan()
     mq = parse_fan_file(REPO / "fans" / "mq.json").resolve_fan()
     for chart, order, walked, filed in (
@@ -813,10 +806,7 @@ def test_omega_walk_files_each_class_by_its_coset(monkeypatch):
         pipe._classes = lambda cone, basis, starts, files: classes(
             cone, basis, starts, [tally(f) for f in files]
         )
-        calls.clear()
         sets = pipe._omega_sets()
-        cosets = sum(1 + len(sectors) for _, sectors in pipe._targets())
-        assert len(calls) <= cosets, chart
         # the walk yields only classes of the target cosets that can join
         # a set: on the mq chart 412 of the grid's 1,820, and files all but
         # the origin
@@ -961,12 +951,24 @@ def test_random_3d_triangle_charts():
 
 
 def test_grid_guards():
+    from orbidisk.fanfile import parse_fan_file
+
     fan = c2z3_chart()
     # negated pairing columns: every enumeration weight turns negative
     flipped = ChartPipeline(fan, 4)
     flipped._gamma_cols = tuple(tuple(-g for g in col) for col in flipped._gamma_cols)
     with pytest.raises(ComputationError, match="nonpositive enumeration weight"):
         flipped.grid()
+    # doubled pairing columns halve every step class, whose scaled key then
+    # is not integral: a chart's step classes pair into (1/M)Z
+    p2z3 = parse_fan_file(REPO / "fans" / "p2z3.json").resolve_fan()
+    for chart in [fan] + basic_class_charts(p2z3):
+        doubled = ChartPipeline(chart, 4)
+        doubled._gamma_cols = tuple(
+            tuple(2 * g for g in col) for col in doubled._gamma_cols
+        )
+        with pytest.raises(ComputationError, match="non-integral"):
+            doubled._cones()
     # no anticone at all: the enumerated classes fail their classification
     pipe = ChartPipeline(fan, 4)
     pipe._anticones = set()

@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     REPO,
     basic_class_charts,
+    box_point,
     c2z3_chart,
     c3z3_chart,
     det,
@@ -61,7 +62,6 @@ from orbidisk.stacky import (
     is_complete,
     minimal_anticones,
     minimal_cone_coordinates,
-    nu_of_class,
     semifano_check,
     validate,
     wall_curve_classes,
@@ -740,8 +740,8 @@ def test_dual_class_quotient_chart():
         Fraction(0),
         Fraction(1),
     )
-    assert nu_of_class(fan, [int(3 * c) for c in d2.pairings], 3) == (1, 0)
-    assert nu_of_class(fan, [int(3 * c) for c in d3.pairings], 3) == (0, 1)
+    assert box_point(fan, [int(3 * c) for c in d2.pairings], 3) == (1, 0)
+    assert box_point(fan, [int(3 * c) for c in d3.pairings], 3) == (0, 1)
     with pytest.raises(FanError):
         dual_class_data(fan, 0)
 
@@ -752,7 +752,7 @@ def test_dual_class_nu_identity():
         d = dual_class_data(fan, j)
         den = lcm(*(c.denominator for c in d.pairings))
         nums = [int(den * c) for c in d.pairings]
-        assert nu_of_class(fan, nums, den) == fan.vectors[j]
+        assert box_point(fan, nums, den) == fan.vectors[j]
         assert all(0 <= c < 1 for c in d.cone_coeffs)
 
 
