@@ -2,8 +2,10 @@
 
 Commands: validate, box, suborbifold, invariants, potential, verify-p2z3.
 Exit codes: 0 success, 1 validation/verification failure, 2 parse error,
-3 computation error.  All numbers are printed as exact integers or "p/q"
-strings, never as decimals.
+3 computation error.  An option value that names nothing in the fan (a cone
+number, a box point) or a negative verify-p2z3 window is a parse error.
+All numbers are printed as exact integers or "p/q" strings, never as
+decimals.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ def _parse_class(spec: str, fan: StackyFan) -> DiskClassSymbol:
             pt = tuple(int(x) for x in rest.split(","))
         except ValueError:
             raise FanFileError(f"bad box point {rest!r}") from None
-        if len(pt) != fan.dim:
-            raise FanFileError(f"box point needs {fan.dim} coordinates")
+        if pt not in fan.extra_vectors:
+            raise FanFileError(f"box point {pt} is not an extra vector of the fan")
         return DiskClassSymbol.orbi(pt)
     raise FanFileError(f"class must be ray:IDX or box:X,Y (got {spec!r})")
 
@@ -138,50 +140,61 @@ def _emit(payload, fmt: str, table_rows=None, header=None):
             print("| " + " | ".join(str(c) for c in row) + " |")
 
 
+def _fan_checks(fan: StackyFan) -> list[tuple[bool, str]]:
+    """The lines `validate` prints, in order, each with whether it passed:
+    the axiom failures alone, or the axioms, the box census, the Gorenstein
+    test and the semi-Fano test (skipped on an incomplete fan)."""
+    rep = validate(fan)
+    if not rep.ok:
+        return [(False, f"FAIL validation: {issue}") for issue in rep.issues]
+    boxes = box_elements(fan)
+    ages = ", ".join(str(a) for a in sorted({b.age for b in boxes}))
+    age1 = sum(b.age == 1 for b in boxes)
+    gor = gorenstein_check(fan)
+    lines = [
+        (True, "PASS validation"),
+        (True, f"PASS box census: {len(boxes) - 1} nontrivial elements, "
+               f"{age1} of age 1, ages {{{ages}}}"),
+        (True, "PASS gorenstein: all maximal cones carry integral support vectors")
+        if gor.ok
+        else (False, f"FAIL gorenstein: cone {gor.witness_cone} has no integral support"),
+    ]
+    if not is_complete(fan):
+        return lines + [(True, "SKIP semi-fano: fan is not complete")]
+    sf = semifano_check(fan)
+    if not sf.ok:
+        w = sf.witness_wall
+        return lines + [(False, f"FAIL semi-fano: wall {w.wall} has anticanonical "
+                                f"degree {w.c1}")]
+    flat = [w.wall for w in sf.walls if w.c1 == 0]
+    note = f" (walls with zero anticanonical degree: {flat})" if flat else ""
+    low = min((w.c1 for w in sf.walls), default=0)
+    return lines + [(True, f"PASS semi-fano: minimal wall degree {low}{note}")]
+
+
 def cmd_validate(args) -> int:
+    checks = _fan_checks(parse_fan_file(args.file).resolve_fan())
+    for _, line in checks:
+        print(line)
+    return EXIT_OK if all(passed for passed, _ in checks) else EXIT_VALIDATION
+
+
+def _disk_counting_input(args) -> tuple[FanFile, StackyFan] | None:
+    """The parsed file and its fan when they meet the hypothesis of disk
+    counting (every `_fan_checks` line passes and the fan is complete);
+    otherwise None, after printing the failing lines on stderr."""
     ff = parse_fan_file(args.file)
     fan = ff.resolve_fan()
-    rep = validate(fan)
-    for issue in rep.issues:
-        print(f"FAIL validation: {issue}")
-    if rep.ok:
-        print("PASS validation")
-    else:
-        return EXIT_VALIDATION
-    boxes = box_elements(fan)
-    ages = sorted({b.age for b in boxes})
-    age1 = [b for b in boxes if b.age == 1]
-    print(
-        f"PASS box census: {len(boxes) - 1} nontrivial elements, "
-        f"{len(age1)} of age 1, ages {{{', '.join(str(a) for a in ages)}}}"
-    )
-    gor = gorenstein_check(fan)
-    if gor.ok:
-        print("PASS gorenstein: all maximal cones carry integral support vectors")
-    else:
-        print(f"FAIL gorenstein: cone {gor.witness_cone} has no integral support")
-    ok = gor.ok
-    if is_complete(fan):
-        sf = semifano_check(fan)
-        if sf.ok:
-            flat = [w for w in sf.walls if w.c1 == 0]
-            note = (
-                f" (walls with zero anticanonical degree: "
-                f"{[w.wall for w in flat]})"
-                if flat
-                else ""
-            )
-            print(f"PASS semi-fano: minimal wall degree "
-                  f"{min((w.c1 for w in sf.walls), default=0)}{note}")
-        else:
-            print(
-                f"FAIL semi-fano: wall {sf.witness_wall.wall} has "
-                f"anticanonical degree {sf.witness_wall.c1}"
-            )
-        ok = ok and sf.ok
-    else:
-        print("SKIP semi-fano: fan is not complete")
-    return EXIT_OK if ok else EXIT_VALIDATION
+    checks = _fan_checks(fan)
+    failed = [line for passed, line in checks if not passed]
+    # the first line passes exactly when the axioms hold
+    if checks[0][0] and not is_complete(fan):
+        failed.append(
+            "FAIL validation: fan is not complete; disk counting needs a compact orbifold"
+        )
+    for line in failed:
+        print(line, file=sys.stderr)
+    return None if failed else (ff, fan)
 
 
 def cmd_box(args) -> int:
@@ -260,35 +273,12 @@ def _invariant_payload(dgf: DiskGeneratingFunction):
     return payload, rows
 
 
-def _check_disk_counting_input(fan: StackyFan) -> list[str]:
-    """Disk counting needs a valid, complete, Gorenstein, nef-anticanonical fan."""
-    rep = validate(fan)
-    issues = list(rep.issues)
-    if issues:
-        return issues
-    if not is_complete(fan):
-        return ["fan is not complete; disk counting needs a compact orbifold"]
-    gor = gorenstein_check(fan)
-    if not gor.ok:
-        issues.append(f"cone {gor.witness_cone} has no integral support vector")
-    sf = semifano_check(fan)
-    if not sf.ok:
-        issues.append(
-            f"wall {sf.witness_wall.wall} has anticanonical degree "
-            f"{sf.witness_wall.c1}"
-        )
-    return issues
-
-
 def cmd_invariants(args) -> int:
     order = _parse_order(args.order)
-    ff = parse_fan_file(args.file)
-    fan = ff.resolve_fan()
-    issues = _check_disk_counting_input(fan)
-    if issues:
-        for issue in issues:
-            print(f"FAIL validation: {issue}", file=sys.stderr)
+    loaded = _disk_counting_input(args)
+    if loaded is None:
         return EXIT_VALIDATION
+    _, fan = loaded
     symbol = _parse_class(args.klass, fan)
     facet = _parse_facet(args.facet, fan, symbol)
     dgf = disk_generating_function(fan, symbol, order, facet)
@@ -299,16 +289,13 @@ def cmd_invariants(args) -> int:
 
 def cmd_potential(args) -> int:
     order = _parse_order(args.order)
-    ff = parse_fan_file(args.file)
-    fan = ff.resolve_fan()
-    issues = _check_disk_counting_input(fan)
-    if issues:
-        for issue in issues:
-            print(f"FAIL validation: {issue}", file=sys.stderr)
+    loaded = _disk_counting_input(args)
+    if loaded is None:
         return EXIT_VALIDATION
-    cone_number = args.cone if args.cone is not None else ff.normalization_cone
-    if cone_number is None:
-        cone_number = 0
+    ff, fan = loaded
+    cone_number = args.cone if args.cone is not None else ff.normalization_cone or 0
+    if not 0 <= cone_number < len(fan.max_cones):
+        raise FanFileError(f"no maximal cone number {cone_number}")
     seq = fan_sequence(fan, ff.basis_p)
     data = assemble_potential(fan, cone_number, order, parent_seq=seq)
     entries, sigma0 = data.entries, data.normalization_cone
@@ -461,6 +448,9 @@ def _series_matches(dgf: DiskGeneratingFunction, table, degree) -> bool:
 
 
 def cmd_verify(args) -> int:
+    for option, value in (("--amax", args.amax), ("--bmax", args.bmax)):
+        if value < 0:
+            raise FanFileError(f"{option} must be nonnegative (got {value})")
     ok = verify_quotient_plane(args.amax, args.bmax)
     return EXIT_OK if ok else EXIT_VALIDATION
 

@@ -33,7 +33,6 @@ from .lattice import (
     primitive_vector,
     rank,
     solve_integer,
-    solve_rational,
     transpose,
 )
 
@@ -369,18 +368,11 @@ def wall_curve_classes(fan: StackyFan) -> list[WallClass]:
         (ca, cb) = mcs
         a = next(i for i in ca if i not in wall)
         b = next(i for i in cb if i not in wall)
-        others = sorted(wall) + [b]
-        cols = transpose([fan.stacky_vectors[i] for i in others])
-        rhs = [-x for x in fan.stacky_vectors[a]]
-        sol = solve_rational(cols, rhs)
-        if sol is None:
-            raise FanError(f"no relation across wall {sorted(wall)}")
-        coeffs = {a: Fraction(1)}
-        for i, c in zip(others, sol):
-            coeffs[i] = c
-        if coeffs[b] <= 0:
+        # b_a = sum_i t_i b_i on cb gives the relation e_a - sum_i t_i e_i
+        t = dict(zip(cb, cone_coordinates(fan, cb, fan.stacky_vectors[a])))
+        if t[b] >= 0:
             raise FanError(f"cones across wall {sorted(wall)} are not opposite")
-        vec = [coeffs.get(i, Fraction(0)) for i in range(fan.n_vectors)]
+        vec = [Fraction(i == a) - t.get(i, 0) for i in range(fan.n_vectors)]
         prim = primitive_vector(vec)
         if prim[a] < 0:
             prim = tuple(-x for x in prim)

@@ -66,7 +66,7 @@ def build_suborbifold(
     b = fan.stacky_vectors[beta.ray] if beta.kind == "ray" else tuple(beta.point)
     candidates = facets_containing(fan, b)
     if not candidates:
-        raise FanError(f"boundary vector {b} is interior to the fan polytope")
+        raise FanError(f"boundary vector {b} lies on no facet of the fan polytope")
     if facet is None:
         chosen = candidates[0]
     else:

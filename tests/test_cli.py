@@ -164,8 +164,41 @@ def test_potential_bad_cone_exit(capsys):
     code, _, err = run(
         capsys, "potential", str(FANS / "p2.json"), "--cone", "9"
     )
-    assert code == 3
+    assert code == 2
     assert "no maximal cone number 9" in err
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["potential", "p2.json", "--cone", "99"], "no maximal cone number 99"),
+        (["potential", "p2.json", "--cone", "-1"], "no maximal cone number -1"),
+        (["verify-p2z3", "--amax", "-1", "--bmax", "2"],
+         "--amax must be nonnegative (got -1)"),
+        (["verify-p2z3", "--amax", "2", "--bmax", "-3"],
+         "--bmax must be nonnegative (got -3)"),
+        (["invariants", "p2z3.json", "--class", "box:1,1"], "box point (1, 1)"),
+        (["invariants", "p2z3.json", "--class", "box:0,0"], "box point (0, 0)"),
+        (["invariants", "p2z3.json", "--class", "box:2,-1"], "box point (2, -1)"),
+        (["suborbifold", "p2z3.json", "--class", "box:1,1"], "box point (1, 1)"),
+    ],
+)
+def test_option_naming_nothing_is_a_parse_error(capsys, argv, words):
+    # a cone number or box point the fan lacks, or a negative window
+    argv = [str(FANS / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and words in err
+
+
+def test_disk_counting_fails_the_lines_validate_fails(capsys):
+    # invariants and potential print on stderr the FAIL lines of validate
+    _, out, _ = run(capsys, "validate", str(FANS / "f3.json"))
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL semi-fano: wall (1,) has anticanonical degree -1"]
+    for argv in (["potential"], ["invariants", "--class", "ray:0"]):
+        code, out, err = run(capsys, argv[0], str(FANS / "f3.json"), *argv[1:])
+        assert (code, out, err.splitlines()) == (1, "", fails)
 
 
 def test_invariants_deterministic(capsys):
@@ -226,9 +259,10 @@ def test_order_parse(capsys, command, fan, order, code):
 
 
 def test_verify_small_window(capsys):
-    code, out, _ = run(capsys, "verify-p2z3", "--amax", "3", "--bmax", "3")
-    assert code == 0
-    assert "FAIL" not in out
+    for k in ("3", "0"):
+        code, out, _ = run(capsys, "verify-p2z3", "--amax", k, "--bmax", k)
+        assert code == 0
+        assert "FAIL" not in out
 
 
 def test_invariant_output_round_trip(capsys):

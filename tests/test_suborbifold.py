@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,14 @@ def test_chart_invalid_facet_rejected():
         build_suborbifold(fan, DiskClassSymbol.orbi((1, 0)), other)
     # raised before the chart cache is looked up
     assert suborbifold._cut_chart.cache_info() == before
+
+
+def test_chart_needs_a_facet_through_the_vector():
+    # the origin lies inside the fan polytope, (1, 1) outside it
+    fan = p2z3_extended()
+    for pt in ((0, 0), (1, 1)):
+        with pytest.raises(FanError, match=re.escape(f"{pt} lies on no facet")):
+            build_suborbifold(fan, DiskClassSymbol.orbi(pt))
 
 
 def test_chart_f2_midpoint_ray():
