@@ -3,7 +3,8 @@
 Commands: validate, box, suborbifold, invariants, potential, verify-p2z3.
 Exit codes: 0 success, 1 validation/verification failure, 2 parse error,
 3 computation error.  An option value that names nothing in the fan (a cone
-number, a box point) or a negative verify-p2z3 window is a parse error.
+number, a box point, a facet) or a negative verify-p2z3 window is a parse
+error, whether or not the fan passes its checks.
 All numbers are printed as exact integers or "p/q" strings, never as
 decimals.
 """
@@ -27,10 +28,11 @@ from .stacky import (
     DiskClassSymbol,
     FanError,
     NotCompleteError,
+    PolytopeFacet,
     StackyFan,
     box_elements,
+    fan_polytope_facets,
     fan_sequence,
-    facets_containing,
     gorenstein_check,
     is_complete,
     semifano_check,
@@ -112,18 +114,22 @@ def _parse_order(spec: str) -> Fraction:
     return order
 
 
-def _parse_facet(spec: str | None, fan: StackyFan, symbol: DiskClassSymbol):
+def _parse_facet(spec: str | None, fan: StackyFan) -> PolytopeFacet | None:
+    """The facet of the fan polytope with the given vertices, or None when
+    none is asked for.  An incomplete fan has no fan polytope; its facet is
+    left to the commands, which reject the fan."""
     if spec is None:
         return None
     try:
         verts = tuple(sorted(int(x) for x in spec.split(",")))
     except ValueError:
         raise FanFileError(f"bad facet spec {spec!r}") from None
-    b = fan.stacky_vectors[symbol.ray] if symbol.kind == "ray" else symbol.point
-    for f in facets_containing(fan, b):
+    if not is_complete(fan):
+        return None
+    for f in fan_polytope_facets(fan):
         if f.vertices == verts:
             return f
-    raise FanError(f"no facet with vertices {verts} containing the class")
+    raise FanFileError(f"no facet with vertices {verts}")
 
 
 def _emit(payload, fmt: str, table_rows=None, header=None):
@@ -179,12 +185,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(passed for passed, _ in checks) else EXIT_VALIDATION
 
 
-def _disk_counting_input(args) -> tuple[FanFile, StackyFan] | None:
-    """The parsed file and its fan when they meet the hypothesis of disk
-    counting (every `_fan_checks` line passes and the fan is complete);
-    otherwise None, after printing the failing lines on stderr."""
-    ff = parse_fan_file(args.file)
-    fan = ff.resolve_fan()
+def _fit_for_disk_counting(fan: StackyFan) -> bool:
+    """Whether the fan meets the hypothesis of disk counting: every
+    `_fan_checks` line passes and the fan is complete.  Otherwise the
+    failing lines are printed on stderr."""
     checks = _fan_checks(fan)
     failed = [line for passed, line in checks if not passed]
     # the first line passes exactly when the axioms hold
@@ -194,7 +198,7 @@ def _disk_counting_input(args) -> tuple[FanFile, StackyFan] | None:
         )
     for line in failed:
         print(line, file=sys.stderr)
-    return None if failed else (ff, fan)
+    return not failed
 
 
 def cmd_box(args) -> int:
@@ -224,11 +228,9 @@ def cmd_box(args) -> int:
 
 
 def cmd_suborbifold(args) -> int:
-    ff = parse_fan_file(args.file)
-    fan = ff.resolve_fan()
+    fan = parse_fan_file(args.file).resolve_fan()
     symbol = _parse_class(args.klass, fan)
-    facet = _parse_facet(args.facet, fan, symbol)
-    sub = build_suborbifold(fan, symbol, facet)
+    sub = build_suborbifold(fan, symbol, _parse_facet(args.facet, fan))
     payload = {
         "facet_vertices": list(sub.facet.vertices),
         "dim": sub.fan.dim,
@@ -275,12 +277,13 @@ def _invariant_payload(dgf: DiskGeneratingFunction):
 
 def cmd_invariants(args) -> int:
     order = _parse_order(args.order)
-    loaded = _disk_counting_input(args)
-    if loaded is None:
-        return EXIT_VALIDATION
-    _, fan = loaded
+    fan = parse_fan_file(args.file).resolve_fan()
+    # options are parsed against the fan before its checks, so that a bad
+    # option is a parse error whatever the fan
     symbol = _parse_class(args.klass, fan)
-    facet = _parse_facet(args.facet, fan, symbol)
+    facet = _parse_facet(args.facet, fan)
+    if not _fit_for_disk_counting(fan):
+        return EXIT_VALIDATION
     dgf = disk_generating_function(fan, symbol, order, facet)
     payload, rows = _invariant_payload(dgf)
     _emit(payload, args.format, rows, ("alpha", "insertions", "value"))
@@ -289,13 +292,13 @@ def cmd_invariants(args) -> int:
 
 def cmd_potential(args) -> int:
     order = _parse_order(args.order)
-    loaded = _disk_counting_input(args)
-    if loaded is None:
-        return EXIT_VALIDATION
-    ff, fan = loaded
+    ff = parse_fan_file(args.file)
+    fan = ff.resolve_fan()
     cone_number = args.cone if args.cone is not None else ff.normalization_cone or 0
     if not 0 <= cone_number < len(fan.max_cones):
         raise FanFileError(f"no maximal cone number {cone_number}")
+    if not _fit_for_disk_counting(fan):
+        return EXIT_VALIDATION
     seq = fan_sequence(fan, ff.basis_p)
     data = assemble_potential(fan, cone_number, order, parent_seq=seq)
     entries, sigma0 = data.entries, data.normalization_cone

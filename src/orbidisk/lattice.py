@@ -174,6 +174,29 @@ def _eliminate(w, n: int) -> tuple[list[int], int]:
     return pivots, prev
 
 
+def _determinant(a) -> int:
+    """Determinant of a square integer matrix (1 for the empty one), by
+    fraction-free (Bareiss) elimination below the diagonal; every division
+    is exact by Sylvester's identity and each row swap flips the sign.
+    """
+    w = [list(row) for row in a]
+    n = len(w)
+    sign, prev = 1, 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if w[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            w[c], w[piv] = w[piv], w[c]
+            sign = -sign
+        p = w[c][c]
+        for i in range(c + 1, n):
+            f = w[i][c]
+            w[i] = [(p * x - f * y) // prev for x, y in zip(w[i], w[c])]
+        prev = p
+    return sign * prev
+
+
 def rank(a) -> int:
     """Rank over Q: the pivot count of one fraction-free elimination of the
     rows scaled to integers.

@@ -24,6 +24,7 @@ from operator import mul
 
 from ._record import frozen
 from .lattice import (
+    _determinant,
     _eliminate,
     cone_contains,
     hermite_normal_form,
@@ -132,8 +133,11 @@ class ValidationReport:
 def validate(fan: StackyFan) -> ValidationReport:
     """Check the stacky fan axioms; collects every failure found.
 
-    The vectors generate Z^n (the fan map is onto) exactly when their row
-    Hermite normal form starts with the n x n identity.
+    A cone is simplicial exactly when it has an integer inverse
+    (`_cone_inverses`, cached for the solve), and an extra vector lies in a
+    simplicial cone exactly when its coordinates there are >= 0 and it is on
+    the cone's span.  The vectors generate Z^n (the fan map is onto) exactly
+    when their row Hermite normal form starts with the n x n identity.
     """
     issues: list[str] = []
     n = fan.dim
@@ -141,13 +145,24 @@ def validate(fan: StackyFan) -> ValidationReport:
         if len(v) != n:
             issues.append(f"vector {v} does not have {n} coordinates")
             return ValidationReport(False, tuple(issues))
-    for c in fan.max_cones:
-        if any(i < 0 or i >= fan.n_rays for i in c):
-            issues.append(f"cone {c} references a missing ray")
-            return ValidationReport(False, tuple(issues))
-        vecs = fan.cone_vectors(c)
-        if rank(vecs) != len(c):
-            issues.append(f"cone {c} is not simplicial (generators dependent)")
+    cones = fan.max_cones
+    missing = next(
+        (k for k, c in enumerate(cones) if any(i < 0 or i >= fan.n_rays for i in c)),
+        len(cones),
+    )
+    # only the cones before one with a missing ray are checked
+    checked = fan if missing == len(cones) else StackyFan(
+        n, fan.stacky_vectors, (), cones[:missing]
+    )
+    inverses = _cone_inverses(checked)
+    issues += [
+        f"cone {c} is not simplicial (generators dependent)"
+        for c in cones[:missing]
+        if c not in inverses
+    ]
+    if missing < len(cones):
+        issues.append(f"cone {cones[missing]} references a missing ray")
+        return ValidationReport(False, tuple(issues))
     for a, b in combinations(range(len(fan.max_cones)), 2):
         ca, cb = fan.max_cones[a], fan.max_cones[b]
         if set(ca) <= set(cb) or set(cb) <= set(ca):
@@ -160,7 +175,10 @@ def validate(fan: StackyFan) -> ValidationReport:
         issues.append("some rays belong to no maximal cone")
     for v in fan.extra_vectors:
         if not any(
-            cone_contains(fan.cone_vectors(c), v)[0] for c in fan.max_cones
+            _cone_scaled_coordinates(fan, c, inverses[c], v) is not None
+            if c in inverses
+            else cone_contains(fan.cone_vectors(c), v)[0]
+            for c in cones
         ):
             issues.append(f"extra vector {v} lies outside the support")
     if fan.n_vectors and hermite_normal_form(fan.vectors)[0][:n] != identity_matrix(n):
@@ -242,6 +260,17 @@ def _off_span(fan: StackyFan, mc, y, d, x) -> bool:
     )
 
 
+def _cone_scaled_coordinates(fan: StackyFan, mc, inverse, x) -> list[int] | None:
+    """y = m @ x, d times the coordinates of x on the maximal cone mc, given
+    its inverse (m, d), when x lies in the cone (y >= 0, x on its span);
+    otherwise None."""
+    m, d = inverse
+    y = [sum(map(mul, row, x)) for row in m]
+    if all(v >= 0 for v in y) and not _off_span(fan, mc, y, d, x):
+        return y
+    return None
+
+
 def cone_coordinates(fan: StackyFan, cone, x) -> tuple[Fraction, ...] | None:
     """The coordinates t of x = sum_k t_k b_cone[k] on a maximal cone (a
     tuple of fan.max_cones), of any sign, or None when x is off the cone's
@@ -263,9 +292,10 @@ def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
     gives ((i,), (1,)), a box element its carrier and coords; FanError when
     b lies outside the support.
     """
-    for mc, (m, d) in _cone_inverses(fan).items():
-        y = [sum(map(mul, row, b)) for row in m]
-        if all(v >= 0 for v in y) and not _off_span(fan, mc, y, d, b):
+    for mc, inverse in _cone_inverses(fan).items():
+        y = _cone_scaled_coordinates(fan, mc, inverse, b)
+        if y is not None:
+            d = inverse[1]
             return (
                 tuple(i for i, c in zip(mc, y) if c),
                 tuple(Fraction(c, d) for c in y if c),
@@ -439,6 +469,9 @@ class PolytopeFacet:
 def fan_polytope_facets(fan: StackyFan) -> tuple[PolytopeFacet, ...]:
     """Facets of the convex hull of the stacky vectors (origin interior).
 
+    The hyperplane through n vectors has the normal whose j-th entry is the
+    signed maximal minor of their n - 1 differences with column j deleted;
+    all minors vanish exactly when the n vectors are affinely dependent.
     Cached: the enumeration is pure and the returned data immutable.
     """
     if not is_complete(fan):
@@ -448,15 +481,15 @@ def fan_polytope_facets(fan: StackyFan) -> tuple[PolytopeFacet, ...]:
     facets: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
     for sub in combinations(range(len(pts)), n):
         base = pts[sub[0]]
-        rows = [
-            [pts[i][j] - base[j] for j in range(n)] for i in sub[1:]
+        rows = [[x - y for x, y in zip(pts[i], base)] for i in sub[1:]]
+        u = [
+            (-1) ** j * _determinant([row[:j] + row[j + 1:] for row in rows])
+            for j in range(n)
         ]
-        normal_rows = integer_kernel(rows) if rows else []
-        if n == 1:
-            normal_rows = [[1]]
-        if len(normal_rows) != 1:
+        g = gcd(*u)
+        if g == 0:
             continue
-        u = list(normal_rows[0])
+        u = [x // g for x in u]
         c = sum(x * y for x, y in zip(u, base))
         if c < 0:
             u, c = [-x for x in u], -c

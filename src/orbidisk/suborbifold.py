@@ -10,15 +10,17 @@ orbifold through the zero-padded inclusion of relation lattices.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from ._record import frozen
-from .lattice import cone_contains, solve_integer
+from .lattice import solve_integer
 from .stacky import (
     DiskClassSymbol,
     FanError,
     PolytopeFacet,
     StackyFan,
     facets_containing,
+    fan_polytope_facets,
     validate,
 )
 
@@ -83,13 +85,25 @@ def build_suborbifold(
 def _cut_chart(fan: StackyFan, chosen: PolytopeFacet) -> Suborbifold:
     """The chart over one facet, validated and tested Calabi-Yau.  Cached:
     the cut is pure and the returned data immutable.
+
+    The origin is interior to the fan polytope P, so v lies in the cone over
+    the facet (u, h) exactly when v / t lies in P for t = <u, v> / h, that
+    is when <u_G, v> h <= h_G <u, v> for every facet (u_G, h_G) of P (these
+    force <u, v> >= 0, as P is bounded).  The facet's rays span R^n and pair
+    to h with u, so the only functional that can pair to 1 with every chart
+    vector is u / h; it does when every collected vector pairs to h with u,
+    and then h = 1, as the validated chart's vectors generate Z^n.
     """
     ray_idx = chosen.vertices
-    gens = fan.cone_vectors(ray_idx)
+    u, h = chosen.normal, chosen.height
+    bounds = [(f.normal, f.height) for f in fan_polytope_facets(fan)]
+
+    def in_cone(v) -> bool:
+        uv = sum(map(mul, u, v))
+        return all(sum(map(mul, w, v)) * h <= c * uv for w, c in bounds)
+
     collected = tuple(
-        j
-        for j, v in enumerate(fan.vectors)
-        if j not in ray_idx and cone_contains(gens, v)[0]
+        j for j, v in enumerate(fan.vectors) if j not in ray_idx and in_cone(v)
     )
     bad_rays = [j for j in collected if j < fan.n_rays]
     if bad_rays:
@@ -108,17 +122,16 @@ def _cut_chart(fan: StackyFan, chosen: PolytopeFacet) -> Suborbifold:
     ]
     sub = StackyFan.make(
         fan.dim,
-        gens,
+        fan.cone_vectors(ray_idx),
         sorted(maximal),
         extra_vectors=[fan.vectors[j] for j in collected],
     )
     rep = validate(sub)
     if not rep.ok:
         raise FanError(f"chart fan is not valid: {rep.issues}")
-    support = cy_support_vector(sub)
-    if support is None:
+    if any(sum(map(mul, u, fan.vectors[j])) != h for j in collected):
         raise CalabiYauError("chart is not Calabi-Yau; parent not Gorenstein?")
-    return Suborbifold(fan, chosen, sub, ray_idx + collected, support)
+    return Suborbifold(fan, chosen, sub, ray_idx + collected, u)
 
 
 def push_class_pairings(sub: Suborbifold, pairings) -> tuple:

@@ -746,6 +746,122 @@ def _dedup(system):
     return out
 
 
+# references for the fan polytope, the chart cut and validate: the Hermite
+# kernel and the general cone solve that the library replaced by signed
+# minors, facet inequalities and the cached cone inverses.
+
+
+def facets_by_kernel(fan: StackyFan) -> tuple:
+    """The facets of the fan polytope of a complete fan, each hyperplane
+    through n vectors found as the integer kernel of their differences."""
+    from orbidisk.lattice import integer_kernel
+    from orbidisk.stacky import PolytopeFacet
+
+    pts = fan.stacky_vectors
+    n = fan.dim
+    facets = {}
+    for sub in combinations(range(len(pts)), n):
+        base = pts[sub[0]]
+        rows = [[pts[i][j] - base[j] for j in range(n)] for i in sub[1:]]
+        normal_rows = integer_kernel(rows) if rows else [[1]]
+        if len(normal_rows) != 1:
+            continue
+        u = list(normal_rows[0])
+        c = sum(x * y for x, y in zip(u, base))
+        if c < 0:
+            u, c = [-x for x in u], -c
+        vals = [sum(x * y for x, y in zip(u, p)) for p in pts]
+        if c == 0 or any(v > c for v in vals):
+            continue
+        facets[(tuple(u), c)] = tuple(i for i, v in enumerate(vals) if v == c)
+    return tuple(
+        sorted(
+            (PolytopeFacet(v, u, c) for (u, c), v in facets.items()),
+            key=lambda f: f.vertices,
+        )
+    )
+
+
+def cut_chart_by_cone_solves(fan: StackyFan, facet):
+    """The chart over a facet, cut by `cone_contains` on every vector of the
+    parent and tested Calabi-Yau by `cy_support_vector`; raises what the
+    library's cut raises."""
+    from orbidisk.lattice import cone_contains
+    from orbidisk.stacky import FanError
+    from orbidisk.suborbifold import CalabiYauError, Suborbifold, cy_support_vector
+
+    ray_idx = facet.vertices
+    gens = fan.cone_vectors(ray_idx)
+    collected = tuple(
+        j
+        for j, v in enumerate(fan.vectors)
+        if j not in ray_idx and cone_contains(gens, v)[0]
+    )
+    bad_rays = [j for j in collected if j < fan.n_rays]
+    if bad_rays:
+        raise FanError(
+            f"rays {bad_rays} lie inside the facet cone but not on the facet"
+        )
+    reindex = {old: new for new, old in enumerate(ray_idx)}
+    sub_cones = {
+        tuple(sorted(reindex[i] for i in mc if i in reindex)) for mc in fan.max_cones
+    } - {()}
+    maximal = [c for c in sub_cones if not any(set(c) < set(d) for d in sub_cones)]
+    sub = StackyFan.make(
+        fan.dim, gens, sorted(maximal), [fan.vectors[j] for j in collected]
+    )
+    rep = validate_by_cone_solves(sub)
+    if not rep.ok:
+        raise FanError(f"chart fan is not valid: {rep.issues}")
+    support = cy_support_vector(sub)
+    if support is None:
+        raise CalabiYauError("chart is not Calabi-Yau; parent not Gorenstein?")
+    return Suborbifold(fan, facet, sub, ray_idx + collected, support)
+
+
+def validate_by_cone_solves(fan: StackyFan):
+    """`validate` with a rank per cone for the simplicial test and
+    `cone_contains` on every cone for the support of each extra vector."""
+    from orbidisk.lattice import cone_contains, hermite_normal_form, identity_matrix, rank
+    from orbidisk.stacky import ValidationReport, _meet_in_common_face
+
+    issues = []
+    n = fan.dim
+    for v in fan.vectors:
+        if len(v) != n:
+            issues.append(f"vector {v} does not have {n} coordinates")
+            return ValidationReport(False, tuple(issues))
+    for c in fan.max_cones:
+        if any(i < 0 or i >= fan.n_rays for i in c):
+            issues.append(f"cone {c} references a missing ray")
+            return ValidationReport(False, tuple(issues))
+        if rank(fan.cone_vectors(c)) != len(c):
+            issues.append(f"cone {c} is not simplicial (generators dependent)")
+    for a, b in combinations(range(len(fan.max_cones)), 2):
+        ca, cb = fan.max_cones[a], fan.max_cones[b]
+        if set(ca) <= set(cb) or set(cb) <= set(ca):
+            issues.append(f"cone {ca} and cone {cb} are nested; not maximal")
+            continue
+        if not _meet_in_common_face(fan, ca, cb):
+            issues.append(f"cones {ca} and {cb} do not intersect in a common face")
+    if {i for c in fan.max_cones for i in c} != set(range(fan.n_rays)):
+        issues.append("some rays belong to no maximal cone")
+    for v in fan.extra_vectors:
+        if not any(cone_contains(fan.cone_vectors(c), v)[0] for c in fan.max_cones):
+            issues.append(f"extra vector {v} lies outside the support")
+    if fan.n_vectors and hermite_normal_form(fan.vectors)[0][:n] != identity_matrix(n):
+        issues.append("vectors do not generate the lattice (fan map not onto)")
+    return ValidationReport(not issues, tuple(issues))
+
+
+def outcome(f, *args):
+    """f(*args), or the class name and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
 def assert_grid_is_brute_force(fan: StackyFan, order) -> int:
     """The chart's enumerated grid equals the simplex scan, and so does every
     omega set; returns the number of effective classes."""

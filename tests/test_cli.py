@@ -181,10 +181,19 @@ def test_potential_bad_cone_exit(capsys):
         (["invariants", "p2z3.json", "--class", "box:0,0"], "box point (0, 0)"),
         (["invariants", "p2z3.json", "--class", "box:2,-1"], "box point (2, -1)"),
         (["suborbifold", "p2z3.json", "--class", "box:1,1"], "box point (1, 1)"),
+        (["invariants", "p2z3.json", "--class", "box:1,0", "--facet", "7,8"],
+         "no facet with vertices (7, 8)"),
+        (["suborbifold", "p2z3.json", "--class", "box:1,0", "--facet", "8,7"],
+         "no facet with vertices (7, 8)"),
+        # f3 fails its semi-Fano check, which runs after the options parse
+        (["invariants", "f3.json", "--class", "nope"],
+         "class must be ray:IDX or box:X,Y (got 'nope')"),
+        (["potential", "f3.json", "--cone", "99"], "no maximal cone number 99"),
     ],
 )
 def test_option_naming_nothing_is_a_parse_error(capsys, argv, words):
-    # a cone number or box point the fan lacks, or a negative window
+    # a cone number, box point or facet the fan lacks, or a negative window,
+    # whether or not the fan passes its checks
     argv = [str(FANS / a) if a.endswith(".json") else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

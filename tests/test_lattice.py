@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from orbidisk.lattice import (
     AmbiguousSolutionError,
+    _determinant,
     cone_contains,
     hermite_normal_form,
     identity_matrix,
@@ -352,6 +353,20 @@ def test_integer_inverse_matches_rational_inverse(a):
         assert [Fraction(m[i][col], d) for i in range(n)] == solve_rational_by_fractions(
             a, e
         )
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_determinant_matches_fractions(a):
+    assert _determinant(a) == det(a)
 
 
 def test_integer_inverse_examples():

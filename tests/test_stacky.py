@@ -20,6 +20,7 @@ from conftest import (
     example_fans,
     f2_fan,
     f3_fan,
+    facets_by_kernel,
     fm_solve,
     local_chart,
     maximal_minor_gcd,
@@ -27,10 +28,12 @@ from conftest import (
     p2_fan,
     p2z3_bare,
     p2z3_extended,
+    partial_resolutions,
     pcoords_by_solve,
     random_complete_2d_fan,
     random_single_cone_fan,
     solve_rational_by_fractions,
+    validate_by_cone_solves,
 )
 
 from hypothesis import assume, given, settings
@@ -51,6 +54,7 @@ from orbidisk.stacky import (
     NoValidBasisError,
     NotCompleteError,
     StackyFan,
+    ValidationReport,
     age_one_box_points,
     anticones,
     box_elements,
@@ -189,6 +193,35 @@ def test_validate_extra_outside_support():
     fan = StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1)], [(-1, 0)])
     rep = validate(fan)
     assert any("outside the support" in i for i in rep.issues)
+
+
+# invalid fans whose issue lists hit each branch of validate: a dependent
+# cone (whose span alone holds an extra vector), lower-dimensional cones, an
+# extra vector outside the support, a cone of more than n rays, and missing
+# rays after a dependent cone or a non-simplicial first cone
+INVALID_FANS = [
+    StackyFan.make(2, [(1, 0), (-1, 0), (0, 1)], [(0, 1), (0, 2)], [(-3, 0)]),
+    StackyFan.make(2, [(1, 0), (2, 0), (0, 1), (-1, -1)],
+                   [(0, 1), (1, 2), (2, 3), (0, 3)], [(3, 1)]),
+    StackyFan.make(2, [(1, 0), (0, 1)], [(0,), (1,)], [(2, 0), (1, 1)]),
+    StackyFan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1), (2,)],
+                   [(1, 1, 0), (0, 0, 2), (1, 0, 1)]),
+    StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1)], [(-1, 0)]),
+    StackyFan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1, 2), (0, 1)]),
+    StackyFan(2, ((1, 0), (2, 0), (0, 1)), (), ((0, 1), (1, 2), (0, 5), (7,))),
+    StackyFan(2, ((1, 0), (0, 1)), ((1, 1),), ((0, 1), (-3, 1))),
+]
+
+
+def test_validate_matches_cone_solves():
+    """validate's simplicial and support checks, read off the cone inverses,
+    give the issue lists, in order, of a rank per cone and cone_contains."""
+    fans = [fan for _, fan in example_fans() + partial_resolutions()]
+    for fan in fans + [c for fan in fans for c in basic_class_charts(fan)]:
+        assert validate(fan) == validate_by_cone_solves(fan) == ValidationReport(True, ())
+    for fan in INVALID_FANS:
+        rep = validate(fan)
+        assert not rep.ok and rep == validate_by_cone_solves(fan), fan
 
 
 # -- anticones ----------------------------------------------------------------
@@ -436,6 +469,19 @@ def test_polytope_faces_quotient_plane():
 def test_polytope_faces_p2():
     fan = p2_fan()
     assert len(facets_containing(fan, (1, 0))) == 2
+
+
+def test_polytope_facets_match_the_kernel():
+    """Normals from signed minors give the facets, normals, heights and
+    order of the Hermite-kernel normals: every complete example fan (3D
+    among them), the census, P1 and random complete 2D fans."""
+    rng = random.Random(7)
+    fans = [fan for _, fan in example_fans() + partial_resolutions()]
+    fans += [StackyFan.make(1, [(1,), (-2,)], [(0,), (1,)])]
+    fans += [random_complete_2d_fan(rng) for _ in range(100)]
+    for fan in fans:
+        if is_complete(fan):
+            assert stacky.fan_polytope_facets.__wrapped__(fan) == facets_by_kernel(fan)
 
 
 # -- fan sequence -----------------------------------------------------------------

@@ -3,22 +3,34 @@
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
-from conftest import example_fans, f2_fan, p2_fan, p2z3_extended
+from conftest import (
+    cut_chart_by_cone_solves,
+    example_fans,
+    f2_fan,
+    outcome,
+    p2_fan,
+    p2z3_extended,
+    partial_resolutions,
+)
 
-from orbidisk import suborbifold
+from orbidisk import stacky, suborbifold
+from orbidisk.lattice import cone_contains
 from orbidisk.mirror import potential_symbols
 from orbidisk.stacky import (
     DiskClassSymbol,
     FanError,
+    StackyFan,
     fan_polytope_facets,
     facets_containing,
     is_complete,
     validate,
 )
 from orbidisk.suborbifold import (
+    CalabiYauError,
     InvalidFacetError,
     build_suborbifold,
     cy_support_vector,
@@ -184,3 +196,68 @@ def test_validate_runs_once_per_distinct_chart(monkeypatch):
     assert len(cuts) == 100
     assert len(set(cuts)) == 53
     assert len(calls) == 53
+
+
+def test_chart_cut_matches_cone_solves():
+    """The facet-inequality cut and its Calabi-Yau test give the chart, or
+    the error, of `cone_contains` on every vector plus `cy_support_vector`:
+    every facet of every complete fan in fans/, perfbench/fans/ and the
+    partial-resolution census."""
+    for name, fan in _complete_example_fans() + partial_resolutions():
+        for facet in fan_polytope_facets(fan):
+            got = outcome(suborbifold._cut_chart.__wrapped__, fan, facet)
+            assert got == outcome(cut_chart_by_cone_solves, fan, facet), (name, facet)
+
+
+@pytest.mark.parametrize(
+    "fan, vertices, error, words",
+    [
+        # (1, 1) is a ray inside the triangle of (3, 0), (0, 3), (-1, -1)
+        (
+            StackyFan.make(2, [(3, 0), (1, 1), (0, 3), (-1, -1)],
+                           [(0, 1), (1, 2), (2, 3), (0, 3)]),
+            (0, 2), FanError, "rays [1] lie inside the facet cone",
+        ),
+        # the extra vector (1, 1) pairs to 2 with the facet normal (1, 1)
+        (
+            StackyFan.make(2, [(1, 0), (0, 1), (-1, -1)],
+                           [(0, 1), (1, 2), (0, 2)], [(1, 1)]),
+            (0, 1), CalabiYauError, "chart is not Calabi-Yau",
+        ),
+        # (2, 0) and (0, 1) span an index-2 sublattice
+        (
+            StackyFan.make(2, [(2, 0), (0, 1), (-1, -1)],
+                           [(0, 1), (1, 2), (0, 2)]),
+            (0, 1), FanError, "chart fan is not valid: ('vectors do not generate",
+        ),
+    ],
+)
+def test_chart_cut_error_paths(fan, vertices, error, words):
+    (facet,) = [f for f in fan_polytope_facets(fan) if f.vertices == vertices]
+    with pytest.raises(error, match=re.escape(words)):
+        suborbifold._cut_chart.__wrapped__(fan, facet)
+    assert outcome(cut_chart_by_cone_solves, fan, facet)[0] == error.__name__
+
+
+def test_chart_cut_and_validate_solve_no_cone(monkeypatch):
+    """On valid fans the chart cut calls neither `cy_support_vector` nor
+    `cone_contains`, and validate calls `cone_contains` only from the
+    common-face test."""
+    callers = []
+
+    def recording_cone_contains(gens, point):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return cone_contains(gens, point)
+
+    def no_support_solve(fan):
+        raise AssertionError("cy_support_vector called")
+
+    monkeypatch.setattr(stacky, "cone_contains", recording_cone_contains)
+    monkeypatch.setattr(suborbifold, "cy_support_vector", no_support_solve)
+    assert not hasattr(suborbifold, "cone_contains")
+    for name, fan in example_fans():
+        assert validate(fan).ok, name
+        if is_complete(fan):
+            for facet in fan_polytope_facets(fan):
+                outcome(suborbifold._cut_chart.__wrapped__, fan, facet)
+    assert callers and set(callers) == {"_meet_in_common_face"}
