@@ -40,7 +40,7 @@ from .stacky import (
     validate,
     wall_curve_classes,
 )
-from .suborbifold import Suborbifold, build_suborbifold, cy_support_vector
+from .suborbifold import Suborbifold, build_suborbifold
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "box_elements",
     "build_suborbifold",
     "cone_contains",
-    "cy_support_vector",
     "disk_generating_function",
     "exp_series",
     "extract_invariant",

@@ -237,7 +237,7 @@ def cmd_suborbifold(args) -> int:
         "rays": [list(v) for v in sub.fan.stacky_vectors],
         "max_cones": [list(c) for c in sub.fan.max_cones],
         "extra_vectors": [list(v) for v in sub.fan.extra_vectors],
-        "support_vector": list(sub.support_vector),
+        "support_vector": list(sub.facet.normal),
         "parent_indices": list(sub.parent_index),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -267,31 +267,6 @@ def solve_rational(a, b) -> list[Fraction] | None:
     return x
 
 
-def solve_integer(a, b) -> list[int] | None:
-    """One integer solution x of a @ x = b, or None if none exists."""
-    if not a:
-        return []
-    at = transpose(a)
-    h, u = hermite_normal_form(at)  # h = u @ a^T, rows span the row lattice of a^T
-    n = len(at)
-    resid = [int(x) for x in b]
-    coeff = [0] * len(h)
-    for r in range(len(h)):
-        lead = next((c for c in range(len(resid)) if h[r][c] != 0), None)
-        if lead is None:
-            break
-        if resid[lead] % h[r][lead] != 0:
-            return None
-        q = resid[lead] // h[r][lead]
-        coeff[r] = q
-        resid = [x - q * y for x, y in zip(resid, h[r])]
-    if any(resid):
-        return None
-    # x^T = coeff @ u gives a @ x = b
-    x = [sum(coeff[r] * u[r][c] for r in range(len(u))) for c in range(n)]
-    return x
-
-
 def cone_contains(generators, point) -> tuple[bool, list[Fraction] | None]:
     """Exact membership of a point in the cone spanned by the generators.
 

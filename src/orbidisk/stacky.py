@@ -1,8 +1,8 @@
 """Stacky fans and their combinatorics.
 
-A stacky fan is a simplicial fan with chosen integer generators b_i of its
-rays (possibly non-primitive), optionally extended by extra lattice vectors
-inside the support.  This module derives everything the disk-counting
+A stacky fan is a simplicial fan whose maximal cones each have n rays, with
+chosen integer generators b_i of its rays (possibly non-primitive),
+optionally extended by extra lattice vectors inside the support.  This module derives everything the disk-counting
 pipeline needs from that data: the relation lattice and divisor classes, box
 elements and ages, anticones, Gorenstein and nef tests, wall curve classes,
 fan polytope faces, and the dual classes attached to the extra vectors.
@@ -33,7 +33,6 @@ from .lattice import (
     integer_kernel,
     primitive_vector,
     rank,
-    solve_integer,
     transpose,
 )
 
@@ -133,11 +132,12 @@ class ValidationReport:
 def validate(fan: StackyFan) -> ValidationReport:
     """Check the stacky fan axioms; collects every failure found.
 
-    A cone is simplicial exactly when it has an integer inverse
-    (`_cone_inverses`, cached for the solve), and an extra vector lies in a
-    simplicial cone exactly when its coordinates there are >= 0 and it is on
-    the cone's span.  The vectors generate Z^n (the fan map is onto) exactly
-    when their row Hermite normal form starts with the n x n identity.
+    Every maximal cone lists exactly n rays.  A cone is simplicial exactly
+    when it has an integer inverse (`_cone_inverses`, cached for the solve),
+    and an extra vector lies in a simplicial cone exactly when its
+    coordinates there are >= 0.  The vectors generate Z^n (the fan map is
+    onto) exactly when their row Hermite normal form starts with the n x n
+    identity.
     """
     issues: list[str] = []
     n = fan.dim
@@ -146,22 +146,23 @@ def validate(fan: StackyFan) -> ValidationReport:
             issues.append(f"vector {v} does not have {n} coordinates")
             return ValidationReport(False, tuple(issues))
     cones = fan.max_cones
-    missing = next(
-        (k for k, c in enumerate(cones) if any(i < 0 or i >= fan.n_rays for i in c)),
-        len(cones),
+    missing = [any(i < 0 or i >= fan.n_rays for i in c) for c in cones]
+    stop = next(
+        (k for k, c in enumerate(cones) if missing[k] or len(c) < n), len(cones)
     )
-    # only the cones before one with a missing ray are checked
-    checked = fan if missing == len(cones) else StackyFan(
-        n, fan.stacky_vectors, (), cones[:missing]
+    # only the cones before one with a missing ray or too few rays are checked
+    checked = fan if stop == len(cones) else StackyFan(
+        n, fan.stacky_vectors, (), cones[:stop]
     )
     inverses = _cone_inverses(checked)
     issues += [
         f"cone {c} is not simplicial (generators dependent)"
-        for c in cones[:missing]
+        for c in cones[:stop]
         if c not in inverses
     ]
-    if missing < len(cones):
-        issues.append(f"cone {cones[missing]} references a missing ray")
+    if stop < len(cones):
+        why = "references a missing ray" if missing[stop] else "is not full-dimensional"
+        issues.append(f"cone {cones[stop]} {why}")
         return ValidationReport(False, tuple(issues))
     for a, b in combinations(range(len(fan.max_cones)), 2):
         ca, cb = fan.max_cones[a], fan.max_cones[b]
@@ -175,12 +176,17 @@ def validate(fan: StackyFan) -> ValidationReport:
         issues.append("some rays belong to no maximal cone")
     for v in fan.extra_vectors:
         if not any(
-            _cone_scaled_coordinates(fan, c, inverses[c], v) is not None
+            _cone_scaled_coordinates(inverses[c], v) is not None
             if c in inverses
             else cone_contains(fan.cone_vectors(c), v)[0]
             for c in cones
         ):
             issues.append(f"extra vector {v} lies outside the support")
+    extras = fan.extra_vectors
+    issues += [
+        f"extra vector {v} is listed more than once"
+        for v in dict.fromkeys(v for k, v in enumerate(extras) if v in extras[:k])
+    ]
     if fan.n_vectors and hermite_normal_form(fan.vectors)[0][:n] != identity_matrix(n):
         issues.append("vectors do not generate the lattice (fan map not onto)")
     return ValidationReport(not issues, tuple(issues))
@@ -213,76 +219,61 @@ def minimal_anticones(fan: StackyFan) -> list[frozenset[int]]:
 
 
 def cone_index(fan: StackyFan, cone) -> int:
-    """Order of the local group G_sigma: the index of the lattice spanned by
-    the cone's generators in the lattice points of their span.
-
-    That index is the gcd of the k x k minors of the k generators (Newman,
-    Integral Matrices, 1972), so it is also right on lower-dimensional cones.
-    FanError when every minor vanishes (dependent generators).
-    """
-    cols = transpose(fan.cone_vectors(cone))
-    out = 0
-    for _, _, d in _coordinate_inverses(cols, fan.dim, len(cone)):
-        out = gcd(out, d)
-    if out == 0:
-        raise FanError(f"cone {tuple(cone)} is not simplicial (generators dependent)")
-    return out
+    """Order of the local group G_sigma of a maximal cone: the index of the
+    lattice spanned by its n generators, |det| of their matrix, the d of
+    its integer inverse.  FanError for a dependent or non-maximal cone."""
+    return _cone_inverse(fan, cone)[1]
 
 
 @lru_cache(maxsize=128)
 def _cone_inverses(fan: StackyFan) -> dict[tuple[int, ...], tuple]:
-    """Maximal cone -> (m, d), m @ x = d * t whenever x = sum_k t_k b_cone[k].
+    """Maximal cone -> (m, d), m @ x = d * t whenever x = sum_k t_k b_cone[k]:
+    the integer inverse of the cone's n generators as columns.
 
-    m reads only k coordinates of x on which the cone's k generators are
-    independent (all of them for a full-dimensional cone), so m @ x gives the
-    coordinates of x whenever x lies in the cone's span.  A cone with
-    dependent generators gets no entry.  Cached: the inverses are pure and
-    the returned data immutable.
+    A cone with dependent generators gets no entry; a cone of fewer than n
+    rays raises FanError.  Cached: the inverses are pure and the returned
+    data immutable.
     """
     table = {}
     for mc in fan.max_cones:
-        cols = transpose(fan.cone_vectors(mc))
-        for sel, m, d in _coordinate_inverses(cols, fan.dim, len(mc)):
-            # zero on the unselected coordinates, so that m reads x itself
-            wide = (dict(zip(sel, row)) for row in m)
-            rows = tuple(tuple(w.get(j, 0) for j in range(fan.dim)) for w in wide)
-            table[mc] = (rows, d)
-            break
+        if len(mc) < fan.dim:
+            raise FanError(f"cone {mc} is not full-dimensional")
+        try:
+            m, d = integer_inverse(transpose(fan.cone_vectors(mc)))
+        except ValueError:
+            continue
+        table[mc] = (tuple(map(tuple, m)), d)
     return table
 
 
-def _off_span(fan: StackyFan, mc, y, d, x) -> bool:
-    """Whether x is off the span of the maximal cone mc, given y = m @ x for
-    its inverse (m, d): only a lower-dimensional cone has points off it."""
-    return len(mc) < fan.dim and any(
-        sum(map(mul, col, y)) != d * c
-        for col, c in zip(zip(*fan.cone_vectors(mc)), x)
-    )
-
-
-def _cone_scaled_coordinates(fan: StackyFan, mc, inverse, x) -> list[int] | None:
-    """y = m @ x, d times the coordinates of x on the maximal cone mc, given
-    its inverse (m, d), when x lies in the cone (y >= 0, x on its span);
-    otherwise None."""
-    m, d = inverse
-    y = [sum(map(mul, row, x)) for row in m]
-    if all(v >= 0 for v in y) and not _off_span(fan, mc, y, d, x):
-        return y
-    return None
-
-
-def cone_coordinates(fan: StackyFan, cone, x) -> tuple[Fraction, ...] | None:
-    """The coordinates t of x = sum_k t_k b_cone[k] on a maximal cone (a
-    tuple of fan.max_cones), of any sign, or None when x is off the cone's
-    span.  FanError when the cone's generators are dependent."""
+def _cone_inverse(fan: StackyFan, cone) -> tuple:
+    """The integer inverse (m, d) of a maximal cone (`_cone_inverses`);
+    FanError for a dependent or non-maximal cone."""
+    cone = tuple(cone)
     inverse = _cone_inverses(fan).get(cone)
     if inverse is None:
-        raise FanError(f"cone {cone} is not simplicial (generators dependent)")
-    m, d = inverse
-    y = [sum(map(mul, row, x)) for row in m]
-    if _off_span(fan, cone, y, d, x):
-        return None
-    return tuple(Fraction(v, d) for v in y)
+        why = (
+            "is not simplicial (generators dependent)"
+            if cone in fan.max_cones
+            else "is not a maximal cone"
+        )
+        raise FanError(f"cone {cone} {why}")
+    return inverse
+
+
+def _cone_scaled_coordinates(inverse, x) -> list[int] | None:
+    """y = m @ x, d times the coordinates of x on a maximal cone, given its
+    inverse (m, d), when x lies in the cone (y >= 0); otherwise None."""
+    y = [sum(map(mul, row, x)) for row in inverse[0]]
+    return y if all(v >= 0 for v in y) else None
+
+
+def cone_coordinates(fan: StackyFan, cone, x) -> tuple[Fraction, ...]:
+    """The coordinates t of x = sum_k t_k b_cone[k] on a maximal cone (a
+    tuple of fan.max_cones), of any sign.  FanError when the cone's
+    generators are dependent."""
+    m, d = _cone_inverse(fan, cone)
+    return tuple(Fraction(sum(map(mul, row, x)), d) for row in m)
 
 
 def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
@@ -293,7 +284,7 @@ def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
     b lies outside the support.
     """
     for mc, inverse in _cone_inverses(fan).items():
-        y = _cone_scaled_coordinates(fan, mc, inverse, b)
+        y = _cone_scaled_coordinates(inverse, b)
         if y is not None:
             d = inverse[1]
             return (
@@ -319,7 +310,7 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
         hi = [sum(max(0, v[j]) for v in vecs) for j in range(fan.dim)]
         for pt in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
             # y = d * (the cone coordinates of pt); inside the box is
-            # 0 <= y < d, and pt must lie in the span of the cone
+            # 0 <= y < d
             y = []
             for row in m:
                 v = sum(map(mul, row, pt))
@@ -327,26 +318,13 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
                     break
                 y.append(v)
             else:
-                if pt in found or _off_span(fan, mc, y, d, pt):
+                if pt in found:
                     continue
                 t = [Fraction(v, d) for v in y]
                 carrier = tuple(i for i, x in zip(mc, t) if x != 0)
                 coords = tuple(x for x in t if x != 0)
                 found[pt] = BoxElement(pt, carrier, coords, sum(coords, Fraction(0)))
     return sorted(found.values(), key=lambda b: (b.age, b.point))
-
-
-def _coordinate_inverses(cols, dim: int, k: int):
-    """(sel, m, d) for each k-subset sel of the coordinates on which the k
-    columns in Z^dim are independent: the selected rows have inverse m / d,
-    d the absolute value of that k x k minor.
-    """
-    for sel in combinations(range(dim), k):
-        try:
-            m, d = integer_inverse([cols[j] for j in sel])
-        except ValueError:
-            continue
-        yield sel, m, d
 
 
 @frozen
@@ -358,13 +336,18 @@ class GorensteinResult:
 
 def gorenstein_check(fan: StackyFan) -> GorensteinResult:
     """Canonical class Cartier test: each maximal cone needs an integral
-    support vector pairing to 1 with all its stacky generators."""
+    support vector pairing to 1 with all its stacky generators.
+
+    With the cone's inverse (m, d), that vector is the unique rational u
+    with u @ B = 1, B the generator columns: u = (column sums of m) / d.
+    """
     supports = []
     witness = None
     for mc in fan.max_cones:
-        vecs = fan.cone_vectors(mc)
-        u = solve_integer(vecs, [1] * len(vecs))
-        supports.append(tuple(u) if u is not None else None)
+        m, d = _cone_inverse(fan, mc)
+        sums = [sum(col) for col in zip(*m)]
+        u = None if any(s % d for s in sums) else tuple(s // d for s in sums)
+        supports.append(u)
         if u is None and witness is None:
             witness = mc
     return GorensteinResult(witness is None, tuple(supports), witness)
@@ -577,41 +560,24 @@ def _kahler_closure_test(fan: StackyFan, divisors):
     """Membership in the closed extended Kahler cone: the intersection of
     the cones spanned by the divisor classes of each minimal anticone.
 
-    An anticone of r independent classes spans a simplicial cone, which is
-    cut out by the rows of its integer inverse (`_anticone_inequalities`);
-    the rows of all such anticones are pooled and deduplicated.  Any other
-    anticone is tested with cone_contains.
+    Each maximal cone's n vectors are a basis of Q^n (`_cone_inverse`, which
+    raises FanError otherwise), so a relation is fixed by its pairings with
+    the r vectors outside it: the r classes of its anticone are independent
+    and span a simplicial cone, cut out by the rows of their integer
+    inverse.  The rows of all anticones are pooled and deduplicated.
     """
     rows: dict[tuple[int, ...], None] = {}
-    general = []
-    for anti in minimal_anticones(fan):
-        gens = [divisors[i] for i in sorted(anti)]
-        ineqs = _anticone_inequalities(gens)
-        if ineqs is None:
-            general.append(gens)
-        else:
-            rows.update(dict.fromkeys(primitive_vector(row) for row in ineqs))
+    for mc in fan.max_cones:
+        _cone_inverse(fan, mc)
+        gens = [d for i, d in enumerate(divisors) if i not in mc]
+        m, _ = integer_inverse(transpose(gens))
+        rows.update(dict.fromkeys(primitive_vector(row) for row in m))
     pooled = list(rows)
 
     def inside(x) -> bool:
-        return all(sum(map(mul, row, x)) >= 0 for row in pooled) and all(
-            cone_contains(gens, x)[0] for gens in general
-        )
+        return all(sum(map(mul, row, x)) >= 0 for row in pooled)
 
     return inside
-
-
-def _anticone_inequalities(gens) -> list[list[int]] | None:
-    """Rows m of the integer inverse (m, d) of the generator columns, so
-    that x lies in cone(gens) exactly when m @ x >= 0; None unless the
-    generators are len(x) independent vectors.
-    """
-    if not gens:
-        return None
-    try:
-        return integer_inverse(transpose(gens))[0]
-    except ValueError:
-        return None
 
 
 def fan_sequence(fan: StackyFan, basis_p=None) -> FanSequenceData:

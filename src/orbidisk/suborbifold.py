@@ -13,7 +13,6 @@ from functools import lru_cache
 from operator import mul
 
 from ._record import frozen
-from .lattice import solve_integer
 from .stacky import (
     DiskClassSymbol,
     FanError,
@@ -40,19 +39,6 @@ class Suborbifold:
     fan: StackyFan
     # chart vector index -> parent vector index, rays then extras
     parent_index: tuple[int, ...]
-    # the functional pairing to 1 with every chart vector (`cy_support_vector`)
-    support_vector: tuple[int, ...]
-
-
-def cy_support_vector(fan: StackyFan) -> tuple[int, ...] | None:
-    """The primitive integral functional pairing to 1 with every vector.
-
-    Returns None when no such hyperplane exists (for example for a complete
-    fan).  When it exists it is automatically primitive and unique as soon as
-    the vectors span the ambient space.
-    """
-    u = solve_integer(fan.vectors, [1] * fan.n_vectors)
-    return None if u is None else tuple(u)
 
 
 def build_suborbifold(
@@ -131,7 +117,7 @@ def _cut_chart(fan: StackyFan, chosen: PolytopeFacet) -> Suborbifold:
         raise FanError(f"chart fan is not valid: {rep.issues}")
     if any(sum(map(mul, u, fan.vectors[j])) != h for j in collected):
         raise CalabiYauError("chart is not Calabi-Yau; parent not Gorenstein?")
-    return Suborbifold(fan, chosen, sub, ray_idx + collected, u)
+    return Suborbifold(fan, chosen, sub, ray_idx + collected)
 
 
 def push_class_pairings(sub: Suborbifold, pairings) -> tuple:

@@ -782,13 +782,22 @@ def facets_by_kernel(fan: StackyFan) -> tuple:
     )
 
 
+def support_by_fractions(fan: StackyFan) -> tuple[int, ...] | None:
+    """The functional pairing to 1 with every vector of the fan, by one
+    Fraction solve: None when there is none or it is not integral."""
+    u = solve_rational_by_fractions(fan.vectors, [1] * fan.n_vectors)
+    if u is None or any(x.denominator != 1 for x in u):
+        return None
+    return tuple(int(x) for x in u)
+
+
 def cut_chart_by_cone_solves(fan: StackyFan, facet):
     """The chart over a facet, cut by `cone_contains` on every vector of the
-    parent and tested Calabi-Yau by `cy_support_vector`; raises what the
-    library's cut raises."""
+    parent and tested Calabi-Yau by `support_by_fractions`; raises what the
+    library's cut raises.  The support vector is the facet's normal."""
     from orbidisk.lattice import cone_contains
     from orbidisk.stacky import FanError
-    from orbidisk.suborbifold import CalabiYauError, Suborbifold, cy_support_vector
+    from orbidisk.suborbifold import CalabiYauError, Suborbifold
 
     ray_idx = facet.vertices
     gens = fan.cone_vectors(ray_idx)
@@ -813,15 +822,17 @@ def cut_chart_by_cone_solves(fan: StackyFan, facet):
     rep = validate_by_cone_solves(sub)
     if not rep.ok:
         raise FanError(f"chart fan is not valid: {rep.issues}")
-    support = cy_support_vector(sub)
+    support = support_by_fractions(sub)
     if support is None:
         raise CalabiYauError("chart is not Calabi-Yau; parent not Gorenstein?")
-    return Suborbifold(fan, facet, sub, ray_idx + collected, support)
+    assert support == facet.normal, (facet, support)
+    return Suborbifold(fan, facet, sub, ray_idx + collected)
 
 
 def validate_by_cone_solves(fan: StackyFan):
-    """`validate` with a rank per cone for the simplicial test and
-    `cone_contains` on every cone for the support of each extra vector."""
+    """`validate` with a rank per cone for the simplicial test,
+    `cone_contains` on every cone for the support of each extra vector and
+    a count per extra vector for its repeats."""
     from orbidisk.lattice import cone_contains, hermite_normal_form, identity_matrix, rank
     from orbidisk.stacky import ValidationReport, _meet_in_common_face
 
@@ -834,6 +845,9 @@ def validate_by_cone_solves(fan: StackyFan):
     for c in fan.max_cones:
         if any(i < 0 or i >= fan.n_rays for i in c):
             issues.append(f"cone {c} references a missing ray")
+            return ValidationReport(False, tuple(issues))
+        if len(c) < n:
+            issues.append(f"cone {c} is not full-dimensional")
             return ValidationReport(False, tuple(issues))
         if rank(fan.cone_vectors(c)) != len(c):
             issues.append(f"cone {c} is not simplicial (generators dependent)")
@@ -849,6 +863,9 @@ def validate_by_cone_solves(fan: StackyFan):
     for v in fan.extra_vectors:
         if not any(cone_contains(fan.cone_vectors(c), v)[0] for c in fan.max_cones):
             issues.append(f"extra vector {v} lies outside the support")
+    for v in sorted(set(fan.extra_vectors), key=fan.extra_vectors.index):
+        if fan.extra_vectors.count(v) > 1:
+            issues.append(f"extra vector {v} is listed more than once")
     if fan.n_vectors and hermite_normal_form(fan.vectors)[0][:n] != identity_matrix(n):
         issues.append("vectors do not generate the lattice (fan map not onto)")
     return ValidationReport(not issues, tuple(issues))

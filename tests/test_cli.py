@@ -54,6 +54,41 @@ def test_validate_reports_dependent_generators(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("extras", [[], "auto-age1"])
+def test_lower_dimensional_cone_exits_1(capsys, tmp_path, extras):
+    # the lone ray (-1, 0) is a maximal cone of fewer than 2 rays: validate
+    # reports it, and the age-one scan of auto-age1, box and potential refuse it
+    path = tmp_path / "lone_ray.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "rays": [[1, 0], [0, 1], [-1, 0]],
+        "max_cones": [[0, 1], [2]],
+        "extra_vectors": extras,
+    }))
+    for argv in (["validate"], ["box"], ["potential", "--order", "2"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1, argv
+        assert "cone (2,) is not full-dimensional" in out + err, argv
+
+
+def test_repeated_extra_vector_exits_1(capsys, tmp_path):
+    # p2z3 with its six age-one points and (1, 0) once more: the two copies
+    # would be one tau variable, so every check refuses the fan
+    doc = json.loads((FANS / "p2z3.json").read_text())
+    doc["extra_vectors"] = [[-1, 0], [-1, 1], [0, -1], [0, 1], [1, -1], [1, 0], [1, 0]]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    line = "FAIL validation: extra vector (1, 0) is listed more than once"
+    code, out, _ = run(capsys, "validate", str(path))
+    assert (code, out.splitlines()) == (1, [line])
+    for argv in (
+        ["invariants", "--class", "box:1,0", "--order", "2"],
+        ["potential", "--order", "2"],
+    ):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out, err.splitlines()) == (1, "", [line]), argv
+
+
 def test_validate_skips_nef_test_on_charts(capsys):
     code, out, _ = run(capsys, "validate", str(FANS / "c2z3_chart.json"))
     assert code == 0

@@ -26,7 +26,6 @@ from orbidisk.lattice import (
     integer_kernel,
     primitive_vector,
     rank,
-    solve_integer,
     solve_rational,
     transpose,
 )
@@ -203,13 +202,6 @@ def test_fraction_free_elimination_matches_fractions(case):
     if isinstance(got, list):
         assert all(type(x) is Fraction for x in got)
     assert rank(a) == rank_by_fractions(a)
-
-
-def test_solve_integer():
-    assert solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
-    assert solve_integer([[2]], [3]) is None
-    x = solve_integer([[1, 2], [0, 0]], [7, 0])
-    assert x is not None and x[0] + 2 * x[1] == 7
 
 
 def test_cone_contains_examples():

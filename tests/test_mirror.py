@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from conftest import (
     ratio_factor,
     solve_against_by_fractions,
     solve_against_by_images,
+    support_by_fractions,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,7 +47,7 @@ from orbidisk.mirror import (
     tau_zero_slice,
 )
 from orbidisk.series import exp_series
-from orbidisk.stacky import DiskClassSymbol, StackyFan
+from orbidisk.stacky import DiskClassSymbol, FanError, StackyFan
 
 
 # -- building blocks ---------------------------------------------------------
@@ -737,10 +739,8 @@ def mixed_chart() -> StackyFan:
 
 
 def test_mixed_chart_pipeline():
-    from orbidisk.suborbifold import cy_support_vector
-
     fan = mixed_chart()
-    assert cy_support_vector(fan) == (0, 0, 1)
+    assert support_by_fractions(fan) == (0, 0, 1)
     pipe = ChartPipeline(fan, 6)
     assert pipe.r == 3 and pipe.r_prime == 1
     assert pipe.round_trip_identity()
@@ -919,10 +919,8 @@ def random_triangle_charts():
 
 
 def test_random_cy_charts_round_trip():
-    from orbidisk.suborbifold import cy_support_vector
-
     for fan in random_segment_charts():
-        assert cy_support_vector(fan) == (0, 1)
+        assert support_by_fractions(fan) == (0, 1)
         pipe = ChartPipeline(fan, 2)
         assert pipe.round_trip_identity()
         for jdx, j in enumerate(pipe.extras):
@@ -979,10 +977,10 @@ def test_grid_guards():
     pipe._anticones = set()
     with pytest.raises(ComputationError, match="not effective"):
         pipe.a_series(2)
-    # a lower-dimensional maximal cone leaves more than r vectors outside it
+    # a maximal cone of fewer than n rays is refused before any walk
     lopsided = StackyFan.make(2, [(0, 1), (1, 1), (2, 1)], [(0, 1), (2,)])
-    with pytest.raises(ComputationError, match="not full-dimensional"):
-        ChartPipeline(lopsided, 3).grid()
+    with pytest.raises(FanError, match=re.escape("cone (2,) is not full-dimensional")):
+        ChartPipeline(lopsided, 3)
 
 
 # -- the modulus, the integer relabel and the invariants ---------------------------
@@ -1165,8 +1163,6 @@ def test_invariants_are_symmetric_under_fan_automorphisms():
     # passed to the image helpers explicitly, so every comparison uses its
     # own map
     from conftest import partial_resolutions
-
-    from orbidisk.stacky import FanError
 
     checked = curve_terms = 0
     for name, fan in _complete_fans() + partial_resolutions():

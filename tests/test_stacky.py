@@ -45,6 +45,8 @@ from orbidisk.lattice import (
     AmbiguousSolutionError,
     cone_contains,
     identity_matrix,
+    integer_inverse,
+    integer_kernel,
     rank,
     solve_rational,
     transpose,
@@ -184,9 +186,10 @@ def test_validate_onto_matches_the_maximal_minor_gcd(case):
 
 
 def test_validate_nested_cones():
-    fan = StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1), (0,)])
+    # with n rays in every maximal cone, only a repeated cone is nested
+    fan = StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1), (1, 0)])
     rep = validate(fan)
-    assert not rep.ok and any("nested" in i for i in rep.issues)
+    assert rep.issues == ("cone (0, 1) and cone (0, 1) are nested; not maximal",)
 
 
 def test_validate_extra_outside_support():
@@ -196,9 +199,11 @@ def test_validate_extra_outside_support():
 
 
 # invalid fans whose issue lists hit each branch of validate: a dependent
-# cone (whose span alone holds an extra vector), lower-dimensional cones, an
-# extra vector outside the support, a cone of more than n rays, and missing
-# rays after a dependent cone or a non-simplicial first cone
+# cone (whose span alone holds an extra vector), lower-dimensional cones
+# (first, and after a dependent cone), an extra vector outside the support,
+# a repeated extra vector, a cone of more than n rays, and missing rays
+# after a dependent cone or a non-simplicial first cone
+P2Z3 = p2z3_extended()
 INVALID_FANS = [
     StackyFan.make(2, [(1, 0), (-1, 0), (0, 1)], [(0, 1), (0, 2)], [(-3, 0)]),
     StackyFan.make(2, [(1, 0), (2, 0), (0, 1), (-1, -1)],
@@ -206,7 +211,9 @@ INVALID_FANS = [
     StackyFan.make(2, [(1, 0), (0, 1)], [(0,), (1,)], [(2, 0), (1, 1)]),
     StackyFan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1), (2,)],
                    [(1, 1, 0), (0, 0, 2), (1, 0, 1)]),
+    StackyFan.make(2, [(1, 0), (2, 0), (0, 1)], [(0, 1), (2,), (1, 2)]),
     StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1)], [(-1, 0)]),
+    StackyFan(2, P2Z3.stacky_vectors, P2Z3.extra_vectors + ((1, 0),) * 2, P2Z3.max_cones),
     StackyFan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1, 2), (0, 1)]),
     StackyFan(2, ((1, 0), (2, 0), (0, 1)), (), ((0, 1), (1, 2), (0, 5), (7,))),
     StackyFan(2, ((1, 0), (0, 1)), ((1, 1),), ((0, 1), (-3, 1))),
@@ -222,6 +229,15 @@ def test_validate_matches_cone_solves():
     for fan in INVALID_FANS:
         rep = validate(fan)
         assert not rep.ok and rep == validate_by_cone_solves(fan), fan
+    # a lower-dimensional cone ends the report after the dependent cones
+    # before it; an extra vector listed three times is named once
+    assert validate(INVALID_FANS[4]).issues == (
+        "cone (0, 1) is not simplicial (generators dependent)",
+        "cone (2,) is not full-dimensional",
+    )
+    assert validate(INVALID_FANS[6]).issues == (
+        "extra vector (1, 0) is listed more than once",
+    )
 
 
 # -- anticones ----------------------------------------------------------------
@@ -295,9 +311,8 @@ def test_box_count_is_cone_index():
 
 @st.composite
 def single_cones(draw):
-    """k <= n <= 4 generators in Z^n, often non-primitive or spanning a
-    lower-dimensional cone, as a one-cone fan; the generators may be
-    dependent."""
+    """k <= n <= 4 generators in Z^n, often non-primitive or fewer than n,
+    as a one-cone fan; the generators may be dependent."""
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, n))
     vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
@@ -309,6 +324,11 @@ def single_cones(draw):
 @given(single_cones())
 def test_cone_index_is_the_minor_gcd_and_the_box_count(fan):
     cone = fan.max_cones[0]
+    if len(cone) < fan.dim:
+        for f in (lambda: cone_index(fan, cone), lambda: box_elements(fan)):
+            with pytest.raises(FanError, match="not full-dimensional"):
+                f()
+        return
     index = maximal_minor_gcd(fan.cone_vectors(cone))
     if index == 0:
         with pytest.raises(FanError, match="not simplicial"):
@@ -320,16 +340,24 @@ def test_cone_index_is_the_minor_gcd_and_the_box_count(fan):
 
 
 def test_cone_index_on_every_face_of_the_example_fans():
+    # a maximal cone's index is its n x n minor; any other face is refused
     for _, fan in example_fans():
         for face in fan.faces():
             face = tuple(sorted(face))
-            assert cone_index(fan, face) == maximal_minor_gcd(fan.cone_vectors(face))
+            if face in fan.max_cones:
+                want = maximal_minor_gcd(fan.cone_vectors(face))
+                assert cone_index(fan, face) == want
+            else:
+                with pytest.raises(FanError, match="is not a maximal cone"):
+                    cone_index(fan, face)
 
 
 def test_cone_index_rejects_dependent_generators():
     fan = StackyFan.make(3, [(1, 0, 1), (2, 0, 2), (0, 0, 0)], [(0, 1, 2)])
-    for cone in [(0, 1), (2,), (0, 1, 2)]:
-        with pytest.raises(FanError, match=re.escape(f"cone {cone} is not simplicial")):
+    with pytest.raises(FanError, match=re.escape("cone (0, 1, 2) is not simplicial")):
+        cone_index(fan, (0, 1, 2))
+    for cone in [(0, 1), (2,)]:
+        with pytest.raises(FanError, match=re.escape(f"cone {cone} is not a maximal")):
             cone_index(fan, cone)
 
 
@@ -359,15 +387,18 @@ def test_box_elements_match_rational_scan():
     fans = [fan for _, fan in example_fans()]
     fans += [random_single_cone_fan(rng, rng.choice([2, 3])) for _ in range(8)]
     fans += [random_complete_2d_fan(rng) for _ in range(4)]
-    # lower-dimensional cones: a non-primitive ray in Z^2, a plane in Z^3
-    fans.append(StackyFan.make(2, [(2, 4)], [(0,)]))
-    fans.append(StackyFan.make(3, [(1, 0, 1), (1, 3, 1)], [(0, 1)]))
     for fan in fans:
         boxes = box_elements(fan)
         assert {b.point: (b.carrier, b.coords) for b in boxes} == rational_box_scan(fan)
         assert all(b.age == sum(b.coords, Fraction(0)) for b in boxes)
-    assert [b.point for b in box_elements(fans[-2])] == [(0, 0), (1, 2)]
-    assert [b.point for b in box_elements(fans[-1])] == [(0, 0, 0), (1, 1, 1), (1, 2, 1)]
+    # a lower-dimensional cone is refused: a non-primitive ray in Z^2, a
+    # plane in Z^3
+    for fan in (
+        StackyFan.make(2, [(2, 4)], [(0,)]),
+        StackyFan.make(3, [(1, 0, 1), (1, 3, 1)], [(0, 1)]),
+    ):
+        with pytest.raises(FanError, match="is not full-dimensional"):
+            box_elements(fan)
 
 
 # -- gorenstein ---------------------------------------------------------------
@@ -390,6 +421,29 @@ def test_gorenstein_support_vector_pairs_to_one():
     for mc, u in zip(fan.max_cones, res.support_vectors):
         for i in mc:
             assert sum(a * b for a, b in zip(u, fan.stacky_vectors[i])) == 1
+
+
+def test_gorenstein_support_vectors_are_the_rational_solve():
+    # u with <u, b_i> = 1 on each maximal cone's rays, by a Fraction solve:
+    # the support vector when integral, None exactly when not
+    rng = random.Random(2026)
+    fans = [fan for _, fan in example_fans()]
+    fans += [random_single_cone_fan(rng, rng.choice([2, 3])) for _ in range(12)]
+    fans += [random_complete_2d_fan(rng) for _ in range(8)]
+    integral = fractional = 0
+    for fan in fans:
+        res = gorenstein_check(fan)
+        for mc, u in zip(fan.max_cones, res.support_vectors):
+            vecs = fan.cone_vectors(mc)
+            want = solve_rational_by_fractions(vecs, [1] * len(vecs))
+            if all(x.denominator == 1 for x in want):
+                assert u == tuple(want), (fan, mc)
+                integral += 1
+            else:
+                assert u is None, (fan, mc)
+                fractional += 1
+        assert res.ok == all(u is not None for u in res.support_vectors)
+    assert integral and fractional
 
 
 def test_gorenstein_agrees_with_integral_ages():
@@ -672,19 +726,19 @@ def test_saturating_extension_matches_smith(data):
 
 
 def _assert_kahler_agrees(fan: StackyFan, divisors, vectors):
-    """The Kahler test, and each anticone's inequalities, against
-    cone_contains at every vector."""
+    """The Kahler test, and each anticone's inequalities (the rows of the
+    integer inverse of its r classes), against cone_contains at every
+    vector."""
     inside = stacky._kahler_closure_test(fan, divisors)
     antis = []
     for anti in minimal_anticones(fan):
         gens = [divisors[i] for i in sorted(anti)]
-        antis.append((gens, stacky._anticone_inequalities(gens)))
+        antis.append((gens, integer_inverse(transpose(gens))[0]))
     for x in vectors:
         member = []
         for gens, rows in antis:
             member.append(cone_contains(gens, x)[0])
-            if rows is not None:
-                assert all(sum(map(mul, row, x)) >= 0 for row in rows) == member[-1]
+            assert all(sum(map(mul, row, x)) >= 0 for row in rows) == member[-1]
         assert inside(x) == all(member)
 
 
@@ -715,14 +769,8 @@ def test_kahler_test_matches_cone_contains_on_search_candidates(monkeypatch):
         _assert_kahler_agrees(fan, divisors, sorted(vectors))
 
 
-# the divisor classes of every example fan, and of a fan whose one-ray
-# maximal cone leaves an anticone of two classes in rank one (the
-# cone_contains fallback)
-KAHLER_FANS = [
-    (fan, fan_sequence(fan).divisors)
-    for fan in [fan for _, fan in example_fans()]
-    + [StackyFan.make(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)])]
-]
+# the divisor classes of every example fan
+KAHLER_FANS = [(fan, fan_sequence(fan).divisors) for _, fan in example_fans()]
 
 
 @settings(max_examples=200)
@@ -732,6 +780,20 @@ def test_kahler_test_matches_cone_contains_at_random_vectors(data):
     r = len(divisors[0])
     x = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
     _assert_kahler_agrees(fan, divisors, [x])
+
+
+def test_kahler_test_refuses_cones_without_n_independent_rays():
+    # a lone ray, and a cone of two parallel rays; each names its cone
+    for fan, words in (
+        (StackyFan.make(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)]),
+         "cone (2,) is not full-dimensional"),
+        (StackyFan.make(2, [(1, 0), (2, 0), (0, 1), (-1, -1)],
+                        [(0, 1), (1, 2), (2, 3), (0, 3)]),
+         "cone (0, 1) is not simplicial"),
+    ):
+        divisors = [tuple(row) for row in transpose(integer_kernel(transpose(fan.vectors)))]
+        with pytest.raises(FanError, match=re.escape(words)):
+            stacky._kahler_closure_test(fan, divisors)
 
 
 # the grading data of every complete example fan: 10 in fans/ (5 of them
@@ -821,16 +883,13 @@ def test_minimal_cone_coordinates_of_rays_and_box_elements():
 
 def test_cone_reader_matches_cone_contains_and_solve_rational():
     # the coordinates read off each maximal cone's cached inverse, at random
-    # lattice points and at integer combinations of a cone's generators
-    # (the only points on a lower-dimensional cone's span), against a direct
-    # solve and cone_contains; minimal_cone_coordinates takes the first cone
-    # that holds the point and raises outside the support
+    # lattice points and at integer combinations of a cone's generators,
+    # against a direct solve and cone_contains; minimal_cone_coordinates
+    # takes the first cone that holds the point and raises outside the
+    # support
     rng = random.Random(23)
     fans = [fan for _, fan in example_fans()]
     fans += [random_single_cone_fan(rng, rng.choice([2, 3])) for _ in range(8)]
-    fans.append(StackyFan.make(2, [(2, 4)], [(0,)]))
-    fans.append(StackyFan.make(3, [(1, 0, 1), (1, 3, 1)], [(0, 1)]))
-    fans.append(StackyFan.make(3, [(1, 0, 1), (1, 3, 1), (0, 1, 2)], [(0, 1), (1, 2)]))
     for fan in fans:
         for _ in range(30):
             if rng.random() < 0.5:
@@ -844,9 +903,9 @@ def test_cone_reader_matches_cone_contains_and_solve_rational():
                 gens = fan.cone_vectors(mc)
                 want = solve_rational(transpose(gens), list(x))
                 got = stacky.cone_coordinates(fan, mc, x)
-                assert got == (None if want is None else tuple(want)), (fan, mc, x)
+                assert got == tuple(want), (fan, mc, x)
                 ok, lam = cone_contains(gens, x)
-                assert ok == (got is not None and min(got) >= 0)
+                assert ok == (min(got) >= 0)
                 if ok and holder is None:
                     holder = (mc, lam)
             if holder is None:

@@ -15,6 +15,7 @@ from conftest import (
     p2_fan,
     p2z3_extended,
     partial_resolutions,
+    support_by_fractions,
 )
 
 from orbidisk import stacky, suborbifold
@@ -33,7 +34,6 @@ from orbidisk.suborbifold import (
     CalabiYauError,
     InvalidFacetError,
     build_suborbifold,
-    cy_support_vector,
     push_class_pairings,
 )
 
@@ -44,7 +44,7 @@ def test_chart_at_edge_sector():
     assert sub.fan.stacky_vectors == ((2, -1), (-1, 2))
     assert sub.fan.extra_vectors == ((0, 1), (1, 0))
     assert sub.fan.max_cones == ((0, 1),)
-    assert sub.support_vector == (1, 1)
+    assert sub.facet.normal == (1, 1)
     assert validate(sub.fan).ok
 
 
@@ -57,7 +57,7 @@ def test_chart_at_vertex_has_two_facets():
         # both charts are the same quotient singularity: 2 rays, 2 sectors
         assert len(sub.fan.stacky_vectors) == 2
         assert len(sub.fan.extra_vectors) == 2
-        assert cy_support_vector(sub.fan) is not None
+        assert support_by_fractions(sub.fan) == f.normal
     # default pick is the lexicographically least facet
     sub = build_suborbifold(fan, DiskClassSymbol.smooth(2))
     assert sub.facet.vertices == min(f.vertices for f in facets)
@@ -89,22 +89,14 @@ def test_chart_f2_midpoint_ray():
     assert sub.fan.stacky_vectors == ((1, 0), (0, 1), (-1, 2))
     assert sub.fan.extra_vectors == ()
     assert sub.fan.max_cones == ((0, 1), (1, 2))
-    assert sub.support_vector == (1, 1)
+    assert sub.facet.normal == (1, 1)
 
 
 def test_chart_smooth_vertex():
     sub = build_suborbifold(p2_fan(), DiskClassSymbol.smooth(0))
     assert sub.fan.stacky_vectors == ((1, 0), (0, 1))
     assert sub.fan.extra_vectors == ()
-    assert sub.support_vector == (1, 1)
-
-
-def test_cy_support_examples():
-    from conftest import c2z3_chart, om2_chart
-
-    assert cy_support_vector(c2z3_chart()) == (1, 1)
-    assert cy_support_vector(om2_chart()) == (1, 1)
-    assert cy_support_vector(p2_fan()) is None
+    assert sub.facet.normal == (1, 1)
 
 
 def test_push_zero_and_relations():
@@ -141,8 +133,8 @@ def test_chart_vectors_inside_facet_cone():
         for v in sub.fan.extra_vectors:
             ok, _ = cone_contains(gens, v)
             assert ok
-        # the facet cut agrees with the support vector
-        u = sub.support_vector
+        # the facet cut agrees with the facet's normal
+        u = sub.facet.normal
         for v in sub.fan.vectors:
             assert sum(a * b for a, b in zip(u, v)) == 1
 
@@ -200,7 +192,8 @@ def test_validate_runs_once_per_distinct_chart(monkeypatch):
 
 def test_chart_cut_matches_cone_solves():
     """The facet-inequality cut and its Calabi-Yau test give the chart, or
-    the error, of `cone_contains` on every vector plus `cy_support_vector`:
+    the error, of `cone_contains` on every vector plus a Fraction solve for
+    the support vector:
     every facet of every complete fan in fans/, perfbench/fans/ and the
     partial-resolution census."""
     for name, fan in _complete_example_fans() + partial_resolutions():
@@ -240,20 +233,15 @@ def test_chart_cut_error_paths(fan, vertices, error, words):
 
 
 def test_chart_cut_and_validate_solve_no_cone(monkeypatch):
-    """On valid fans the chart cut calls neither `cy_support_vector` nor
-    `cone_contains`, and validate calls `cone_contains` only from the
-    common-face test."""
+    """On valid fans the chart cut solves no cone, and validate calls
+    `cone_contains` only from the common-face test."""
     callers = []
 
     def recording_cone_contains(gens, point):
         callers.append(sys._getframe(1).f_code.co_name)
         return cone_contains(gens, point)
 
-    def no_support_solve(fan):
-        raise AssertionError("cy_support_vector called")
-
     monkeypatch.setattr(stacky, "cone_contains", recording_cone_contains)
-    monkeypatch.setattr(suborbifold, "cy_support_vector", no_support_solve)
     assert not hasattr(suborbifold, "cone_contains")
     for name, fan in example_fans():
         assert validate(fan).ok, name
