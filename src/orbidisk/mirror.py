@@ -74,11 +74,11 @@ from .stacky import (
     StackyFan,
     anticones,
     box_elements,
-    cone_coordinates,
+    _cone_inverse,
+    _first_cone,
     cone_index,
     dual_class_data,
     fan_sequence,
-    minimal_cone_coordinates,
 )
 from .suborbifold import Suborbifold, build_suborbifold, push_class_pairings
 
@@ -235,19 +235,14 @@ class ChartPipeline:
         divisor classes (the relation lattice is saturated), and Dual_j
         pairs into (1/|G_tau|)Z, G_tau a subgroup of G_sigma for its carrier
         tau, so both pairings lie in (1/M)Z.  A step class whose scaled key
-        is not integral therefore raises ComputationError, as does a cone
-        that is not full-dimensional.  The budget bounds a walk only when
-        every w_e > 0; otherwise, ComputationError.
+        is not integral therefore raises ComputationError.  The budget
+        bounds a walk only when every w_e > 0; otherwise, ComputationError.
         """
         if self._cone_walks is None:
             fan, r, sq, cols = self.fan, self.r, self._den, self._gamma_cols
             out = []
             for cone in fan.max_cones:
                 outside = [e for e in range(fan.n_vectors) if e not in cone]
-                if len(outside) != r:
-                    raise ComputationError(
-                        f"maximal cone {tuple(cone)} is not full-dimensional"
-                    )
                 # block = M x pairings and block^-1 = inv / den, so each
                 # step's key is M^2 times a column of inv, over den
                 inv, den = integer_inverse([list(cols[e]) for e in outside])
@@ -967,12 +962,8 @@ def potential_entry(
     order,
     pipeline_cache: dict | None = None,
 ) -> PotentialEntry:
-    """One disk-potential term: generating function times the area monomial.
-
-    The area is the nef pairings of the boundary vector b's coordinates on
-    its minimal cone (`minimal_cone_coordinates`) minus those on sigma0
-    (`cone_coordinates`).
-    """
+    """One disk-potential term: generating function times the area monomial
+    (`_area`)."""
     sigma0 = parent.max_cones[cone_number]
     dgf = disk_generating_function(
         parent, sym, order, pipeline_cache=pipeline_cache
@@ -980,25 +971,43 @@ def potential_entry(
     boundary = (
         parent.stacky_vectors[sym.ray] if sym.kind == "ray" else tuple(sym.point)
     )
-    alpha = [Fraction(0)] * parent.n_vectors
-    for i, c in zip(*minimal_cone_coordinates(parent, boundary)):
-        alpha[i] += c
-    for i, c in zip(sigma0, cone_coordinates(parent, sigma0, boundary)):
-        alpha[i] -= c
-    area = seq.pcoords_from_ambient(alpha)[: seq.r_prime]
-    if any(x < 0 for x in area):
-        raise NormalizationConeError(
-            f"class at {boundary} has negative area for this cone"
-        )
+    area = _area(parent, seq, sigma0, boundary)
     series = _relabel_to_parent(dgf, seq, area, order)
     return PotentialEntry(
         tuple(boundary),
-        tuple(area),
+        area,
         series,
         dgf.tau_points,
         dgf.facet_vertices,
         sym,
     )
+
+
+def _area(parent: StackyFan, seq: FanSequenceData, sigma0, boundary) -> tuple:
+    """The area exponents of a basic class with boundary vector b: the nef
+    pairings of b's coordinates on its minimal cone (those on the first
+    cone holding it) minus those on sigma0, or NormalizationConeError when
+    one is negative.
+
+    With y = m @ b on the first cone and y0 = m0 @ b on sigma0, over their
+    inverses' d and d0, the difference is an integer vector over L = lcm(d,
+    d0), whose pairings are read without a Fraction (`_scaled_pcoords`).
+    """
+    cone, y, d = _first_cone(parent, boundary)
+    m0, d0 = _cone_inverse(parent, sigma0)
+    scale = lcm(d, d0)
+    nums = [0] * parent.n_vectors
+    for i, c in zip(cone, y):
+        nums[i] += c * (scale // d)
+    for i, row in zip(sigma0, m0):
+        nums[i] -= sum(map(mul, row, boundary)) * (scale // d0)
+    coords, den = seq._scaled_pcoords(nums, scale)
+    area = tuple(Fraction(c, den) for c in coords[: seq.r_prime])
+    if any(x < 0 for x in area):
+        raise NormalizationConeError(
+            f"class at {tuple(boundary)} has negative area for this cone"
+        )
+    return area
 
 
 def assemble_potential(
@@ -1045,10 +1054,11 @@ def _relabel_to_parent(
     n_q = len(dgf.q_classes)
     images = []
     for cls in dgf.q_classes:
-        pc = seq.pcoords_from_ambient(cls)[:r_prime]
-        if any(x < 0 or x.denominator != 1 for x in pc):
+        pc, den = seq._scaled_pcoords(cls, 1)
+        pc = pc[:r_prime]
+        if any(x < 0 or x % den for x in pc):
             raise ComputationError("pushed chart class is not effective upstairs")
-        images.append([int(x) for x in pc])
+        images.append([x // den for x in pc])
     modulus = lcm(chart_m, *(x.denominator for x in area))
     s = modulus // chart_m
     ring = SeriesRing(

@@ -283,14 +283,21 @@ def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
     gives ((i,), (1,)), a box element its carrier and coords; FanError when
     b lies outside the support.
     """
+    mc, y, d = _first_cone(fan, b)
+    return (
+        tuple(i for i, c in zip(mc, y) if c),
+        tuple(Fraction(c, d) for c in y if c),
+    )
+
+
+def _first_cone(fan: StackyFan, b) -> tuple[tuple[int, ...], list[int], int]:
+    """(cone, y, d): the first (simplicial) maximal cone holding b, with y =
+    m @ b >= 0 over its inverse (m, d), d times the coordinates of b on it.
+    FanError when b lies outside the support."""
     for mc, inverse in _cone_inverses(fan).items():
         y = _cone_scaled_coordinates(inverse, b)
         if y is not None:
-            d = inverse[1]
-            return (
-                tuple(i for i, c in zip(mc, y) if c),
-                tuple(Fraction(c, d) for c in y if c),
-            )
+            return mc, y, inverse[1]
     raise FanError(f"vector {tuple(b)} lies outside the support")
 
 
@@ -537,45 +544,75 @@ class FanSequenceData:
         d = [Fraction(x) for x in ambient]
         scale = lcm(*(x.denominator for x in d))
         nums = [x.numerator * (scale // x.denominator) for x in d]  # d * scale
-        if len(d) != self.fan.n_vectors or any(
+        coords, den = self._scaled_pcoords(nums, scale)
+        return tuple(Fraction(c, den) for c in coords)
+
+    def _scaled_pcoords(self, nums, scale: int) -> tuple[list[int], int]:
+        """(c, den) with <p_a, d> = c[a] / den for the ambient relation d =
+        nums / scale, nums integers and scale > 0: `pcoords_from_ambient`
+        without a Fraction.  FanError when d is not a relation."""
+        if len(nums) != self.fan.n_vectors or any(
             sum(map(mul, nums, col)) for col in zip(*self.fan.vectors)
         ):
             raise FanError("vector is not a relation of the fan map")
         rows, t, den = self._pcoords_map
         picked = [nums[i] for i in rows]
-        return tuple(Fraction(sum(map(mul, row, picked)), den * scale) for row in t)
+        return [sum(map(mul, row, picked)) for row in t], den * scale
 
     @cached_property
     def _pcoords_map(self) -> tuple[list[int], list[list[int]], int]:
-        """(rows, t, den) with p_a = sum_c t[a][c] D_rows[c] / den: the first
-        independent divisor classes, the pivots of one elimination of their
-        columns, and basis_p over their integer inverse."""
-        rows, _ = _eliminate(transpose(self.divisors), self.fan.n_vectors)
-        inv, den = integer_inverse([self.divisors[i] for i in rows])
+        """(rows, t, den) with p_a = sum_c t[a][c] D_rows[c] / den: the
+        ambient lifts of the nef rows (`_class_lift`)."""
+        rows, inv, den = _class_lift(self.divisors, self.fan.n_vectors)
         t = [[sum(map(mul, p, col)) for col in zip(*inv)] for p in self.basis_p]
         return rows, t, den
 
 
-def _kahler_closure_test(fan: StackyFan, divisors):
-    """Membership in the closed extended Kahler cone: the intersection of
-    the cones spanned by the divisor classes of each minimal anticone.
+def _class_lift(divisors, n_vectors: int) -> tuple[list[int], list[list[int]], int]:
+    """(rows, inv, den): the first r independent divisor classes, the pivots
+    of one elimination of their columns, and the integer inverse (inv, den)
+    of their matrix.  A class x is then the image sum_c w_c D_rows[c] of
+    the ambient divisor w = (x @ inv) / den, supported on those rows."""
+    rows, _ = _eliminate(transpose(divisors), n_vectors)
+    inv, den = integer_inverse([divisors[i] for i in rows])
+    return rows, inv, den
 
-    Each maximal cone's n vectors are a basis of Q^n (`_cone_inverse`, which
-    raises FanError otherwise), so a relation is fixed by its pairings with
-    the r vectors outside it: the r classes of its anticone are independent
-    and span a simplicial cone, cut out by the rows of their integer
-    inverse.  The rows of all anticones are pooled and deduplicated.
+
+def _kahler_test(fan: StackyFan):
+    """Membership of an ambient divisor w (any integer vector over the m'
+    vectors) in the closed extended Kahler cone: the intersection, over
+    the maximal cones sigma, of the cones spanned by the divisor classes
+    D_j of sigma's anticone, j not in sigma.  Returns inside(w).
+
+    Each maximal cone's n vectors are a basis of Q^n (`_cone_inverse`,
+    which raises FanError otherwise).  With its inverse (m, d) and y = m @
+    b_j for a vector j outside sigma, d b_j = sum_k y_k b_sigma[k], so the
+    ambient vector l = d e_j - sum_k y_k e_sigma[k] is a relation.  A
+    relation pairs to zero with every principal divisor (<u, b_i>)_i, so
+    <w, l> = d w_j - sum_k y_k w_sigma[k] takes one value on every ambient
+    lift w of a class.  The r relations of sigma pair to d on their own
+    outside vector and to 0 on the others, so on a class sum_j c_j D_j over
+    the anticone's basis they read d c_j: the class lies in the anticone's
+    cone exactly when all r pair >= 0 with w.  These inequalities are, up
+    to the positive factor d, the rows of the inverse of the anticone's
+    classes; the rows of all cones are pooled, each made primitive and
+    kept once.
     """
     rows: dict[tuple[int, ...], None] = {}
     for mc in fan.max_cones:
-        _cone_inverse(fan, mc)
-        gens = [d for i, d in enumerate(divisors) if i not in mc]
-        m, _ = integer_inverse(transpose(gens))
-        rows.update(dict.fromkeys(primitive_vector(row) for row in m))
+        m, d = _cone_inverse(fan, mc)
+        for j, b in enumerate(fan.vectors):
+            if j not in mc:
+                row = [0] * fan.n_vectors
+                row[j] = d
+                for i, x in zip(mc, m):
+                    row[i] = -sum(map(mul, x, b))
+                g = gcd(*row)  # > 0, as row[j] = d
+                rows[tuple(x // g for x in row)] = None
     pooled = list(rows)
 
-    def inside(x) -> bool:
-        return all(sum(map(mul, row, x)) >= 0 for row in pooled)
+    def inside(w) -> bool:
+        return all(sum(map(mul, row, w)) >= 0 for row in pooled)
 
     return inside
 
@@ -657,16 +694,22 @@ def _extra_transform(extra_divs, r: int) -> tuple[list[list[int]], int]:
 
 def _validate_basis(fan, divisors, u, n_extra, p, r_prime):
     """The transform u extended by a supplied nef block p, or
-    NoValidBasisError."""
+    NoValidBasisError.  Each row is tested on its ambient lift
+    (`_class_lift`)."""
     r = len(divisors[0])
     if len(p) != r_prime or any(len(row) != r for row in p):
         raise NoValidBasisError(
             f"basis_p must hold r' = {r_prime} nef rows of length {r}, "
             f"got {len(p)} rows"
         )
-    inside_kahler = _kahler_closure_test(fan, divisors) if p else None
+    if p:
+        inside_kahler = _kahler_test(fan)
+        rows, inv, _ = _class_lift(divisors, fan.n_vectors)
     for a, row in enumerate(p):
-        if not inside_kahler(row):
+        lift = [0] * fan.n_vectors
+        for i, col in zip(rows, zip(*inv)):
+            lift[i] = sum(map(mul, row, col))
+        if not inside_kahler(lift):
             raise NoValidBasisError(
                 f"basis vector {row} is outside the closed extended Kahler cone"
             )
@@ -681,32 +724,40 @@ def _validate_basis(fan, divisors, u, n_extra, p, r_prime):
 
 def _search_basis(fan, divisors, extras, u, n_extra, r_prime):
     """The nef block and the transform u extended by it."""
-    r = len(divisors[0])
-    inside_kahler = _kahler_closure_test(fan, divisors)
+    inside_kahler = _kahler_test(fan)
     extra_divs = [divisors[j] for j in extras]
     # candidates for the nef block: integral canonical-splitting lifts of
     # sums x of the ray classes D_i, i in S.  The splitting projection
     # x - sum_j <x, Dual_j> D_j lands in the closed Kahler cone lift when the
     # image of x is nef, and <x, Dual_j> = sum_S Dual_j[i]; taking floors
     # keeps the candidate integral while only adding nonnegative multiples
-    # of extra divisor classes.
-    duals = [dual_class_data(fan, j).pairings for j in extras]
+    # of extra divisor classes.  Dual_j pairs to -y_k / d with the rays of
+    # the first cone holding b_j (`_dual_relation`), so each floor is an
+    # integer division, and the candidate's ambient divisor is the
+    # indicator of S less fl_j e_j on the extras.
+    duals = []
+    for j in extras:
+        mc, y, d = _dual_relation(fan, j)
+        duals.append((j, dict(zip(mc, y)), d))
     nef_pool: list[tuple[int, ...]] = []
     nef_seen = set()
 
     def add_nef(idx):
-        vec = [sum(divisors[i][k] for i in idx) for k in range(r)]
+        vec = list(map(sum, zip(*[divisors[i] for i in idx])))
         if not any(vec):
             return
-        for dj, ddiv in zip(duals, extra_divs):
-            s = sum(dj[i] for i in idx)
-            fl = s.numerator // s.denominator
+        lift = [0] * fan.n_vectors
+        for i in idx:
+            lift[i] = 1
+        for (j, y, d), ddiv in zip(duals, extra_divs):
+            fl = -sum(y.get(i, 0) for i in idx) // d
             if fl:
                 vec = [a - fl * b for a, b in zip(vec, ddiv)]
-        if not any(vec):
+                lift[j] = -fl
+        if not any(vec) or not inside_kahler(lift):
             return
         for v in (primitive_vector(vec), tuple(vec)):
-            if v not in nef_seen and inside_kahler(v):
+            if v not in nef_seen:
                 nef_seen.add(v)
                 nef_pool.append(v)
 
@@ -811,15 +862,26 @@ def dual_class_data(fan: StackyFan, j: int) -> DualClassData:
     """
     if j < fan.n_rays or j >= fan.n_vectors:
         raise FanError(f"index {j} is not an extra vector")
-    carrier, coeffs = minimal_cone_coordinates(fan, fan.vectors[j])
+    mc, y, d = _dual_relation(fan, j)
+    carrier = tuple(i for i, c in zip(mc, y) if c)
+    coeffs = tuple(Fraction(c, d) for c in y if c)
     pairings = [Fraction(i == j) for i in range(fan.n_vectors)]
     for i, c in zip(carrier, coeffs):
         pairings[i] = -c
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [int(x * den) for x in pairings]
-    if any(sum(map(mul, nums, col)) for col in zip(*fan.vectors)):
-        raise FanError("dual class system inconsistent")
     return DualClassData(carrier, coeffs, tuple(pairings))
+
+
+def _dual_relation(fan: StackyFan, j: int) -> tuple[tuple[int, ...], list[int], int]:
+    """(cone, y, d) of the j-th vector b_j on the first maximal cone holding
+    it (`_first_cone`): d e_j - sum_k y_k e_cone[k], d times its dual class,
+    must be a relation, or FanError."""
+    b = fan.vectors[j]
+    mc, y, d = _first_cone(fan, b)
+    if any(
+        d * x != sum(map(mul, y, col)) for x, col in zip(b, zip(*fan.cone_vectors(mc)))
+    ):
+        raise FanError("dual class system inconsistent")
+    return mc, y, d
 
 
 def age_one_box_points(fan: StackyFan) -> list[tuple[int, ...]]:

@@ -333,6 +333,48 @@ def pcoords_by_solve(seq, ambient) -> tuple[Fraction, ...]:
     )
 
 
+def kahler_by_anticone_rows(fan: StackyFan, divisors):
+    """inside(x) for a class x in kernel-dual coordinates: the reference for
+    the Kahler test.  Each anticone's r divisor classes span a simplicial
+    cone, cut out by the rows of their integer inverse; the rows of every
+    anticone are pooled.  FanError names a cone without n independent
+    rays."""
+    from orbidisk import stacky
+    from orbidisk.lattice import integer_inverse, transpose
+
+    rows = []
+    for mc in fan.max_cones:
+        stacky._cone_inverse(fan, mc)
+        gens = [d for i, d in enumerate(divisors) if i not in mc]
+        rows += integer_inverse(transpose(gens))[0]
+
+    def inside(x) -> bool:
+        return all(sum(map(mul, row, x)) >= 0 for row in rows)
+
+    return inside
+
+
+def area_by_fractions(parent: StackyFan, seq, sigma0, boundary):
+    """The area exponents of the basic class with this boundary vector, in
+    Fraction: the nef pairings of its minimal-cone coordinates minus its
+    coordinates on sigma0, or NormalizationConeError when one is negative.
+    The reference for the potential's areas."""
+    from orbidisk.mirror import NormalizationConeError
+    from orbidisk.stacky import cone_coordinates, minimal_cone_coordinates
+
+    alpha = [Fraction(0)] * parent.n_vectors
+    for i, c in zip(*minimal_cone_coordinates(parent, boundary)):
+        alpha[i] += c
+    for i, c in zip(sigma0, cone_coordinates(parent, sigma0, boundary)):
+        alpha[i] -= c
+    area = seq.pcoords_from_ambient(alpha)[: seq.r_prime]
+    if any(x < 0 for x in area):
+        raise NormalizationConeError(
+            f"class at {tuple(boundary)} has negative area for this cone"
+        )
+    return area
+
+
 def relabel_by_fractions(dgf, seq, area, order) -> dict:
     """Exponents -> coefficient of a chart series moved to the parent q
     variables and multiplied by the area monomial, term by term in Fraction:

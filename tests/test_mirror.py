@@ -1044,6 +1044,96 @@ def _complete_fans():
     return [(name, fan) for name, fan in example_fans() if is_complete(fan)]
 
 
+def _area_outcome(f, *args):
+    """f(*args), or the class name and message of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, ComputationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_areas_match_the_fraction_reference():
+    # the area of every basic class of every complete example fan and
+    # census fan with a nef block, with every maximal cone as sigma0,
+    # against area_by_fractions; the block negated makes the areas
+    # negative, so both raise NormalizationConeError there
+    from conftest import area_by_fractions, partial_resolutions
+
+    from orbidisk.mirror import _area
+    from orbidisk.stacky import FanSequenceData, NoValidBasisError, fan_sequence
+
+    compared = refused = 0
+    for _, fan in _complete_fans() + partial_resolutions():
+        try:
+            seq = fan_sequence(fan)
+        except NoValidBasisError:
+            continue
+        flipped = FanSequenceData(
+            fan, seq.kernel_basis, seq.divisors,
+            tuple(tuple(-x for x in row) for row in seq.basis_p),
+            seq.q_matrix, seq.gamma_basis, seq.r, seq.r_prime,
+        )
+        for sym in potential_symbols(fan):
+            b = fan.stacky_vectors[sym.ray] if sym.kind == "ray" else sym.point
+            for sigma0 in fan.max_cones:
+                for data in (seq, flipped):
+                    got = _area_outcome(_area, fan, data, sigma0, b)
+                    want = _area_outcome(area_by_fractions, fan, data, sigma0, b)
+                    assert got == want, (fan, sigma0, b)
+                    compared += 1
+                    refused += got[:1] == ("NormalizationConeError",)
+    # 9,994 outcomes, 3,280 of them refusals
+    assert compared > 9000 and 3000 < refused < compared // 2
+
+
+def test_search_and_areas_read_only_the_cone_inverses(monkeypatch):
+    # with every cone inverse, pipeline and grading map built, the nef
+    # search and each potential entry build no dual class data, no
+    # Fraction cone coordinates and no integer inverse of an anticone
+    from orbidisk import mirror, stacky
+    from orbidisk.mirror import potential_entry
+
+    runs = []
+    for _, fan in _complete_fans():
+        seq = stacky.fan_sequence(fan)
+        cache: dict = {}
+        try:
+            entries = [
+                potential_entry(fan, seq, 0, sym, 2, cache)
+                for sym in potential_symbols(fan)
+            ]
+        except FanError:  # f3 is not semi-Fano
+            continue
+        runs.append((fan, seq, cache, entries))
+    assert len(runs) == 25
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        return call
+
+    for module, name in (
+        (stacky, "dual_class_data"),
+        (stacky, "minimal_cone_coordinates"),
+        (stacky, "cone_coordinates"),
+        (stacky, "integer_inverse"),
+        (mirror, "dual_class_data"),
+        (mirror, "integer_inverse"),
+    ):
+        monkeypatch.setattr(module, name, refuse(name))
+    searched = 0
+    for fan, seq, cache, entries in runs:
+        if seq.r_prime:
+            assert stacky._fan_sequence.__wrapped__(fan, None) == seq
+            searched += 1
+        assert [
+            potential_entry(fan, seq, 0, sym, 2, cache)
+            for sym in potential_symbols(fan)
+        ] == entries
+    assert searched == 25
+
+
 def test_relabel_and_invariants_match_fraction_reference():
     # every basic class with a chart of every complete example fan and of
     # every partial resolution that computes (test_partial_resolutions); the

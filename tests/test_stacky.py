@@ -22,6 +22,7 @@ from conftest import (
     f3_fan,
     facets_by_kernel,
     fm_solve,
+    kahler_by_anticone_rows,
     local_chart,
     maximal_minor_gcd,
     om2_chart,
@@ -45,7 +46,6 @@ from orbidisk.lattice import (
     AmbiguousSolutionError,
     cone_contains,
     identity_matrix,
-    integer_inverse,
     integer_kernel,
     rank,
     solve_rational,
@@ -725,48 +725,71 @@ def test_saturating_extension_matches_smith(data):
             assert k <= r
 
 
-def _assert_kahler_agrees(fan: StackyFan, divisors, vectors):
-    """The Kahler test, and each anticone's inequalities (the rows of the
-    integer inverse of its r classes), against cone_contains at every
-    vector."""
-    inside = stacky._kahler_closure_test(fan, divisors)
-    antis = []
-    for anti in minimal_anticones(fan):
-        gens = [divisors[i] for i in sorted(anti)]
-        antis.append((gens, integer_inverse(transpose(gens))[0]))
-    for x in vectors:
-        member = []
-        for gens, rows in antis:
-            member.append(cone_contains(gens, x)[0])
-            assert all(sum(map(mul, row, x)) >= 0 for row in rows) == member[-1]
-        assert inside(x) == all(member)
+def _lift(fan: StackyFan, divisors, x) -> list[int]:
+    """A positive multiple of an ambient divisor whose class is x, through
+    the lift the supplied-basis test uses."""
+    rows, inv, _ = stacky._class_lift(divisors, fan.n_vectors)
+    lift = [0] * fan.n_vectors
+    for i, col in zip(rows, zip(*inv)):
+        lift[i] = sum(map(mul, x, col))
+    return lift
+
+
+def _assert_kahler_agrees(fan: StackyFan, divisors, vectors, ambient=(), solve=True):
+    """The Kahler test against the pooled anticone-inverse rows
+    (`kahler_by_anticone_rows`) and, with solve, against cone_contains on
+    each anticone: at each class vector x through its lift, and at each
+    ambient divisor w through its class sum_i w_i D_i."""
+    inside = stacky._kahler_test(fan)
+    reference = kahler_by_anticone_rows(fan, divisors)
+    antis = [
+        [divisors[i] for i in sorted(anti)] for anti in minimal_anticones(fan)
+    ]
+    pairs = [(x, _lift(fan, divisors, x)) for x in vectors]
+    pairs += [
+        ([sum(map(mul, w, col)) for col in zip(*divisors)], w) for w in ambient
+    ]
+    for x, w in pairs:
+        member = reference(x)
+        if solve:
+            assert member == all(cone_contains(gens, x)[0] for gens in antis), (fan, x)
+        assert inside(w) == member, (fan, x, w)
 
 
 def test_kahler_test_matches_cone_contains_on_search_candidates(monkeypatch):
-    # every nef candidate the search tests
+    # every nef candidate the search tests, an ambient divisor, on the
+    # example fans and the 163 census fans; cone_contains on the example
+    # fans
     tested = []
-    real_test = stacky._kahler_closure_test
+    real_test = stacky._kahler_test
 
-    def recording_test(fan, divisors):
-        inside = real_test(fan, divisors)
+    def recording_test(fan):
+        inside = real_test(fan)
 
-        def test(x):
-            tested.append((fan, tuple(divisors), tuple(x)))
-            return inside(x)
+        def test(w):
+            tested.append((fan, tuple(w)))
+            return inside(w)
 
         return test
 
-    monkeypatch.setattr(stacky, "_kahler_closure_test", recording_test)
-    for _, fan in example_fans():
-        stacky._fan_sequence.__wrapped__(fan, None)
+    monkeypatch.setattr(stacky, "_kahler_test", recording_test)
+    fans = list(dict.fromkeys(fan for _, fan in example_fans() + partial_resolutions()))
+    for fan in fans:
+        try:
+            stacky._fan_sequence.__wrapped__(fan, None)
+        except NoValidBasisError:
+            pass
     monkeypatch.undo()
-    # 276 nef candidates over the example fans
-    assert len(tested) > 250
+    assert len(tested) > 3000
     by_fan: dict = {}
-    for fan, divisors, x in tested:
-        by_fan.setdefault((fan, divisors), set()).add(x)
-    for (fan, divisors), vectors in by_fan.items():
-        _assert_kahler_agrees(fan, divisors, sorted(vectors))
+    for fan, w in tested:
+        by_fan.setdefault(fan, set()).add(w)
+    # the search runs on every fan with r' > 0
+    assert len(by_fan) == sum(f.n_rays > rank(f.stacky_vectors) for f in fans)
+    examples = {fan for _, fan in example_fans()}
+    for fan, ambient in by_fan.items():
+        divisors = transpose(integer_kernel(transpose(fan.vectors)))
+        _assert_kahler_agrees(fan, divisors, (), sorted(ambient), fan in examples)
 
 
 # the divisor classes of every example fan
@@ -779,11 +802,66 @@ def test_kahler_test_matches_cone_contains_at_random_vectors(data):
     fan, divisors = data.draw(st.sampled_from(KAHLER_FANS))
     r = len(divisors[0])
     x = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
-    _assert_kahler_agrees(fan, divisors, [x])
+    m = fan.n_vectors
+    w = data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    _assert_kahler_agrees(fan, divisors, [x], [w])
+
+
+def _supplied_outcome(fan, divisors, reference, block):
+    """The reference outcome of supplying the nef block `block`: the first
+    row outside the Kahler cone (`reference`) or not completing a saturated
+    set names the failure, else None."""
+    r = len(divisors[0])
+    extras = [divisors[j] for j in range(fan.n_rays, fan.n_vectors)]
+    u, k = stacky._extra_transform(extras, r)
+    for a, row in enumerate(block):
+        if not reference(row):
+            return f"basis vector {tuple(row)} is outside"
+        u = stacky._saturating_extension(u, k + a, row)
+        if u is None:
+            return "supplied basis does not complete"
+    return None
+
+
+def test_supplied_basis_rows_match_the_anticone_rows():
+    # each searched nef block, supplied back, passes, on the example fans
+    # and the census fans with a block; each of its rows negated, and on
+    # the example fans less a unit vector, passes or fails as the reference
+    # says
+    examples = [fan for _, fan in example_fans()]
+    checked = failed = 0
+    for fan in examples + [fan for _, fan in partial_resolutions()]:
+        try:
+            seq = fan_sequence(fan)
+        except NoValidBasisError:
+            continue
+        block = [list(row) for row in seq.basis_p]
+        if not block:
+            continue
+        assert fan_sequence(fan, block) == seq
+        blocks = []
+        for a in range(len(block)):
+            blocks.append(block[:a] + [[-x for x in block[a]]] + block[a + 1:])
+            for k in range(seq.r if fan in examples else 0):
+                row = list(block[a])
+                row[k] -= 1
+                blocks.append(block[:a] + [row] + block[a + 1:])
+        reference = kahler_by_anticone_rows(fan, seq.divisors)
+        for other in blocks:
+            want = _supplied_outcome(fan, seq.divisors, reference, other)
+            checked += 1
+            if want is None:
+                fan_sequence(fan, other)
+            else:
+                failed += 1
+                with pytest.raises(NoValidBasisError, match=re.escape(want)):
+                    fan_sequence(fan, other)
+    assert checked > 500 and 0 < failed < checked
 
 
 def test_kahler_test_refuses_cones_without_n_independent_rays():
-    # a lone ray, and a cone of two parallel rays; each names its cone
+    # a lone ray, and a cone of two parallel rays; each names its cone, as
+    # the reference does
     for fan, words in (
         (StackyFan.make(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)]),
          "cone (2,) is not full-dimensional"),
@@ -793,7 +871,9 @@ def test_kahler_test_refuses_cones_without_n_independent_rays():
     ):
         divisors = [tuple(row) for row in transpose(integer_kernel(transpose(fan.vectors)))]
         with pytest.raises(FanError, match=re.escape(words)):
-            stacky._kahler_closure_test(fan, divisors)
+            stacky._kahler_test(fan)
+        with pytest.raises(FanError, match=re.escape(words)):
+            kahler_by_anticone_rows(fan, divisors)
 
 
 # the grading data of every complete example fan: 10 in fans/ (5 of them
