@@ -44,15 +44,20 @@ written into X.  The forward image of a peeled monomial, a product of one
 power-list entry per variable, is never built: it splits into a head, the
 product for all but its last variable (cached by step counts, so a longer
 head costs one product), and that variable's entry, and the product loop
-adds -coefficient x head x entry straight into the residual.  Generating
-functions of basic disk classes and the full disk potential are assembled
-from those X's.
+adds -coefficient x head x entry straight into the residual.  On a chart
+with r' = 0 every variable is a sector, and the chart's lattice
+automorphisms permute the sectors (`_symmetries`); each is used only once
+the correction series confirm it.  A sector that is the image of one with a
+power list takes that list with its keys permuted, and the generating
+function of the image of a solved class is the solved one with its tau
+keys permuted, with no product.  Generating functions of basic disk classes
+and the full disk potential are assembled from those X's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial, gcd, lcm, prod
 from operator import add, attrgetter, itemgetter, mul
 
@@ -213,6 +218,12 @@ class ChartPipeline:
         self._one = self.y_ring.one()._packed_view()
         self._powers: dict[int, list] = {}
         self._heads: dict[tuple[int, ...], tuple] = {(): self._one}
+        # per tau variable whose power list is another's image, (that
+        # variable, the key order `_symmetries` gives); generating functions
+        # by the index of their symbol's vector; the accepted symmetries
+        self._power_images: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._generated: dict[int, TruncatedSeries] = {}
+        self._sector_symmetries: list[tuple] | None = None
 
     # -- the coset walk and the omega sets -------------------------------------
 
@@ -621,12 +632,125 @@ class ChartPipeline:
             out.append(mono * exp_series(l))
         return out
 
+    # -- sector symmetries -----------------------------------------------------
+
+    def _candidates(self) -> list[tuple[int, ...]]:
+        """perm of every lattice automorphism g of the fan other than the
+        identity, perm[i] the index of g(v_i).
+
+        g is fixed by the images of the first cone's rays: one candidate
+        per maximal cone and ordering of its n rays, g = T m / d with (m, d)
+        the first cone's inverse and T the images as columns.  It is kept
+        when integral, when it maps the vectors onto themselves, rays to
+        rays and maximal cones to maximal cones, and when it moves some
+        vector; it permutes a generating set, so it is unimodular.
+        """
+        fan, n = self.fan, self.fan.dim
+        m, d = _cone_inverse(fan, fan.max_cones[0])
+        index = {v: i for i, v in enumerate(fan.vectors)}
+        cones = {frozenset(c) for c in fan.max_cones}
+        identity = tuple(range(fan.n_vectors))
+        out: dict[tuple[int, ...], None] = {}
+        for cone in fan.max_cones:
+            for images in permutations(fan.cone_vectors(cone)):
+                g = [
+                    [sum(t[x] * row[y] for t, row in zip(images, m)) for y in range(n)]
+                    for x in range(n)
+                ]
+                if any(c % d for row in g for c in row):
+                    continue
+                g = [[c // d for c in row] for row in g]
+                perm = tuple(
+                    index.get(tuple(sum(map(mul, row, v)) for row in g))
+                    for v in fan.vectors
+                )
+                if (
+                    None in perm
+                    or perm == identity
+                    or any(i >= fan.n_rays for i in perm[: fan.n_rays])
+                    or {frozenset(perm[i] for i in c) for c in fan.max_cones} != cones
+                ):
+                    continue
+                out[perm] = None
+        return list(out)
+
+    def _symmetries(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(back, src) for every candidate automorphism (`_candidates`) that
+        the correction series confirm, on a chart with r' = 0; computed
+        once.  back[perm[i]] = i over the vectors, and src orders a key's
+        entries so that the entry of tau (or y) variable v moves to the
+        variable of its sector's image: the moved key is key[src[w]] over w.
+
+        With r' = 0 every variable is a sector, the window is the total
+        degree, which moving keys keeps, and the forward map sends tau_v to
+        A_j of v's vector j.  A candidate is accepted only when moving the
+        keys of A_i gives A_perm(i) for every vector i.  Moving keys is then
+        a ring automorphism s of both truncated rings that takes the
+        forward image of every (q, tau) series X to the forward image of
+        s X, so s X is the inverse of s f when X is that of f, and the power
+        list of an image sector is s of the source's.  The target of a ray i
+        is exp(-A_i), that of a sector y_j exp(-sum_k c_k A_k) over the
+        minimal cone of v_j, and g maps that cone to the minimal cone of
+        g(v_j) with the same coefficients: s takes each target to the
+        target of its image.  A chart with r' > 0 gets none, as its q basis
+        is not known to be equivariant; a failing correction series gets
+        none either, and raises again where it is used.
+        """
+        if self._sector_symmetries is None:
+            out = []
+            if not self.r_prime:
+                n_rays, n = self.fan.n_rays, self.fan.n_vectors
+                try:
+                    series = [self.a_series(i) for i in range(n)]
+                except ComputationError:
+                    series = None
+                for perm in self._candidates() if series else ():
+                    back = [0] * n
+                    for i, p in enumerate(perm):
+                        back[p] = i
+                    src = tuple(back[j] - n_rays for j in self.extras)
+                    if all(
+                        self._moved_series(series[i], src) == series[perm[i]]
+                        for i in range(n)
+                    ):
+                        out.append((tuple(back), src))
+            self._sector_symmetries = out
+        return self._sector_symmetries
+
+    @staticmethod
+    def _moved_series(series: TruncatedSeries, src) -> TruncatedSeries:
+        """The series with every key's entries moved by src (`_symmetries`)."""
+        return series.ring.from_scaled_terms(
+            {tuple(key[a] for a in src): c for key, c in series.scaled_terms().items()}
+        )
+
+    def _moved_view(self, view, src) -> tuple[list[tuple[int, int, int]], int]:
+        """The packed view with every key's entries moved by src, sorted as
+        a product's view: the same triples for a series with moved keys."""
+        ring = self.y_ring
+        radix, unpack = ring._radix, ring._unpack
+        terms, den = view
+        moved = []
+        for w, p, c in terms:
+            key = unpack(p)
+            q = w
+            for a in src:
+                q = q * radix + key[a]
+            moved.append((w, q, c))
+        moved.sort(key=itemgetter(1))
+        return moved, den
+
     # -- the triangular inversion ----------------------------------------------
 
     def _power(self, v: int, k: int) -> tuple[list[tuple[int, int, int]], int]:
         """Packed view of the k-th power of the forward image of one step of
         (q, tau) variable v: q_a^(1/M) maps to y_a^(1/M) exp(L_a/M), tau_j to
-        A_j."""
+        A_j.
+
+        A tau variable whose sector is the image, under an accepted
+        symmetry, of one that already has a power list takes each entry
+        from that list by moving its keys, with no product; the symmetries
+        are found when a second tau variable needs a list."""
         powers = self._powers.get(v)
         if powers is None:
             ring = self.y_ring
@@ -637,9 +761,19 @@ class ChartPipeline:
                 )
             else:
                 step = self.a_series(self.extras[v - self.r_prime])
+                if self._powers:
+                    for _, src in self._symmetries():
+                        if src[v] in self._powers:
+                            self._power_images[v] = (src[v], src)
+                            break
             powers = self._powers[v] = [self._one, step._packed_view()]
+        image = self._power_images.get(v)
         while len(powers) <= k:
-            powers.append(_product(self.y_ring, powers[-1], powers[1]))
+            if image is None:
+                powers.append(_product(self.y_ring, powers[-1], powers[1]))
+            else:
+                u, src = image
+                powers.append(self._moved_view(self._power(u, len(powers)), src))
         return powers[k]
 
     def _steps(self, tkey) -> tuple[int, ...]:
@@ -734,12 +868,15 @@ class ChartPipeline:
     # -- generating functions --------------------------------------------------
 
     def generating_function(self, chart_symbol: DiskClassSymbol) -> TruncatedSeries:
-        """Disk generating function of a basic class, in chart (q, tau)."""
+        """Disk generating function of a basic class, in chart (q, tau).
+
+        Cached by the symbol's vector.  Once the chart has one, the function
+        of a symbol whose vector is the image, under an accepted symmetry
+        (`_symmetries`), of a solved one is that one with its keys moved."""
         if chart_symbol.kind == "ray":
             i0 = chart_symbol.ray
             if not 0 <= i0 < self.fan.n_rays:
                 raise FanError(f"chart has no ray {i0}")
-            f = exp_series(-self.a_series(i0))
         else:
             point = tuple(chart_symbol.point)
             try:
@@ -753,12 +890,33 @@ class ChartPipeline:
                 raise ComputationError(
                     "sector coefficients outside [0,1); not a box element"
                 )
-            mono = self.y_ring.variable(self.r_prime + jdx)
-            acc = self.y_ring.zero()
-            for i, c in zip(dual.carrier, dual.cone_coeffs):
-                acc = acc + self.a_series(i) * c
-            f = mono * exp_series(-acc)
-        return self.solve_against(f)
+            i0 = self.extras[jdx]
+        g = self._generated.get(i0)
+        if g is None:
+            if self._generated:
+                for back, src in self._symmetries():
+                    solved = self._generated.get(back[i0])
+                    if solved is not None:
+                        g = self._moved_series(solved, src)
+                        break
+            if g is None:
+                g = self.solve_against(self._target(i0))
+            self._generated[i0] = g
+        return g
+
+    def _target(self, i0: int) -> TruncatedSeries:
+        """The series in y whose inverse is the generating function of the
+        basic class of vector i0: exp(-A_i0) for a ray, y_j exp(-sum_k c_k
+        A_k) over the minimal cone of sector j's vector."""
+        if i0 < self.fan.n_rays:
+            return exp_series(-self.a_series(i0))
+        jdx = i0 - self.fan.n_rays
+        dual = self.duals[jdx]
+        mono = self.y_ring.variable(self.r_prime + jdx)
+        acc = self.y_ring.zero()
+        for i, c in zip(dual.carrier, dual.cone_coeffs):
+            acc = acc + self.a_series(i) * c
+        return mono * exp_series(-acc)
 
     def round_trip_identity(self) -> bool:
         """forward then inverse reproduces every coordinate exactly."""

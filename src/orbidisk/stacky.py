@@ -276,20 +276,6 @@ def cone_coordinates(fan: StackyFan, cone, x) -> tuple[Fraction, ...]:
     return tuple(Fraction(sum(map(mul, row, x)), d) for row in m)
 
 
-def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
-    """(carrier, coeffs), b = sum_k coeffs[k] b_carrier[k] with every coeff
-    positive: the unique coordinates of b on the first (simplicial) maximal
-    cone holding it, whose support is the minimal cone of b.  A ray b_i
-    gives ((i,), (1,)), a box element its carrier and coords; FanError when
-    b lies outside the support.
-    """
-    mc, y, d = _first_cone(fan, b)
-    return (
-        tuple(i for i, c in zip(mc, y) if c),
-        tuple(Fraction(c, d) for c in y if c),
-    )
-
-
 def _first_cone(fan: StackyFan, b) -> tuple[tuple[int, ...], list[int], int]:
     """(cone, y, d): the first (simplicial) maximal cone holding b, with y =
     m @ b >= 0 over its inverse (m, d), d times the coordinates of b on it.

@@ -354,13 +354,30 @@ def kahler_by_anticone_rows(fan: StackyFan, divisors):
     return inside
 
 
+def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
+    """(carrier, coeffs), b = sum_k coeffs[k] b_carrier[k] with every coeff
+    positive: the unique coordinates of b on the first (simplicial) maximal
+    cone holding it, whose support is the minimal cone of b, in Fraction.
+    A ray b_i gives ((i,), (1,)), a box element its carrier and coords;
+    FanError when b lies outside the support.  The reference reader of the
+    library's integer `_first_cone`.
+    """
+    from orbidisk.stacky import _first_cone
+
+    mc, y, d = _first_cone(fan, b)
+    return (
+        tuple(i for i, c in zip(mc, y) if c),
+        tuple(Fraction(c, d) for c in y if c),
+    )
+
+
 def area_by_fractions(parent: StackyFan, seq, sigma0, boundary):
     """The area exponents of the basic class with this boundary vector, in
     Fraction: the nef pairings of its minimal-cone coordinates minus its
     coordinates on sigma0, or NormalizationConeError when one is negative.
     The reference for the potential's areas."""
     from orbidisk.mirror import NormalizationConeError
-    from orbidisk.stacky import cone_coordinates, minimal_cone_coordinates
+    from orbidisk.stacky import cone_coordinates
 
     alpha = [Fraction(0)] * parent.n_vectors
     for i, c in zip(*minimal_cone_coordinates(parent, boundary)):

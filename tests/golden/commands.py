@@ -38,6 +38,11 @@ def golden_commands(root: Path = Path(".")) -> dict[str, list[str]]:
     cmds["invariants-p2z3-box:0,-1-order32.out"] = [
         "invariants", p2z3, "--class", "box:0,-1", "--order", "32"
     ]
+    # the image of box:0,-1 under the reflection swapping the two sectors,
+    # which the chart's inversion reads off by permuting tau
+    cmds["invariants-p2z3-box:1,-1-order32.out"] = [
+        "invariants", p2z3, "--class", "box:1,-1", "--order", "32"
+    ]
     cmds["verify-p2z3-14.out"] = ["verify-p2z3", "--amax", "14", "--bmax", "14"]
     paths = [fans / f"{name}.json" for name in ("p2", "p1xp1", "f2", "p2z3")]
     paths += sorted((root / "perfbench" / "fans").glob("r*.json"))

@@ -366,18 +366,30 @@ def test_many_sector_chart_inversion_matches_references():
     pipe.solve_against = record
     chart_job(pipe)
     # every variable of the chart is a sector: the round trip inverts the 12
-    # sector series, then come the 12 sector generating functions
-    assert pipe.r_prime == 0 and len(calls) == 2 * 12
+    # sector series; the chart's symmetries permuting its 3 rays split the
+    # 12 sector generating functions into 3 orbits, and only one function
+    # per orbit is solved, the others are read off by permuting tau
+    assert pipe.r_prime == 0 and len(calls) == 12 + 3
     for f, x in calls:
         assert x == solve_against_by_images(pipe, f)
         assert x == solve_against_by_fractions(pipe, f)
+    # every one of the 12 generating functions, solved or permuted, against
+    # both references
+    for point, j in zip(chart.extra_vectors, pipe.extras):
+        g = pipe.generating_function(DiskClassSymbol.orbi(point))
+        f = pipe._target(j)
+        assert g == solve_against_by_images(pipe, f), point
+        assert g == solve_against_by_fractions(pipe, f), point
 
 
 def test_chart_job_product_count(monkeypatch):
     # the c2z5 chart job of the benchmark at order 6: each forward image is a
     # cached head times a power-list entry, fused into the residual, so the
     # products are the power lists and the heads only; building every image
-    # as a product takes 256
+    # as a product takes 256.  The chart's reflection swaps the sectors k
+    # and 5 - k, so the power list of the second sector of each pair is read
+    # off the first's by permuting keys, with no product, and the last two
+    # generating functions are the first two permuted
     from orbidisk import mirror
     from orbidisk.fanfile import parse_fan_file
 
@@ -392,7 +404,82 @@ def test_chart_job_product_count(monkeypatch):
     monkeypatch.setattr(mirror, "_product", counted)
     fan = parse_fan_file(REPO / "perfbench" / "fans" / "c2z5.json").resolve_fan()
     chart_job(ChartPipeline(fan, 6))
-    assert count == 57
+    assert count == 36
+
+
+# -- sector symmetries --------------------------------------------------------------
+
+
+def symmetry_charts() -> list[tuple[StackyFan, int]]:
+    """Every chart with r' = 0 (as many rays as dimensions) of the example
+    fans and of the 163 census fans, and C^2/Z_n for n = 2..8: the 2D
+    charts at order 4, the 3D ones (mq's among them) at order 3."""
+    from conftest import local_chart, partial_resolutions
+
+    charts: dict[StackyFan, None] = {}
+    for _, fan in example_fans() + partial_resolutions():
+        for chart in basic_class_charts(fan):
+            if chart.n_rays == chart.dim:
+                charts[chart] = None
+    for n in range(2, 9):
+        charts[local_chart(n)] = None
+    return [(chart, 4 if chart.dim == 2 else 3) for chart in charts]
+
+
+def chart_outputs(pipe) -> list:
+    """The round trip, then the generating function of every ray and every
+    sector of the chart, in that order."""
+    symbols = [DiskClassSymbol.smooth(i) for i in range(pipe.fan.n_rays)]
+    symbols += [DiskClassSymbol.orbi(p) for p in pipe.fan.extra_vectors]
+    return [pipe.round_trip_identity()] + [pipe.generating_function(s) for s in symbols]
+
+
+def test_sector_symmetries_change_no_power_list_or_generating_function(monkeypatch):
+    # each chart's outputs and each entry of its power lists, with the
+    # symmetries in use, equal those of a pipeline whose symmetry finder is
+    # switched off; the candidates are the chart's automorphisms found by
+    # the independent search of fan_automorphisms
+    charts = symmetry_charts()
+    accepted = images = 0
+    for chart, order in charts:
+        on, off = ChartPipeline(chart, order), ChartPipeline(chart, order)
+        monkeypatch.setattr(off, "_symmetries", lambda: [])
+        assert chart_outputs(on) == chart_outputs(off), chart
+        for v, powers in on._powers.items():
+            for k, entry in enumerate(powers):
+                assert entry == off._power(v, k), (chart, v, k)
+        candidates = on._candidates()
+        assert set(candidates) == {p for _, p in fan_automorphisms(chart)}, chart
+        # the A-series confirm every automorphism, as the mirror theorem
+        # says they must
+        assert len(on._symmetries()) == len(candidates), chart
+        accepted += bool(candidates)
+        images += len(on._power_images)
+    assert len(charts) >= 70 and accepted >= 70 and images >= 50, (
+        len(charts),
+        accepted,
+        images,
+    )
+
+
+def test_a_series_check_refuses_a_wrong_symmetry(monkeypatch):
+    # on C^2/Z5 the reflection swaps the sectors (1,1) <-> (4,1) and (2,1)
+    # <-> (3,1); a swap of (1,1) and (2,1) with the rays fixed is no
+    # automorphism, and the A-series check must refuse it, leaving every
+    # output as it is without symmetries
+    from conftest import local_chart
+
+    chart = local_chart(5)
+    wrong, right = (0, 1, 3, 2, 4, 5), (1, 0, 5, 4, 3, 2)
+    off = ChartPipeline(chart, 6)
+    monkeypatch.setattr(off, "_symmetries", lambda: [])
+    want = chart_outputs(off)
+    for candidates, kept in (([wrong], []), ([wrong, right], [right])):
+        pipe = ChartPipeline(chart, 6)
+        monkeypatch.setattr(pipe, "_candidates", lambda: candidates)
+        assert chart_outputs(pipe) == want
+        assert [back for back, _ in pipe._symmetries()] == kept  # involutions
+        assert bool(pipe._power_images) == bool(kept)
 
 
 def test_non_contracting_chart_still_raises():
@@ -1115,7 +1202,6 @@ def test_search_and_areas_read_only_the_cone_inverses(monkeypatch):
 
     for module, name in (
         (stacky, "dual_class_data"),
-        (stacky, "minimal_cone_coordinates"),
         (stacky, "cone_coordinates"),
         (stacky, "integer_inverse"),
         (mirror, "dual_class_data"),
@@ -1246,7 +1332,7 @@ def _image_of_invariants(g, perm, fan, invs) -> dict:
     return out
 
 
-def test_invariants_are_symmetric_under_fan_automorphisms():
+def test_invariants_are_symmetric_under_fan_automorphisms(monkeypatch):
     # n(beta_i + alpha; tau) = n(beta_g(i) + g alpha; g tau) for every lattice
     # automorphism g of every complete example fan, and of every partial
     # resolution that computes, whose charts carry curve classes; each g is
@@ -1254,6 +1340,10 @@ def test_invariants_are_symmetric_under_fan_automorphisms():
     # own map
     from conftest import partial_resolutions
 
+    # each class is computed on its own: with the chart symmetries in use,
+    # the image of a solved class would be read off by the permutation this
+    # test checks
+    monkeypatch.setattr(ChartPipeline, "_symmetries", lambda self: [])
     checked = curve_terms = 0
     for name, fan in _complete_fans() + partial_resolutions():
         autos = fan_automorphisms(fan)

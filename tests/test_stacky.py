@@ -25,6 +25,7 @@ from conftest import (
     kahler_by_anticone_rows,
     local_chart,
     maximal_minor_gcd,
+    minimal_cone_coordinates,
     om2_chart,
     p2_fan,
     p2z3_bare,
@@ -67,7 +68,6 @@ from orbidisk.stacky import (
     gorenstein_check,
     is_complete,
     minimal_anticones,
-    minimal_cone_coordinates,
     semifano_check,
     validate,
     wall_curve_classes,
