@@ -136,9 +136,12 @@ def _emit(payload, fmt: str, table_rows=None, header=None):
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
-        print(",".join(header))
-        for row in table_rows:
-            print(",".join(str(c) for c in row))
+        # imported here: `import orbidisk.cli` is on every command's set-up
+        import csv
+
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(table_rows)
     else:  # markdown
         print("| " + " | ".join(header) + " |")
         print("|" + "|".join(["---"] * len(header)) + "|")

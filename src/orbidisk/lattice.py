@@ -26,26 +26,14 @@ def transpose(a) -> list[list]:
 
 
 def primitive_vector(v) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector.
+    """Divide a nonzero integer vector by the gcd of its entries.
 
     The direction is preserved (the scaling factor is positive).
     """
-    if all(isinstance(x, int) for x in v):
-        g = gcd(*v)
-        if g == 0:
-            raise ValueError("zero vector has no primitive representative")
-        return tuple(x // g for x in v)
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
+    g = gcd(*v)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
 def _gcdext(a: int, b: int) -> tuple[int, int, int]:

@@ -73,16 +73,15 @@ from .lattice import (
 from .series import SeriesRing, TruncatedSeries, _add_product, _product, exp_series
 from .stacky import (
     DiskClassSymbol,
-    DualClassData,
     FanError,
     FanSequenceData,
     StackyFan,
     anticones,
     box_elements,
     _cone_inverse,
+    _dual_relation,
     _first_cone,
     cone_index,
-    dual_class_data,
     fan_sequence,
 )
 from .suborbifold import Suborbifold, build_suborbifold, push_class_pairings
@@ -178,9 +177,14 @@ class ChartPipeline:
         self.r = self.seq.r
         self.r_prime = self.seq.r_prime
         self.extras = list(range(fan.n_rays, fan.n_vectors))
-        self.duals: list[DualClassData] = [
-            dual_class_data(fan, j) for j in self.extras
-        ]
+        # per extra vector j, (carrier, y, d) with b_j = sum_k (y_k / d)
+        # b_carrier[k] over its minimal cone, every y_k > 0: Dual_j pairs to
+        # 1 with j and to -y_k / d with the carrier (`_dual_relation`)
+        self.duals: list[tuple[tuple[int, ...], list[int], int]] = []
+        for j in self.extras:
+            mc, y, d = _dual_relation(fan, j)
+            carrier = tuple(i for i, x in zip(mc, y) if x)
+            self.duals.append((carrier, [x for x in y if x], d))
         # Dual_j has coefficients in (1/|G_tau|)Z, tau its carrier, and G_tau
         # is a subgroup of G_sigma for each maximal cone sigma over tau; the
         # kernel basis is saturated, so every grid class's nef pairings lie
@@ -189,11 +193,17 @@ class ChartPipeline:
         self._den = m * m
         # a class's pairing numerators over M^2: its key dotted with these
         # columns, the pairings of the curve classes gamma_a and of the dual
-        # classes Dual_j scaled by M
-        coord_classes = list(self.seq.gamma_basis) + [d.pairings for d in self.duals]
+        # classes Dual_j scaled by M; d is the index of a maximal cone, so
+        # it divides M
+        coord_classes = [[x * m for x in g] for g in self.seq.gamma_basis]
+        for j, (carrier, y, d) in zip(self.extras, self.duals):
+            col = [0] * fan.n_vectors
+            col[j] = m
+            for i, x in zip(carrier, y):
+                col[i] = -(m // d) * x
+            coord_classes.append(col)
         self._gamma_cols = tuple(
-            tuple(int(c[i] * m) for c in coord_classes)
-            for i in range(fan.n_vectors)
+            tuple(c[i] for c in coord_classes) for i in range(fan.n_vectors)
         )
         self.y_ring = SeriesRing(
             self.r,
@@ -454,10 +464,10 @@ class ChartPipeline:
             at = next((c for c, cone in enumerate(cones) if j in cone), None)
             if at is not None:
                 rays[at].append(j)
-        for j, dual in zip(self.extras, self.duals):
-            if all(c < 1 for c in dual.cone_coeffs):
-                carrier = set(dual.carrier)
-                at = next(c for c, cone in enumerate(cones) if carrier <= cone)
+        for j, (carrier, y, d) in zip(self.extras, self.duals):
+            if all(x < d for x in y):
+                held = set(carrier)
+                at = next(c for c, cone in enumerate(cones) if held <= cone)
                 sectors[at].append(j)
         return list(zip(rays, sectors))
 
@@ -488,7 +498,7 @@ class ChartPipeline:
                     filer = self._ray_filer(cone, rays, sets)
                     walks.setdefault(use, []).append((None, filer))
                 for j in sectors:
-                    carrier = self.duals[j - self.fan.n_rays].carrier
+                    carrier = self.duals[j - self.fan.n_rays][0]
                     signed = [i for i in cone.cone if i not in carrier]
                     filer = self._sector_filer(signed, sets[j])
                     walks.setdefault(self._usable(cone, signed, 1), []).append(
@@ -885,8 +895,8 @@ class ChartPipeline:
                 raise FanError(
                     f"{point} is not a twisted-sector vector of the chart"
                 ) from None
-            dual = self.duals[jdx]
-            if any(c >= 1 for c in dual.cone_coeffs):
+            _, y, d = self.duals[jdx]
+            if any(x >= d for x in y):
                 raise ComputationError(
                     "sector coefficients outside [0,1); not a box element"
                 )
@@ -911,11 +921,11 @@ class ChartPipeline:
         if i0 < self.fan.n_rays:
             return exp_series(-self.a_series(i0))
         jdx = i0 - self.fan.n_rays
-        dual = self.duals[jdx]
+        carrier, y, d = self.duals[jdx]
         mono = self.y_ring.variable(self.r_prime + jdx)
         acc = self.y_ring.zero()
-        for i, c in zip(dual.carrier, dual.cone_coeffs):
-            acc = acc + self.a_series(i) * c
+        for i, x in zip(carrier, y):
+            acc = acc + self.a_series(i) * Fraction(x, d)
         return mono * exp_series(-acc)
 
     def round_trip_identity(self) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from ._record import frozen
@@ -213,11 +213,6 @@ def anticones(fan: StackyFan) -> set[frozenset[int]]:
     return {full - face for face in fan.faces()}
 
 
-def minimal_anticones(fan: StackyFan) -> list[frozenset[int]]:
-    full = frozenset(range(fan.n_vectors))
-    return [full - frozenset(c) for c in fan.max_cones]
-
-
 def cone_index(fan: StackyFan, cone) -> int:
     """Order of the local group G_sigma of a maximal cone: the index of the
     lattice spanned by its n generators, |det| of their matrix, the d of
@@ -266,14 +261,6 @@ def _cone_scaled_coordinates(inverse, x) -> list[int] | None:
     inverse (m, d), when x lies in the cone (y >= 0); otherwise None."""
     y = [sum(map(mul, row, x)) for row in inverse[0]]
     return y if all(v >= 0 for v in y) else None
-
-
-def cone_coordinates(fan: StackyFan, cone, x) -> tuple[Fraction, ...]:
-    """The coordinates t of x = sum_k t_k b_cone[k] on a maximal cone (a
-    tuple of fan.max_cones), of any sign.  FanError when the cone's
-    generators are dependent."""
-    m, d = _cone_inverse(fan, cone)
-    return tuple(Fraction(sum(map(mul, row, x)), d) for row in m)
 
 
 def _first_cone(fan: StackyFan, b) -> tuple[tuple[int, ...], list[int], int]:
@@ -361,6 +348,12 @@ def wall_curve_classes(fan: StackyFan) -> list[WallClass]:
     opposite rays, normalized to a primitive integer pairing vector positive
     on the opposite rays.  Boundary walls (one owner) carry no compact curve
     and are skipped.
+
+    With the inverse (m, d) of the second cone cb, y = m @ b_a gives d b_a =
+    sum_k y_k b_cb[k] for the first cone's opposite ray a, so d e_a - sum_k
+    y_k e_cb[k] is the relation.  The cones lie on opposite sides of the
+    wall exactly when y is negative on cb's opposite ray.  The relation is
+    positive at a (d > 0), and so is its primitive vector.
     """
     if fan.dim < 2:
         return []
@@ -374,14 +367,15 @@ def wall_curve_classes(fan: StackyFan) -> list[WallClass]:
         (ca, cb) = mcs
         a = next(i for i in ca if i not in wall)
         b = next(i for i in cb if i not in wall)
-        # b_a = sum_i t_i b_i on cb gives the relation e_a - sum_i t_i e_i
-        t = dict(zip(cb, cone_coordinates(fan, cb, fan.stacky_vectors[a])))
-        if t[b] >= 0:
+        m, d = _cone_inverse(fan, cb)
+        y = [sum(map(mul, row, fan.stacky_vectors[a])) for row in m]
+        if y[cb.index(b)] >= 0:
             raise FanError(f"cones across wall {sorted(wall)} are not opposite")
-        vec = [Fraction(i == a) - t.get(i, 0) for i in range(fan.n_vectors)]
+        vec = [0] * fan.n_vectors
+        vec[a] = d
+        for i, x in zip(cb, y):
+            vec[i] -= x
         prim = primitive_vector(vec)
-        if prim[a] < 0:
-            prim = tuple(-x for x in prim)
         c1 = sum(prim[i] for i in range(fan.n_rays))
         out.append(WallClass(tuple(sorted(wall)), prim, c1))
     return out
@@ -520,23 +514,15 @@ class FanSequenceData:
     r: int
     r_prime: int
 
-    def pcoords_from_ambient(self, ambient) -> tuple[Fraction, ...]:
-        """Coordinates <p_a, d> of an ambient relation vector d.
+    def _scaled_pcoords(self, nums, scale: int) -> tuple[list[int], int]:
+        """(c, den) with <p_a, d> = c[a] / den for the ambient relation d =
+        nums / scale, nums integers and scale > 0.  FanError when d is not a
+        relation.
 
         d is a relation when sum_i d_i v_i = 0.  Each p_a is one fixed
         rational combination of r independent divisor classes D_i, so <p_a, d>
         is the same combination of their pairings d_i (`_pcoords_map`).
         """
-        d = [Fraction(x) for x in ambient]
-        scale = lcm(*(x.denominator for x in d))
-        nums = [x.numerator * (scale // x.denominator) for x in d]  # d * scale
-        coords, den = self._scaled_pcoords(nums, scale)
-        return tuple(Fraction(c, den) for c in coords)
-
-    def _scaled_pcoords(self, nums, scale: int) -> tuple[list[int], int]:
-        """(c, den) with <p_a, d> = c[a] / den for the ambient relation d =
-        nums / scale, nums integers and scale > 0: `pcoords_from_ambient`
-        without a Fraction.  FanError when d is not a relation."""
         if len(nums) != self.fan.n_vectors or any(
             sum(map(mul, nums, col)) for col in zip(*self.fan.vectors)
         ):
@@ -826,41 +812,16 @@ def _saturating_extension(u, k: int, v) -> list[list[int]] | None:
     return u
 
 
-@frozen
-class DualClassData:
-    """Splitting data of one extra vector b_j = sum_i c_i b_i: its minimal
-    cone (carrier), the c_i over that cone's rays (cone_coeffs), and the
-    ambient vector of its dual class, that class's pairing with every
-    divisor class (pairings)."""
-
-    carrier: tuple[int, ...]
-    cone_coeffs: tuple[Fraction, ...]
-    pairings: tuple[Fraction, ...]
-
-
-def dual_class_data(fan: StackyFan, j: int) -> DualClassData:
-    """Cone coefficients and dual class of the j-th vector.
-
-    j must index an extra vector.  The dual class is the rational relation
-    e_j - sum_i c_i e_i over the minimal-cone coordinates of b_j: it pairs
-    to 1 with the j-th divisor class, to -c_i with the carrier-ray classes,
-    and to 0 with everything else.
-    """
-    if j < fan.n_rays or j >= fan.n_vectors:
-        raise FanError(f"index {j} is not an extra vector")
-    mc, y, d = _dual_relation(fan, j)
-    carrier = tuple(i for i, c in zip(mc, y) if c)
-    coeffs = tuple(Fraction(c, d) for c in y if c)
-    pairings = [Fraction(i == j) for i in range(fan.n_vectors)]
-    for i, c in zip(carrier, coeffs):
-        pairings[i] = -c
-    return DualClassData(carrier, coeffs, tuple(pairings))
-
-
 def _dual_relation(fan: StackyFan, j: int) -> tuple[tuple[int, ...], list[int], int]:
     """(cone, y, d) of the j-th vector b_j on the first maximal cone holding
     it (`_first_cone`): d e_j - sum_k y_k e_cone[k], d times its dual class,
-    must be a relation, or FanError."""
+    must be a relation, or FanError.
+
+    The dual class of an extra vector is the relation e_j - sum_k (y_k / d)
+    e_cone[k].  It pairs to 1 with the j-th divisor class, to -y_k / d with
+    the classes of the rays where y_k > 0 (the minimal cone of b_j, its
+    carrier), and to 0 with everything else.
+    """
     b = fan.vectors[j]
     mc, y, d = _first_cone(fan, b)
     if any(

@@ -9,6 +9,7 @@ from itertools import combinations
 from math import gcd
 from operator import mul
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -293,7 +294,9 @@ def pairings_from_key(pipe, key) -> tuple[Fraction, ...]:
     sum_a qpart_a gamma_a + sum_j m_j Dual_j of a chart key, in Fraction:
     the reference for the pipeline's integer pairings."""
     m = pipe.modulus
-    classes = list(pipe.seq.gamma_basis) + [d.pairings for d in pipe.duals]
+    classes = list(pipe.seq.gamma_basis) + [
+        dual_class_data(pipe.fan, j).pairings for j in pipe.extras
+    ]
     out = [Fraction(0)] * pipe.fan.n_vectors
     for k, cls in zip(key, classes):
         for i, g in enumerate(cls):
@@ -319,7 +322,8 @@ def ratio_factor(c: Fraction) -> Fraction:
 
 def pcoords_by_solve(seq, ambient) -> tuple[Fraction, ...]:
     """Grading coordinates of an ambient relation vector by one Fraction
-    solve against kernel_basis^T: the reference for pcoords_from_ambient."""
+    solve against kernel_basis^T: the reference for `_scaled_pcoords`, read
+    through `pcoords_from_ambient`."""
     from orbidisk.lattice import transpose
     from orbidisk.stacky import FanError
 
@@ -371,20 +375,121 @@ def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
     )
 
 
+def cone_coordinates(fan: StackyFan, cone, x) -> tuple[Fraction, ...]:
+    """The coordinates t of x = sum_k t_k b_cone[k] on a maximal cone (a
+    tuple of fan.max_cones), of any sign, in Fraction: the reference reader
+    of the library's cached cone inverses.  FanError when the cone's
+    generators are dependent."""
+    from orbidisk.stacky import _cone_inverse
+
+    m, d = _cone_inverse(fan, cone)
+    return tuple(Fraction(sum(map(mul, row, x)), d) for row in m)
+
+
+def minimal_anticones(fan: StackyFan) -> list[frozenset[int]]:
+    """The complement of each maximal cone among all vectors."""
+    full = frozenset(range(fan.n_vectors))
+    return [full - frozenset(c) for c in fan.max_cones]
+
+
+def pcoords_from_ambient(seq, ambient) -> tuple[Fraction, ...]:
+    """Coordinates <p_a, d> of an ambient relation vector d of ints or
+    Fractions: the Fraction reader of the library's integer
+    `FanSequenceData._scaled_pcoords`.  FanError when d is not a relation."""
+    d = [Fraction(x) for x in ambient]
+    scale = math.lcm(*(x.denominator for x in d))
+    nums = [x.numerator * (scale // x.denominator) for x in d]  # d * scale
+    coords, den = seq._scaled_pcoords(nums, scale)
+    return tuple(Fraction(c, den) for c in coords)
+
+
+class DualClassData(NamedTuple):
+    """Splitting data of one extra vector b_j = sum_i c_i b_i: its minimal
+    cone (carrier), the c_i over that cone's rays (cone_coeffs), and the
+    ambient vector of its dual class, that class's pairing with every
+    divisor class (pairings)."""
+
+    carrier: tuple[int, ...]
+    cone_coeffs: tuple[Fraction, ...]
+    pairings: tuple[Fraction, ...]
+
+
+def dual_class_data(fan: StackyFan, j: int) -> DualClassData:
+    """Cone coefficients and dual class of the j-th vector, in Fraction: the
+    reference for the integer triples (carrier, y, d) that the mirror
+    pipeline keeps from `stacky._dual_relation`.
+
+    j must index an extra vector.  The dual class is the rational relation
+    e_j - sum_i c_i e_i over the minimal-cone coordinates of b_j: it pairs
+    to 1 with the j-th divisor class, to -c_i with the carrier-ray classes,
+    and to 0 with everything else.
+    """
+    from orbidisk.stacky import FanError, _dual_relation
+
+    if j < fan.n_rays or j >= fan.n_vectors:
+        raise FanError(f"index {j} is not an extra vector")
+    mc, y, d = _dual_relation(fan, j)
+    carrier = tuple(i for i, c in zip(mc, y) if c)
+    coeffs = tuple(Fraction(c, d) for c in y if c)
+    pairings = [Fraction(i == j) for i in range(fan.n_vectors)]
+    for i, c in zip(carrier, coeffs):
+        pairings[i] = -c
+    return DualClassData(carrier, coeffs, tuple(pairings))
+
+
+def primitive_by_fractions(v) -> tuple[int, ...]:
+    """A nonzero rational vector scaled by a positive factor to a primitive
+    integer vector."""
+    fracs = [Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in fracs))
+    ints = [int(x * den) for x in fracs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def wall_curve_classes_by_fractions(fan: StackyFan) -> list:
+    """The wall curve classes from the Fraction coordinates of the opposite
+    ray on the other cone (`cone_coordinates`): the reference for
+    `stacky.wall_curve_classes`, with the same FanError messages."""
+    from orbidisk.stacky import FanError, WallClass, _wall_owners
+
+    if fan.dim < 2:
+        return []
+    out = []
+    for wall, mcs in sorted(_wall_owners(fan).items(), key=lambda kv: sorted(kv[0])):
+        if len(mcs) == 1:
+            continue
+        if len(mcs) > 2:
+            raise FanError(f"wall {sorted(wall)} is shared by {len(mcs)} cones")
+        (ca, cb) = mcs
+        a = next(i for i in ca if i not in wall)
+        b = next(i for i in cb if i not in wall)
+        # b_a = sum_i t_i b_i on cb gives the relation e_a - sum_i t_i e_i
+        t = dict(zip(cb, cone_coordinates(fan, cb, fan.stacky_vectors[a])))
+        if t[b] >= 0:
+            raise FanError(f"cones across wall {sorted(wall)} are not opposite")
+        vec = [Fraction(i == a) - t.get(i, 0) for i in range(fan.n_vectors)]
+        prim = primitive_by_fractions(vec)
+        if prim[a] < 0:
+            prim = tuple(-x for x in prim)
+        c1 = sum(prim[i] for i in range(fan.n_rays))
+        out.append(WallClass(tuple(sorted(wall)), prim, c1))
+    return out
+
+
 def area_by_fractions(parent: StackyFan, seq, sigma0, boundary):
     """The area exponents of the basic class with this boundary vector, in
     Fraction: the nef pairings of its minimal-cone coordinates minus its
     coordinates on sigma0, or NormalizationConeError when one is negative.
     The reference for the potential's areas."""
     from orbidisk.mirror import NormalizationConeError
-    from orbidisk.stacky import cone_coordinates
 
     alpha = [Fraction(0)] * parent.n_vectors
     for i, c in zip(*minimal_cone_coordinates(parent, boundary)):
         alpha[i] += c
     for i, c in zip(sigma0, cone_coordinates(parent, sigma0, boundary)):
         alpha[i] -= c
-    area = seq.pcoords_from_ambient(alpha)[: seq.r_prime]
+    area = pcoords_from_ambient(seq, alpha)[: seq.r_prime]
     if any(x < 0 for x in area):
         raise NormalizationConeError(
             f"class at {tuple(boundary)} has negative area for this cone"
@@ -398,7 +503,7 @@ def relabel_by_fractions(dgf, seq, area, order) -> dict:
     q_b = area_b + sum_a e_a <p_b, pushed gamma_a>, the tau exponents kept.
     The reference for mirror._relabel_to_parent."""
     n_q = len(dgf.q_classes)
-    images = [seq.pcoords_from_ambient(c)[: seq.r_prime] for c in dgf.q_classes]
+    images = [pcoords_from_ambient(seq, c)[: seq.r_prime] for c in dgf.q_classes]
     out: dict = {}
     for exps, coeff in dgf.series.terms():
         q = [

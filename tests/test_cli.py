@@ -276,6 +276,25 @@ def test_formats(capsys):
         assert "1/6" in out
 
 
+def test_csv_rows_parse_into_as_many_fields_as_the_header(capsys):
+    # lattice points print as "x,y", and the insertions and series columns
+    # hold them too: each such field must be quoted
+    import csv
+
+    p2z3 = str(FANS / "p2z3.json")
+    for argv in (
+        ("box", p2z3),
+        ("invariants", p2z3, "--class", "box:0,-1", "--order", "4"),
+        ("potential", p2z3, "--order", "3"),
+    ):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert len(rows) > 2, argv
+        assert all(len(row) == len(rows[0]) for row in rows), argv
+        assert any("," in field for row in rows for field in row), argv
+
+
 def test_bad_class_spec(capsys):
     code, _, err = run(
         capsys, "invariants", str(FANS / "p2.json"), "--class", "nope"

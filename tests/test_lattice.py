@@ -303,21 +303,8 @@ def test_cone_contains_matches_fourier_motzkin(case):
 
 def test_primitive_vector():
     assert primitive_vector((4, -6)) == (2, -3)
-    assert primitive_vector((Fraction(1, 3), Fraction(1, 6))) == (2, 1)
     with pytest.raises(ValueError):
         primitive_vector((0, 0))
-
-
-@settings(max_examples=150)
-@given(st.lists(st.integers(-30, 30), min_size=1, max_size=6))
-def test_primitive_vector_integer_path_matches_rational(v):
-    if not any(v):
-        with pytest.raises(ValueError):
-            primitive_vector(v)
-        return
-    got = primitive_vector(v)
-    assert got == primitive_vector([Fraction(x) for x in v])
-    assert all(type(x) is int for x in got)
 
 
 nonsingular_matrices = (

@@ -133,6 +133,59 @@ def test_integer_classes_match_fraction_reference():
             assert pipe.a_series(j).scaled_terms() == terms, (chart, j)
 
 
+def test_sector_data_matches_the_fraction_dual_classes():
+    # the integer triples (carrier, y, d) a pipeline keeps per extra vector,
+    # against conftest.dual_class_data on every chart of the example fans
+    # and the census fans with a nef block and on C2/Z_n, n = 2..8: the
+    # carriers, the cone each sector is walked on, the pairing columns and
+    # every sector's target series.  (1,1) over the smooth cone is no box
+    # element: it gets no target, and its generating function is refused
+    from conftest import dual_class_data, local_chart, partial_resolutions
+
+    from orbidisk.stacky import NoValidBasisError
+
+    charts: dict[StackyFan, None] = {}
+    for _, fan in example_fans() + partial_resolutions():
+        for chart in basic_class_charts(fan):
+            charts[chart] = None
+    for n in range(2, 9):
+        charts[local_chart(n)] = None
+    charts[StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1)], [(1, 1)])] = None
+    compared = targets = refused = 0
+    for chart in charts:
+        try:
+            pipe = ChartPipeline(chart, 2)
+        except NoValidBasisError:
+            continue
+        compared += 1
+        duals = [dual_class_data(chart, j) for j in pipe.extras]
+        assert [c for c, _, _ in pipe.duals] == [d.carrier for d in duals], chart
+        classes = list(pipe.seq.gamma_basis) + [d.pairings for d in duals]
+        assert pipe._gamma_cols == tuple(
+            tuple(c[i] * pipe.modulus for c in classes) for i in range(chart.n_vectors)
+        ), chart
+        cones = [set(cone) for cone in chart.max_cones]
+        walked: list[list[int]] = [[] for _ in cones]
+        for jdx, (j, d) in enumerate(zip(pipe.extras, duals)):
+            if any(c >= 1 for c in d.cone_coeffs):
+                symbol = DiskClassSymbol.orbi(chart.vectors[j])
+                with pytest.raises(ComputationError, match="not a box element"):
+                    pipe.generating_function(symbol)
+                refused += 1
+                continue
+            at = next(k for k, cone in enumerate(cones) if set(d.carrier) <= cone)
+            walked[at].append(j)
+            acc = pipe.y_ring.zero()
+            for i, c in zip(d.carrier, d.cone_coeffs):
+                acc = acc + pipe.a_series(i) * c
+            mono = pipe.y_ring.variable(pipe.r_prime + jdx)
+            assert pipe._target(j) == mono * exp_series(-acc), (chart, j)
+            targets += 1
+        assert [sectors for _, sectors in pipe._targets()] == walked, chart
+    # 97 charts, 129 targets
+    assert compared > 90 and targets > 120 and refused == 1, (compared, targets)
+
+
 def test_omega_sets_smooth_chart():
     chart = StackyFan.make(2, [(1, 0), (0, 1)], [(0, 1)])
     pipe = ChartPipeline(chart, 6)
@@ -1106,21 +1159,24 @@ def test_nef_pairings_of_chart_classes_lie_over_the_modulus(data):
     # class, and each sum of dual classes and an integral relation, must
     # have its pairings and its nef pairings in (1/M)Z, or its key and its
     # pairing numerators would not be integral
+    from conftest import dual_class_data, pcoords_from_ambient
+
     mixed = 0
     for pipe in modulus_pipes():
         seq, m = pipe.seq, pipe.modulus
-        mixed += bool(pipe.r_prime and pipe.duals)
-        for d in pipe.duals:
-            pc = seq.pcoords_from_ambient(d.pairings)
+        duals = [dual_class_data(pipe.fan, j) for j in pipe.extras]
+        mixed += bool(pipe.r_prime and duals)
+        for d in duals:
+            pc = pcoords_from_ambient(seq, d.pairings)
             assert all(m % x.denominator == 0 for x in d.pairings + pc), (pipe.fan, d)
-        mult = [data.draw(st.integers(0, 3)) for _ in pipe.duals]
+        mult = [data.draw(st.integers(0, 3)) for _ in duals]
         rel = [data.draw(st.integers(-3, 3)) for _ in seq.kernel_basis]
         cls = [Fraction(0)] * pipe.fan.n_vectors
-        for k, d in zip(mult, pipe.duals):
+        for k, d in zip(mult, duals):
             cls = [x + k * y for x, y in zip(cls, d.pairings)]
         for k, row in zip(rel, seq.kernel_basis):
             cls = [x + k * y for x, y in zip(cls, row)]
-        pc = seq.pcoords_from_ambient(cls)
+        pc = pcoords_from_ambient(seq, cls)
         assert all(m % x.denominator == 0 for x in pc), (pipe.fan, mult, rel)
     assert mixed >= 5
 
@@ -1175,8 +1231,8 @@ def test_areas_match_the_fraction_reference():
 
 def test_search_and_areas_read_only_the_cone_inverses(monkeypatch):
     # with every cone inverse, pipeline and grading map built, the nef
-    # search and each potential entry build no dual class data, no
-    # Fraction cone coordinates and no integer inverse of an anticone
+    # search and each potential entry build no integer inverse of an
+    # anticone
     from orbidisk import mirror, stacky
     from orbidisk.mirror import potential_entry
 
@@ -1201,10 +1257,7 @@ def test_search_and_areas_read_only_the_cone_inverses(monkeypatch):
         return call
 
     for module, name in (
-        (stacky, "dual_class_data"),
-        (stacky, "cone_coordinates"),
         (stacky, "integer_inverse"),
-        (mirror, "dual_class_data"),
         (mirror, "integer_inverse"),
     ):
         monkeypatch.setattr(module, name, refuse(name))

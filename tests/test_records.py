@@ -35,7 +35,7 @@ def fields(cls) -> list[str]:
 def test_every_record_class_is_found():
     assert [cls.__name__ for cls in RECORDS] == [
         "BoxElement", "Cyclotomic", "CyclotomicSeries", "DiskClassSymbol",
-        "DiskGeneratingFunction", "DualClassData", "FanFile", "FanSequenceData",
+        "DiskGeneratingFunction", "FanFile", "FanSequenceData",
         "GorensteinResult", "GridPoint", "PolytopeFacet", "PotentialData",
         "PotentialEntry", "SemiFanoResult", "StackyFan", "Suborbifold",
         "ValidationReport", "WallClass",
@@ -136,7 +136,7 @@ def test_cached_property_is_computed_once(monkeypatch):
     )
     first = fresh._pcoords_map
     assert fresh._pcoords_map is first
-    fresh.pcoords_from_ambient(seq.kernel_basis[0])
+    fresh._scaled_pcoords(seq.kernel_basis[0], 1)
     assert calls == [1]
     # the cached value is not a field: equality and hash ignore it
     assert fresh == seq and hash(fresh) == hash(seq)
@@ -170,7 +170,7 @@ def test_import_footprint():
     ).stdout
     new, command, order = json.loads(out)
     assert "orbidisk.cli" in new
-    assert not {"dataclasses", "inspect", "argparse", "typing"} & set(new)
+    assert not {"argparse", "csv", "dataclasses", "inspect", "typing"} & set(new)
     assert (command, order) == ("potential", "4")
 
 

@@ -16,7 +16,9 @@ from conftest import (
     box_point,
     c2z3_chart,
     c3z3_chart,
+    cone_coordinates,
     det,
+    dual_class_data,
     example_fans,
     f2_fan,
     f3_fan,
@@ -25,6 +27,7 @@ from conftest import (
     kahler_by_anticone_rows,
     local_chart,
     maximal_minor_gcd,
+    minimal_anticones,
     minimal_cone_coordinates,
     om2_chart,
     p2_fan,
@@ -32,10 +35,12 @@ from conftest import (
     p2z3_extended,
     partial_resolutions,
     pcoords_by_solve,
+    pcoords_from_ambient,
     random_complete_2d_fan,
     random_single_cone_fan,
     solve_rational_by_fractions,
     validate_by_cone_solves,
+    wall_curve_classes_by_fractions,
 )
 
 from hypothesis import assume, given, settings
@@ -62,12 +67,10 @@ from orbidisk.stacky import (
     anticones,
     box_elements,
     cone_index,
-    dual_class_data,
     facets_containing,
     fan_sequence,
     gorenstein_check,
     is_complete,
-    minimal_anticones,
     semifano_check,
     validate,
     wall_curve_classes,
@@ -481,6 +484,55 @@ def test_walls_relation_with_rays():
                 for t in range(fan.dim):
                     total[t] += c * fan.vectors[i][t]
             assert total == [0] * fan.dim
+
+
+def test_wall_classes_match_the_fraction_reference():
+    # the relations read off the cached cone inverses against the Fraction
+    # coordinates of the opposite ray, on every complete example and census
+    # fan, on random complete 2D fans and on the two refusals below: the
+    # same classes, or the same FanError
+    from conftest import outcome
+
+    fans = [
+        fan
+        for _, fan in example_fans() + partial_resolutions()
+        if is_complete(fan)
+    ]
+    rng = random.Random(29)
+    fans += [random_complete_2d_fan(rng) for _ in range(200)]
+    fans += [
+        StackyFan.make(2, [(1, 0), (0, 1), (0, -1), (1, 1)], [(0, 1), (0, 2), (0, 3)]),
+        StackyFan.make(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)]),
+    ]
+    walls = refused = 0
+    for fan in fans:
+        got = outcome(wall_curve_classes, fan)
+        assert got == outcome(wall_curve_classes_by_fractions, fan), fan
+        if isinstance(got, list):
+            walls += len(got)
+        else:
+            refused += 1
+    assert len(fans) > 380 and walls > 2000 and refused == 2, (len(fans), walls)
+
+
+def test_wall_classes_refuse_a_wall_in_three_cones():
+    # the ray (1,0) bounds cone((1,0), (0,1)), cone((1,0), (0,-1)) and
+    # cone((1,0), (1,1))
+    fan = StackyFan.make(
+        2, [(1, 0), (0, 1), (0, -1), (1, 1)], [(0, 1), (0, 2), (0, 3)]
+    )
+    with pytest.raises(FanError, match=re.escape("wall [0] is shared by 3 cones")):
+        wall_curve_classes(fan)
+
+
+def test_wall_classes_refuse_two_cones_on_one_side_of_their_wall():
+    # cone((1,0), (1,1)) lies inside cone((1,0), (0,1)): (0,1) has
+    # coordinates (-1, 1) on it, so both cones lie above the ray (1,0)
+    fan = StackyFan.make(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
+    with pytest.raises(
+        FanError, match=re.escape("cones across wall [0] are not opposite")
+    ):
+        wall_curve_classes(fan)
 
 
 def test_no_walls_in_one_dimension():
@@ -903,9 +955,9 @@ def test_pcoords_from_ambient_matches_the_fraction_solve(data):
         want = pcoords_by_solve(seq, ambient)
     except FanError:
         with pytest.raises(FanError, match="not a relation"):
-            seq.pcoords_from_ambient(ambient)
+            pcoords_from_ambient(seq, ambient)
     else:
-        assert seq.pcoords_from_ambient(ambient) == want
+        assert pcoords_from_ambient(seq, ambient) == want
 
 
 # -- dual classes ------------------------------------------------------------------
@@ -982,7 +1034,7 @@ def test_cone_reader_matches_cone_contains_and_solve_rational():
             for mc in fan.max_cones:
                 gens = fan.cone_vectors(mc)
                 want = solve_rational(transpose(gens), list(x))
-                got = stacky.cone_coordinates(fan, mc, x)
+                got = cone_coordinates(fan, mc, x)
                 assert got == tuple(want), (fan, mc, x)
                 ok, lam = cone_contains(gens, x)
                 assert ok == (min(got) >= 0)
@@ -999,7 +1051,7 @@ def test_cone_reader_matches_cone_contains_and_solve_rational():
                 )
     dependent = StackyFan.make(2, [(1, 0), (2, 0), (0, 1)], [(0, 1), (1, 2)])
     with pytest.raises(FanError, match="dependent"):
-        stacky.cone_coordinates(dependent, (0, 1), (1, 0))
+        cone_coordinates(dependent, (0, 1), (1, 0))
     # the dependent cone gets no entry: the scans read the other cone only
     assert minimal_cone_coordinates(dependent, (1, 0)) == ((1,), (Fraction(1, 2),))
     assert [b.point for b in box_elements(dependent)] == [(0, 0), (1, 0)]
