@@ -2,9 +2,10 @@
 
 Commands: validate, box, suborbifold, invariants, potential, verify-p2z3.
 Exit codes: 0 success, 1 validation/verification failure, 2 parse error,
-3 computation error.  An option value that names nothing in the fan (a cone
-number, a box point, a facet) or a negative verify-p2z3 window is a parse
-error, whether or not the fan passes its checks.
+3 computation error, 141 stdout closed by its reader (the status a shell
+reports for a death by SIGPIPE).  An option value that names nothing in
+the fan (a cone number, a box point, a facet) or a negative verify-p2z3
+window is a parse error, whether or not the fan passes its checks.
 All numbers are printed as exact integers or "p/q" strings, never as
 decimals.
 """
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
+EXIT_PIPE = 141
 
 # invariant table of the quotient projective plane, n_(a,b) for a, b = 0..6;
 # values are exact and serve as golden data for verify-p2z3
@@ -517,6 +519,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at the null device, so that
+        # the interpreter's final flush of what is left cannot raise again
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_PIPE
     except FanFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         code = EXIT_PARSE

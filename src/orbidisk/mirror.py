@@ -79,7 +79,6 @@ from .stacky import (
     anticones,
     box_elements,
     _cone_inverse,
-    _dual_relation,
     _first_cone,
     cone_index,
     fan_sequence,
@@ -178,11 +177,12 @@ class ChartPipeline:
         self.r_prime = self.seq.r_prime
         self.extras = list(range(fan.n_rays, fan.n_vectors))
         # per extra vector j, (carrier, y, d) with b_j = sum_k (y_k / d)
-        # b_carrier[k] over its minimal cone, every y_k > 0: Dual_j pairs to
-        # 1 with j and to -y_k / d with the carrier (`_dual_relation`)
+        # b_carrier[k] over its minimal cone, every y_k > 0, read off the
+        # first cone holding b_j: Dual_j, b_j's relation there over d
+        # (`_relation`), pairs to 1 with j and to -y_k / d with the carrier
         self.duals: list[tuple[tuple[int, ...], list[int], int]] = []
         for j in self.extras:
-            mc, y, d = _dual_relation(fan, j)
+            mc, y, d = _first_cone(fan, fan.vectors[j])
             carrier = tuple(i for i, x in zip(mc, y) if x)
             self.duals.append((carrier, [x for x in y if x], d))
         # Dual_j has coefficients in (1/|G_tau|)Z, tau its carrier, and G_tau

@@ -24,7 +24,6 @@ from operator import mul
 
 from ._record import frozen
 from .lattice import (
-    _determinant,
     _eliminate,
     cone_contains,
     hermite_normal_form,
@@ -274,6 +273,35 @@ def _first_cone(fan: StackyFan, b) -> tuple[tuple[int, ...], list[int], int]:
     raise FanError(f"vector {tuple(b)} lies outside the support")
 
 
+def _relation(fan: StackyFan, cone, j: int) -> list[int]:
+    """The ambient relation d e_j - sum_k y_k e_cone[k] of a vector b_j
+    outside a maximal cone, with y = m @ b_j over the cone's inverse (m, d)
+    (`_cone_inverse`, FanError for a dependent or non-maximal cone).
+
+    It is a relation because d b_j = sum_k y_k b_cone[k]: B m = d I for the
+    cone's generator columns B.  Over the first cone holding an extra b_j
+    (`_first_cone`) it is d times b_j's dual class, which pairs to 1 with
+    the j-th divisor class, to -y_k / d with the rays of its minimal cone
+    (where y_k > 0) and to 0 with everything else.
+    """
+    m, d = _cone_inverse(fan, cone)
+    b = fan.vectors[j]
+    rel = [0] * fan.n_vectors
+    rel[j] = d
+    for i, row in zip(cone, m):
+        rel[i] = -sum(map(mul, row, b))
+    return rel
+
+
+def _support_vector(inverse) -> tuple[list[int], int]:
+    """(sums, d) with u = sums / d the unique rational vector pairing to 1
+    with each of n independent vectors, given the inverse (m, d) of their
+    matrix as columns B: u @ B = 1 gives u = (1, ..., 1) @ m / d, so sums
+    are the column sums of m."""
+    m, d = inverse
+    return [sum(col) for col in zip(*m)], d
+
+
 def box_elements(fan: StackyFan) -> list[BoxElement]:
     """All box elements, tagged with minimal carrier and age.
 
@@ -318,14 +346,13 @@ def gorenstein_check(fan: StackyFan) -> GorensteinResult:
     """Canonical class Cartier test: each maximal cone needs an integral
     support vector pairing to 1 with all its stacky generators.
 
-    With the cone's inverse (m, d), that vector is the unique rational u
-    with u @ B = 1, B the generator columns: u = (column sums of m) / d.
+    That vector is the unique rational u with u @ B = 1, B the generator
+    columns, read off the cone's inverse (`_support_vector`).
     """
     supports = []
     witness = None
     for mc in fan.max_cones:
-        m, d = _cone_inverse(fan, mc)
-        sums = [sum(col) for col in zip(*m)]
+        sums, d = _support_vector(_cone_inverse(fan, mc))
         u = None if any(s % d for s in sums) else tuple(s // d for s in sums)
         supports.append(u)
         if u is None and witness is None:
@@ -349,11 +376,11 @@ def wall_curve_classes(fan: StackyFan) -> list[WallClass]:
     on the opposite rays.  Boundary walls (one owner) carry no compact curve
     and are skipped.
 
-    With the inverse (m, d) of the second cone cb, y = m @ b_a gives d b_a =
-    sum_k y_k b_cb[k] for the first cone's opposite ray a, so d e_a - sum_k
-    y_k e_cb[k] is the relation.  The cones lie on opposite sides of the
-    wall exactly when y is negative on cb's opposite ray.  The relation is
-    positive at a (d > 0), and so is its primitive vector.
+    The relation is d e_a - sum_k y_k e_cb[k] of the first cone's opposite
+    ray a over the second cone cb (`_relation`).  The cones lie on opposite
+    sides of the wall exactly when y is negative on cb's opposite ray b, so
+    when the relation is positive at b.  The relation is positive at a (d >
+    0), and so is its primitive vector.
     """
     if fan.dim < 2:
         return []
@@ -367,15 +394,10 @@ def wall_curve_classes(fan: StackyFan) -> list[WallClass]:
         (ca, cb) = mcs
         a = next(i for i in ca if i not in wall)
         b = next(i for i in cb if i not in wall)
-        m, d = _cone_inverse(fan, cb)
-        y = [sum(map(mul, row, fan.stacky_vectors[a])) for row in m]
-        if y[cb.index(b)] >= 0:
+        rel = _relation(fan, cb, a)
+        if rel[b] <= 0:
             raise FanError(f"cones across wall {sorted(wall)} are not opposite")
-        vec = [0] * fan.n_vectors
-        vec[a] = d
-        for i, x in zip(cb, y):
-            vec[i] -= x
-        prim = primitive_vector(vec)
+        prim = primitive_vector(rel)
         c1 = sum(prim[i] for i in range(fan.n_rays))
         out.append(WallClass(tuple(sorted(wall)), prim, c1))
     return out
@@ -439,10 +461,13 @@ class PolytopeFacet:
 def fan_polytope_facets(fan: StackyFan) -> tuple[PolytopeFacet, ...]:
     """Facets of the convex hull of the stacky vectors (origin interior).
 
-    The hyperplane through n vectors has the normal whose j-th entry is the
-    signed maximal minor of their n - 1 differences with column j deleted;
-    all minors vanish exactly when the n vectors are affinely dependent.
-    Cached: the enumeration is pure and the returned data immutable.
+    The hyperplane through n independent vectors is <u, x> = 1 for their
+    support vector u = sums / d (`_support_vector`), so its primitive
+    normal is sums / g at height d / g, g = gcd(sums), which divides d =
+    <sums, b> for each of the n vectors b.  n vectors with a singular
+    matrix are affinely dependent or lie on a hyperplane through the
+    origin, which is interior, so they span no facet.  Cached: the
+    enumeration is pure and the returned data immutable.
     """
     if not is_complete(fan):
         raise NotCompleteError("fan polytope needs a complete fan")
@@ -450,21 +475,13 @@ def fan_polytope_facets(fan: StackyFan) -> tuple[PolytopeFacet, ...]:
     n = fan.dim
     facets: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
     for sub in combinations(range(len(pts)), n):
-        base = pts[sub[0]]
-        rows = [[x - y for x, y in zip(pts[i], base)] for i in sub[1:]]
-        u = [
-            (-1) ** j * _determinant([row[:j] + row[j + 1:] for row in rows])
-            for j in range(n)
-        ]
-        g = gcd(*u)
-        if g == 0:
+        try:
+            inverse = integer_inverse(transpose([pts[i] for i in sub]))
+        except ValueError:
             continue
-        u = [x // g for x in u]
-        c = sum(x * y for x, y in zip(u, base))
-        if c < 0:
-            u, c = [-x for x in u], -c
-        if c == 0:
-            continue
+        sums, d = _support_vector(inverse)
+        g = gcd(*sums)
+        u, c = [x // g for x in sums], d // g
         vals = [sum(x * y for x, y in zip(u, p)) for p in pts]
         if any(v > c for v in vals):
             continue
@@ -557,31 +574,25 @@ def _kahler_test(fan: StackyFan):
     D_j of sigma's anticone, j not in sigma.  Returns inside(w).
 
     Each maximal cone's n vectors are a basis of Q^n (`_cone_inverse`,
-    which raises FanError otherwise).  With its inverse (m, d) and y = m @
-    b_j for a vector j outside sigma, d b_j = sum_k y_k b_sigma[k], so the
-    ambient vector l = d e_j - sum_k y_k e_sigma[k] is a relation.  A
-    relation pairs to zero with every principal divisor (<u, b_i>)_i, so
-    <w, l> = d w_j - sum_k y_k w_sigma[k] takes one value on every ambient
-    lift w of a class.  The r relations of sigma pair to d on their own
-    outside vector and to 0 on the others, so on a class sum_j c_j D_j over
-    the anticone's basis they read d c_j: the class lies in the anticone's
-    cone exactly when all r pair >= 0 with w.  These inequalities are, up
-    to the positive factor d, the rows of the inverse of the anticone's
-    classes; the rows of all cones are pooled, each made primitive and
-    kept once.
+    which raises FanError otherwise).  For a vector j outside sigma, the
+    ambient vector l = d e_j - sum_k y_k e_sigma[k] is a relation
+    (`_relation`).  A relation pairs to zero with every principal divisor
+    (<u, b_i>)_i, so <w, l> = d w_j - sum_k y_k w_sigma[k] takes one value
+    on every ambient lift w of a class.  The r relations of sigma pair to d
+    on their own outside vector and to 0 on the others, so on a class sum_j
+    c_j D_j over the anticone's basis they read d c_j: the class lies in
+    the anticone's cone exactly when all r pair >= 0 with w.  These
+    inequalities are, up to the positive factor d, the rows of the inverse
+    of the anticone's classes; the rows of all cones are pooled, each made
+    primitive and kept once.
     """
-    rows: dict[tuple[int, ...], None] = {}
-    for mc in fan.max_cones:
-        m, d = _cone_inverse(fan, mc)
-        for j, b in enumerate(fan.vectors):
-            if j not in mc:
-                row = [0] * fan.n_vectors
-                row[j] = d
-                for i, x in zip(mc, m):
-                    row[i] = -sum(map(mul, x, b))
-                g = gcd(*row)  # > 0, as row[j] = d
-                rows[tuple(x // g for x in row)] = None
-    pooled = list(rows)
+    rows = (
+        primitive_vector(_relation(fan, mc, j))
+        for mc in fan.max_cones
+        for j in range(fan.n_vectors)
+        if j not in mc
+    )
+    pooled = list(dict.fromkeys(rows))
 
     def inside(w) -> bool:
         return all(sum(map(mul, row, w)) >= 0 for row in pooled)
@@ -703,14 +714,13 @@ def _search_basis(fan, divisors, extras, u, n_extra, r_prime):
     # x - sum_j <x, Dual_j> D_j lands in the closed Kahler cone lift when the
     # image of x is nef, and <x, Dual_j> = sum_S Dual_j[i]; taking floors
     # keeps the candidate integral while only adding nonnegative multiples
-    # of extra divisor classes.  Dual_j pairs to -y_k / d with the rays of
-    # the first cone holding b_j (`_dual_relation`), so each floor is an
-    # integer division, and the candidate's ambient divisor is the
-    # indicator of S less fl_j e_j on the extras.
-    duals = []
-    for j in extras:
-        mc, y, d = _dual_relation(fan, j)
-        duals.append((j, dict(zip(mc, y)), d))
+    # of extra divisor classes.  Dual_j is the relation of b_j over the
+    # first cone holding it divided by its entry d at j (`_relation`), so
+    # each floor is an integer division, and the candidate's ambient
+    # divisor is the indicator of S less fl_j e_j on the extras.
+    duals = [
+        (j, _relation(fan, _first_cone(fan, fan.vectors[j])[0], j)) for j in extras
+    ]
     nef_pool: list[tuple[int, ...]] = []
     nef_seen = set()
 
@@ -721,8 +731,8 @@ def _search_basis(fan, divisors, extras, u, n_extra, r_prime):
         lift = [0] * fan.n_vectors
         for i in idx:
             lift[i] = 1
-        for (j, y, d), ddiv in zip(duals, extra_divs):
-            fl = -sum(y.get(i, 0) for i in idx) // d
+        for (j, rel), ddiv in zip(duals, extra_divs):
+            fl = sum(rel[i] for i in idx) // rel[j]
             if fl:
                 vec = [a - fl * b for a, b in zip(vec, ddiv)]
                 lift[j] = -fl
@@ -810,25 +820,6 @@ def _saturating_extension(u, k: int, v) -> list[list[int]] | None:
         if w:
             u[i] = [a - w * b for a, b in zip(col, u[k])]
     return u
-
-
-def _dual_relation(fan: StackyFan, j: int) -> tuple[tuple[int, ...], list[int], int]:
-    """(cone, y, d) of the j-th vector b_j on the first maximal cone holding
-    it (`_first_cone`): d e_j - sum_k y_k e_cone[k], d times its dual class,
-    must be a relation, or FanError.
-
-    The dual class of an extra vector is the relation e_j - sum_k (y_k / d)
-    e_cone[k].  It pairs to 1 with the j-th divisor class, to -y_k / d with
-    the classes of the rays where y_k > 0 (the minimal cone of b_j, its
-    carrier), and to 0 with everything else.
-    """
-    b = fan.vectors[j]
-    mc, y, d = _first_cone(fan, b)
-    if any(
-        d * x != sum(map(mul, y, col)) for x, col in zip(b, zip(*fan.cone_vectors(mc)))
-    ):
-        raise FanError("dual class system inconsistent")
-    return mc, y, d
 
 
 def age_one_box_points(fan: StackyFan) -> list[tuple[int, ...]]:

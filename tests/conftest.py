@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -364,26 +365,45 @@ def minimal_cone_coordinates(fan: StackyFan, b) -> tuple[tuple, tuple]:
     cone holding it, whose support is the minimal cone of b, in Fraction.
     A ray b_i gives ((i,), (1,)), a box element its carrier and coords;
     FanError when b lies outside the support.  The reference reader of the
-    library's integer `_first_cone`.
+    library's integer `_first_cone`: each cone is tried by a Fraction solve
+    (`cone_coordinates`), and a dependent one is skipped.
     """
-    from orbidisk.stacky import _first_cone
+    from orbidisk.stacky import FanError
 
-    mc, y, d = _first_cone(fan, b)
-    return (
-        tuple(i for i, c in zip(mc, y) if c),
-        tuple(Fraction(c, d) for c in y if c),
-    )
+    for mc in fan.max_cones:
+        try:
+            t = cone_coordinates(fan, mc, b)
+        except FanError:
+            continue
+        if min(t) >= 0:
+            return (
+                tuple(i for i, c in zip(mc, t) if c),
+                tuple(c for c in t if c),
+            )
+    raise FanError(f"vector {tuple(b)} lies outside the support")
 
 
 def cone_coordinates(fan: StackyFan, cone, x) -> tuple[Fraction, ...]:
     """The coordinates t of x = sum_k t_k b_cone[k] on a maximal cone (a
     tuple of fan.max_cones), of any sign, in Fraction: the reference reader
-    of the library's cached cone inverses.  FanError when the cone's
-    generators are dependent."""
-    from orbidisk.stacky import _cone_inverse
+    of the library's cached cone inverses, by a Fraction solve on the
+    cone's n generators.  FanError when they are dependent: their square
+    system is then inconsistent or underdetermined."""
+    return _cone_solve(fan, tuple(cone), tuple(x))
 
-    m, d = _cone_inverse(fan, cone)
-    return tuple(Fraction(sum(map(mul, row, x)), d) for row in m)
+
+@cache  # the area and dual-class sweeps ask for the same solves many times
+def _cone_solve(fan: StackyFan, cone, x) -> tuple[Fraction, ...]:
+    from orbidisk.lattice import AmbiguousSolutionError, transpose
+    from orbidisk.stacky import FanError
+
+    try:
+        t = solve_rational_by_fractions(transpose(fan.cone_vectors(cone)), list(x))
+    except AmbiguousSolutionError:
+        t = None
+    if t is None:
+        raise FanError(f"cone {cone} is not simplicial (generators dependent)")
+    return tuple(t)
 
 
 def minimal_anticones(fan: StackyFan) -> list[frozenset[int]]:
@@ -417,20 +437,19 @@ class DualClassData(NamedTuple):
 def dual_class_data(fan: StackyFan, j: int) -> DualClassData:
     """Cone coefficients and dual class of the j-th vector, in Fraction: the
     reference for the integer triples (carrier, y, d) that the mirror
-    pipeline keeps from `stacky._dual_relation`.
+    pipeline reads off the first cone holding b_j (`stacky._first_cone`),
+    here from its Fraction coordinates (`minimal_cone_coordinates`).
 
     j must index an extra vector.  The dual class is the rational relation
     e_j - sum_i c_i e_i over the minimal-cone coordinates of b_j: it pairs
     to 1 with the j-th divisor class, to -c_i with the carrier-ray classes,
     and to 0 with everything else.
     """
-    from orbidisk.stacky import FanError, _dual_relation
+    from orbidisk.stacky import FanError
 
     if j < fan.n_rays or j >= fan.n_vectors:
         raise FanError(f"index {j} is not an extra vector")
-    mc, y, d = _dual_relation(fan, j)
-    carrier = tuple(i for i, c in zip(mc, y) if c)
-    coeffs = tuple(Fraction(c, d) for c in y if c)
+    carrier, coeffs = minimal_cone_coordinates(fan, fan.vectors[j])
     pairings = [Fraction(i == j) for i in range(fan.n_vectors)]
     for i, c in zip(carrier, coeffs):
         pairings[i] = -c

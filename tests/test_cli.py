@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -420,3 +423,28 @@ def test_cli_outputs_match_golden_digests(capsys):
         if hashlib.sha256(out.encode()).hexdigest() != want[name]:
             changed.append(name)
     assert changed == []
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    """A reader that closed stdout before the command wrote (`| head` that
+    has already quit) ends the command with the SIGPIPE status 141 and no
+    traceback, also through the interpreter's flush at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(FANS.parent / "src"), env.get("PYTHONPATH")])
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbidisk.cli", "box", str(FANS / "p2z3.json"),
+             "--format", "csv"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 141

@@ -578,9 +578,10 @@ def test_polytope_faces_p2():
 
 
 def test_polytope_facets_match_the_kernel():
-    """Normals from signed minors give the facets, normals, heights and
-    order of the Hermite-kernel normals: every complete example fan (3D
-    among them), the census, P1 and random complete 2D fans."""
+    """Normals from the support vector of the rays' inverse give the
+    facets, normals, heights and order of the Hermite-kernel normals: every
+    complete example fan (3D among them), the census, P1 and random
+    complete 2D fans."""
     rng = random.Random(7)
     fans = [fan for _, fan in example_fans() + partial_resolutions()]
     fans += [StackyFan.make(1, [(1,), (-2,)], [(0,), (1,)])]
@@ -996,29 +997,58 @@ def test_dual_class_nu_identity():
         assert all(0 <= c < 1 for c in d.cone_coeffs)
 
 
+def test_relation_is_the_relation_of_each_vector_over_each_cone():
+    # `_relation` of every vector j outside every maximal cone, on the
+    # example fans, the census and their charts: a relation of the fan map,
+    # equal to the cone index at j and zero off the cone and j, which pins
+    # it down, as the cone's generators are independent
+    fans = [fan for _, fan in example_fans() + partial_resolutions()]
+    fans += [chart for fan in fans for chart in basic_class_charts(fan)]
+    pairs = 0
+    for fan in fans:
+        for mc in fan.max_cones:
+            d = cone_index(fan, mc)
+            for j in range(fan.n_vectors):
+                if j in mc:
+                    continue
+                rel = stacky._relation(fan, mc, j)
+                assert not any(sum(map(mul, rel, col)) for col in zip(*fan.vectors))
+                assert rel[j] == d, (fan, mc, j)
+                assert not any(x for i, x in enumerate(rel) if i != j and i not in mc)
+                pairs += 1
+    assert pairs > 7000
+
+
+def first_cone_coordinates(fan, b) -> tuple[tuple, tuple]:
+    """(carrier, coeffs) of b read off the library's `_first_cone`, in
+    Fraction, in the form of `conftest.minimal_cone_coordinates`."""
+    mc, y, d = stacky._first_cone(fan, b)
+    return tuple(i for i, c in zip(mc, y) if c), tuple(Fraction(c, d) for c in y if c)
+
+
 def test_minimal_cone_coordinates_of_rays_and_box_elements():
     # a ray is its own minimal cone with coefficient 1, an age-one point is
     # its box element's carrier and coordinates; the negative of a chart
     # ray has height -1 and lies outside the chart's support
     for name, fan in example_fans():
         for i, b in enumerate(fan.stacky_vectors):
-            assert minimal_cone_coordinates(fan, b) == ((i,), (1,)), (name, i)
+            assert first_cone_coordinates(fan, b) == ((i,), (1,)), (name, i)
         for box in box_elements(fan):
             if box.age == 1:
-                got = minimal_cone_coordinates(fan, box.point)
+                got = first_cone_coordinates(fan, box.point)
                 assert got == (box.carrier, box.coords), (name, box)
         for chart in basic_class_charts(fan):
             outside = tuple(-x for x in chart.stacky_vectors[0])
             with pytest.raises(FanError, match=re.escape(f"{outside} lies outside")):
-                minimal_cone_coordinates(chart, outside)
+                first_cone_coordinates(chart, outside)
 
 
 def test_cone_reader_matches_cone_contains_and_solve_rational():
     # the coordinates read off each maximal cone's cached inverse, at random
     # lattice points and at integer combinations of a cone's generators,
-    # against a direct solve and cone_contains; minimal_cone_coordinates
-    # takes the first cone that holds the point and raises outside the
-    # support
+    # against the Fraction solve of conftest, the library's solve and
+    # cone_contains; `_first_cone` takes the first cone that holds the
+    # point and raises outside the support
     rng = random.Random(23)
     fans = [fan for _, fan in example_fans()]
     fans += [random_single_cone_fan(rng, rng.choice([2, 3])) for _ in range(8)]
@@ -1033,27 +1063,35 @@ def test_cone_reader_matches_cone_contains_and_solve_rational():
             holder = None
             for mc in fan.max_cones:
                 gens = fan.cone_vectors(mc)
-                want = solve_rational(transpose(gens), list(x))
-                got = cone_coordinates(fan, mc, x)
-                assert got == tuple(want), (fan, mc, x)
+                m, d = stacky._cone_inverse(fan, mc)
+                got = tuple(Fraction(sum(map(mul, row, x)), d) for row in m)
+                assert got == cone_coordinates(fan, mc, x), (fan, mc, x)
+                assert got == tuple(solve_rational(transpose(gens), list(x)))
                 ok, lam = cone_contains(gens, x)
                 assert ok == (min(got) >= 0)
                 if ok and holder is None:
                     holder = (mc, lam)
             if holder is None:
                 with pytest.raises(FanError, match="outside the support"):
+                    first_cone_coordinates(fan, x)
+                with pytest.raises(FanError, match="outside the support"):
                     minimal_cone_coordinates(fan, x)
             else:
                 mc, lam = holder
-                assert minimal_cone_coordinates(fan, x) == (
+                got = first_cone_coordinates(fan, x)
+                assert got == minimal_cone_coordinates(fan, x)
+                assert got == (
                     tuple(i for i, c in zip(mc, lam) if c),
                     tuple(c for c in lam if c),
                 )
     dependent = StackyFan.make(2, [(1, 0), (2, 0), (0, 1)], [(0, 1), (1, 2)])
     with pytest.raises(FanError, match="dependent"):
+        stacky._cone_inverse(dependent, (0, 1))
+    with pytest.raises(FanError, match="dependent"):
         cone_coordinates(dependent, (0, 1), (1, 0))
     # the dependent cone gets no entry: the scans read the other cone only
-    assert minimal_cone_coordinates(dependent, (1, 0)) == ((1,), (Fraction(1, 2),))
+    got = first_cone_coordinates(dependent, (1, 0))
+    assert got == minimal_cone_coordinates(dependent, (1, 0)) == ((1,), (Fraction(1, 2),))
     assert [b.point for b in box_elements(dependent)] == [(0, 0), (1, 0)]
 
 
