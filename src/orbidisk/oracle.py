@@ -12,9 +12,13 @@ generating function of sector m.  The compact quotient plane inherits its two
 edge sectors chart by chart from the n=3 member.
 
 This module expands the e_m in exact arithmetic in Q(zeta) and recovers the
-rational tables from them.  It is deliberately self-contained: it shares
-nothing with the mirror pipeline but the standard library, so it can serve as
-an independent cross-check.
+rational tables from them.  Elements of Q(zeta) are coordinate tuples in the
+power basis 1, zeta, ..., zeta^(d-1), d = deg Phi_2n; they multiply through
+one table of the powers zeta^k reduced mod Phi_2n, built once per n on first
+use.  The expansion runs on integer tuples and wraps only its output
+coefficients in `Cyclotomic` records.  It is deliberately self-contained: it
+shares nothing with the mirror pipeline but the standard library, so it can
+serve as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from operator import add
 
 from ._record import frozen
 
@@ -55,17 +60,53 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(poly: list, n: int) -> tuple:
-    """Coordinates of a polynomial in zeta modulo the monic Phi_2n."""
+@lru_cache(maxsize=None)
+def _zeta_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The table of zeta^k, k = 0..2n-1, modulo the monic Phi_2n.
+
+    Row k holds the (index, coordinate) pairs of the nonzero coordinates of
+    zeta^k in the power basis.  Each power is zeta times the one before: its
+    coordinates move up one place, and the overflow f zeta^d folds back as
+    -f (phi_0 + ... + phi_(d-1) zeta^(d-1)).  Built on first use per n.
+    """
     phi = cyclotomic_polynomial(2 * n)
-    d = len(phi) - 1
-    poly = poly + [0] * (d - len(poly))
-    for i in range(len(poly) - 1, d - 1, -1):
-        f = poly[i]
-        if f:
-            for j in range(d + 1):
-                poly[i - d + j] -= f * phi[j]
-    return tuple(poly[:d])
+    coords = (1,) + (0,) * (len(phi) - 2)
+    rows = []
+    for _ in range(2 * n):
+        rows.append(tuple((i, c) for i, c in enumerate(coords) if c))
+        top = coords[-1]
+        coords = tuple(low - top * p for low, p in zip((0,) + coords[:-1], phi))
+    return tuple(rows)
+
+
+def _times(x: tuple, y: tuple, rows) -> tuple:
+    """Product of two coordinate tuples in Q(zeta): sum_(i,j) x_i y_j zeta^(i+j),
+    each zeta^(i+j) read off the table `rows` of `_zeta_rows`.  i + j stays
+    below 2d - 1 <= 2n - 1, inside the table."""
+    out = [0] * len(x)
+    for i, a in enumerate(x):
+        if a:
+            for k, b in enumerate(y, i):
+                if b:
+                    ab = a * b
+                    for j, c in rows[k]:
+                        out[j] += ab * c
+    return tuple(out)
+
+
+def _plus(x: tuple, y: tuple) -> tuple:
+    """Sum of two coordinate tuples."""
+    return tuple(map(add, x, y))
+
+
+def _sum_of_powers(ks, n: int) -> tuple:
+    """Coordinates of sum_(k in ks) zeta^k, read off the table of `_zeta_rows`."""
+    rows = _zeta_rows(n)
+    out = [0] * (len(cyclotomic_polynomial(2 * n)) - 1)
+    for k in ks:
+        for i, c in rows[k % (2 * n)]:
+            out[i] += c
+    return tuple(out)
 
 
 @frozen
@@ -81,12 +122,12 @@ class Cyclotomic:
 
     @staticmethod
     def of(n: int, value) -> "Cyclotomic":
-        return Cyclotomic(n, _reduce([value], n))
+        return Cyclotomic(n, (value,) + (0,) * (len(cyclotomic_polynomial(2 * n)) - 2))
 
     @staticmethod
     def zeta(n: int, j: int = 1) -> "Cyclotomic":
         """zeta^j."""
-        return Cyclotomic(n, _reduce([0] * (j % (2 * n)) + [1], n))
+        return Cyclotomic(n, _sum_of_powers((j,), n))
 
     @property
     def a(self):
@@ -97,17 +138,12 @@ class Cyclotomic:
         return self.coords[1]
 
     def __add__(self, other):
-        return Cyclotomic(self.n, tuple(x + y for x, y in zip(self.coords, other.coords)))
+        return Cyclotomic(self.n, _plus(self.coords, other.coords))
 
     def __mul__(self, other):
         if not isinstance(other, Cyclotomic):
             return Cyclotomic(self.n, tuple(x * other for x in self.coords))
-        prod = [0] * (2 * len(self.coords) - 1)
-        for i, x in enumerate(self.coords):
-            if x:
-                for j, y in enumerate(other.coords):
-                    prod[i + j] += x * y
-        return Cyclotomic(self.n, _reduce(prod, self.n))
+        return Cyclotomic(self.n, _times(self.coords, other.coords, _zeta_rows(self.n)))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -134,37 +170,40 @@ def elementary_symmetric(order: int, n: int = 3) -> tuple[CyclotomicSeries, ...]
         c_(S,r) = sum_(k in S) zeta^((2k+1) r),
 
     so the coefficient of t^a is sum_S zeta^(...) prod_r c_(S,r)^(a_r) / a_r!
-    over n^|a|, and no series products are needed.
+    over n^|a|, and no series products are needed.  The sum runs on integer
+    coordinate tuples in Z[zeta]; each coefficient's denominator is applied
+    once, where its `Cyclotomic` is built.
     """
     if n < 2:
         raise ValueError("C^2/Z_n needs n >= 2")
-    zero = Cyclotomic.of(n, 0)
+    if order < 0:
+        raise ValueError(f"the order must be >= 0, got {order}")
+    rows = _zeta_rows(n)
     out = []
     for m in range(1, n + 1):
         acc: dict = {}
         for subset in combinations(range(n), m):
-            terms = {(): Cyclotomic.zeta(n, sum(2 * k + 1 for k in subset))}
+            terms = {(): _sum_of_powers((sum(2 * k + 1 for k in subset),), n)}
             for r in range(1, n):
-                c = zero
-                for k in subset:
-                    c = c + Cyclotomic.zeta(n, (2 * k + 1) * r)
-                powers = [Cyclotomic.of(n, 1)]
-                for _ in range(order):
-                    powers.append(powers[-1] * c)
+                c = _sum_of_powers([(2 * k + 1) * r for k in subset], n)
+                powers = [None, c]
+                for _ in range(order - 1):
+                    powers.append(_times(powers[-1], c, rows))
+                # c^0 = 1: the j = 0 entry keeps its value unmultiplied
                 terms = {
-                    key + (j,): v * powers[j]
+                    key + (j,): _times(v, powers[j], rows) if j else v
                     for key, v in terms.items()
                     for j in range(order + 1 - sum(key))
                 }
             for key, v in terms.items():
-                acc[key] = acc[key] + v if key in acc else v
+                acc[key] = _plus(acc[key], v) if key in acc else v
         series = {}
         for key, v in acc.items():
-            if not v.is_zero():
+            if any(v):
                 den = n ** sum(key)
                 for e in key:
                     den *= factorial(e)
-                series[key] = v * Fraction(1, den)
+                series[key] = Cyclotomic(n, tuple(Fraction(x, den) for x in v))
         out.append(CyclotomicSeries(series))
     return tuple(out)
 

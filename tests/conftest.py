@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import pytest
 
+from orbidisk.oracle import Cyclotomic, cyclotomic_polynomial
 from orbidisk.stacky import StackyFan, age_one_box_points, validate
 
 
@@ -707,6 +708,80 @@ def solve_against_by_images(pipe, f):
 # Gaussian elimination over Fraction and the gcd of maximal minors: the
 # references for the fraction-free elimination and the Hermite form of
 # orbidisk.lattice.
+
+
+def reduce_mod_cyclotomic(poly, n: int) -> tuple:
+    """Coordinates of a polynomial in zeta = exp(i pi / n) modulo the monic
+    Phi_2n, by long division: the reference for the oracle's table of
+    reduced powers of zeta."""
+    phi = cyclotomic_polynomial(2 * n)
+    d = len(phi) - 1
+    poly = list(poly) + [0] * (d - len(poly))
+    for i in range(len(poly) - 1, d - 1, -1):
+        f = poly[i]
+        if f:
+            for j in range(d + 1):
+                poly[i - d + j] -= f * phi[j]
+    return tuple(poly[:d])
+
+
+def product_by_division(x, y, n: int) -> tuple:
+    """x * y in Q(zeta) on coordinate tuples: the polynomial product, then
+    `reduce_mod_cyclotomic`.  The reference for the oracle's table product."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    return reduce_mod_cyclotomic(prod, n)
+
+
+def elementary_symmetric_by_records(order: int, n: int) -> list[dict]:
+    """(e_1, ..., e_n) of the deformed roots of C^2/Z_n to total degree
+    `order`, each a map exponent tuple -> `Cyclotomic`, by the oracle's subset
+    sum with one record per sum and per product and every product reduced
+    by long division: the reference for the tuple kernel of
+    `oracle.elementary_symmetric`."""
+
+    def zeta(j):
+        return Cyclotomic(n, reduce_mod_cyclotomic([0] * (j % (2 * n)) + [1], n))
+
+    def plus(u, v):
+        return Cyclotomic(n, tuple(a + b for a, b in zip(u.coords, v.coords)))
+
+    def times(u, v):
+        return Cyclotomic(n, product_by_division(u.coords, v.coords, n))
+
+    one = Cyclotomic(n, reduce_mod_cyclotomic([1], n))
+    zero = Cyclotomic(n, reduce_mod_cyclotomic([0], n))
+    out = []
+    for m in range(1, n + 1):
+        acc: dict = {}
+        for subset in combinations(range(n), m):
+            terms = {(): zeta(sum(2 * k + 1 for k in subset))}
+            for r in range(1, n):
+                c = zero
+                for k in subset:
+                    c = plus(c, zeta((2 * k + 1) * r))
+                powers = [one]
+                for _ in range(order):
+                    powers.append(times(powers[-1], c))
+                terms = {
+                    key + (j,): times(v, powers[j])
+                    for key, v in terms.items()
+                    for j in range(order + 1 - sum(key))
+                }
+            for key, v in terms.items():
+                acc[key] = plus(acc[key], v) if key in acc else v
+        series = {}
+        for key, v in acc.items():
+            if any(v.coords):
+                den = n ** sum(key)
+                for e in key:
+                    den *= math.factorial(e)
+                series[key] = Cyclotomic(n, tuple(x * Fraction(1, den) for x in v.coords))
+        out.append(series)
+    return out
 
 
 def det(a) -> Fraction:

@@ -36,7 +36,7 @@ def assert_sectors_match_closed_forms(fan, n, order):
 
 
 @pytest.mark.parametrize(
-    "n,order", [(2, 6), (3, 6), (4, 5), (5, 5), (6, 4), (7, 3), (8, 3)]
+    "n,order", [(2, 6), (3, 6), (4, 5), (5, 5), (6, 4), (7, 3), (8, 3), (9, 3)]
 )
 def test_local_family_matches_closed_forms(n, order):
     sizes = assert_sectors_match_closed_forms(local_chart(n), n, order)

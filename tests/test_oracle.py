@@ -6,6 +6,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from conftest import (
+    elementary_symmetric_by_records,
+    product_by_division,
+    reduce_mod_cyclotomic,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbidisk import oracle
 from orbidisk.oracle import (
@@ -18,8 +25,8 @@ from orbidisk.oracle import (
     sector_generating_functions,
 )
 
-# total degree of the closed forms checked for each n (n = 6 takes ~0.2 s)
-DEGREE = {2: 8, 3: 8, 4: 6, 5: 5, 6: 5}
+# total degree of the closed forms checked for each n (n = 8 takes ~0.1 s)
+DEGREE = {2: 8, 3: 8, 4: 6, 5: 5, 6: 5, 7: 3, 8: 3}
 
 
 @lru_cache(maxsize=None)
@@ -67,6 +74,43 @@ def test_kappa_values_at_zero():
             assert e[0].terms.get(unit) == want
     with pytest.raises(ValueError):
         elementary_symmetric(2, 1)
+
+
+def test_negative_order_is_refused():
+    # an empty expansion would otherwise trip the root-product check
+    for n in (2, 3, 5):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            sector_generating_functions(n, -1)
+    with pytest.raises(ValueError, match="got -2"):
+        elementary_symmetric(-2)
+    assert sector_generating_functions(3, 0) == {1: {}, 2: {}}
+
+
+@pytest.mark.parametrize("n,order", [*DEGREE.items(), (3, 20)])
+def test_expansion_matches_the_record_reference(n, order):
+    want = elementary_symmetric_by_records(order, n)
+    assert [e.terms for e in elementary_symmetric(order, n)] == want
+
+
+def coordinate_cases():
+    def case(n):
+        d = len(cyclotomic_polynomial(2 * n)) - 1
+        coords = st.lists(
+            st.integers(-50, 50) | st.fractions(-3, 3, max_denominator=6),
+            min_size=d,
+            max_size=d,
+        ).map(tuple)
+        return st.tuples(st.just(n), coords, coords, st.integers(-40, 40))
+
+    return st.integers(2, 10).flatmap(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coordinate_cases())
+def test_table_product_is_the_reduced_polynomial_product(case):
+    n, x, y, j = case
+    assert (Cyclotomic(n, x) * Cyclotomic(n, y)).coords == product_by_division(x, y, n)
+    assert Cyclotomic.zeta(n, j).coords == reduce_mod_cyclotomic([0] * (j % (2 * n)) + [1], n)
 
 
 def test_elementary_symmetric_constants():
