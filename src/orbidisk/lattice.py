@@ -60,6 +60,44 @@ def _integer_copy(a) -> list[list[int]]:
     return out
 
 
+def _hermite_rows(w, n: int) -> list[list[int]]:
+    """Row Hermite normal form of the integer rows w on their first n
+    columns, in place by unimodular row operations; returns w.
+
+    Echelon on those columns with positive pivots, entries above each pivot
+    reduced into [0, pivot), and the rows without a pivot at the bottom,
+    zero on those columns.  The later columns ride along: on [a | 1] they
+    end as the transform (`hermite_normal_form`).
+    """
+    m, row = len(w), 0
+    for col in range(n):
+        pivot = next((r for r in range(row, m) if w[r][col]), None)
+        if pivot is None:
+            continue
+        w[row], w[pivot] = w[pivot], w[row]
+        # fold every lower row into the pivot row via extended gcd; the 2x2
+        # transform has determinant 1
+        for r in range(row + 1, m):
+            q = w[r][col]
+            if q:
+                g, x, y = _gcdext(w[row][col], q)
+                pp, qq = w[row][col] // g, q // g
+                w[row], w[r] = (
+                    [x * hi + y * hj for hi, hj in zip(w[row], w[r])],
+                    [-qq * hi + pp * hj for hi, hj in zip(w[row], w[r])],
+                )
+        if w[row][col] < 0:
+            w[row] = [-x for x in w[row]]
+        for r in range(row):
+            q = w[r][col] // w[row][col]
+            if q:
+                w[r] = [hi - q * hj for hi, hj in zip(w[r], w[row])]
+        row += 1
+        if row == m:
+            break
+    return w
+
+
 def hermite_normal_form(a) -> tuple[list[list[int]], list[list[int]]]:
     """Row Hermite normal form.
 
@@ -70,54 +108,16 @@ def hermite_normal_form(a) -> tuple[list[list[int]], list[list[int]]]:
     Returns:
       (h, u) with u unimodular (|det u| = 1), u @ a = h, h in row HNF:
       echelon with positive pivots, entries above each pivot reduced into
-      [0, pivot), zero rows at the bottom.
+      [0, pivot), zero rows at the bottom.  One elimination of [a | 1]
+      (`_hermite_rows`) gives both.
     """
     m = len(a)
     if m == 0 or len(a[0]) == 0:
         raise ValueError("hermite_normal_form needs a nonempty matrix")
     n = len(a[0])
-    h = _integer_copy(a)
-    u = identity_matrix(m)
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if h[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            h[row], h[pivot] = h[pivot], h[row]
-            u[row], u[pivot] = u[pivot], u[row]
-        # fold every lower row into the pivot row via extended gcd; the 2x2
-        # transform has determinant 1
-        for r in range(row + 1, m):
-            if h[r][col] == 0:
-                continue
-            p, q = h[row][col], h[r][col]
-            g, x, y = _gcdext(p, q)
-            pp, qq = p // g, q // g
-            h[row], h[r] = (
-                [x * hi + y * hj for hi, hj in zip(h[row], h[r])],
-                [-qq * hi + pp * hj for hi, hj in zip(h[row], h[r])],
-            )
-            u[row], u[r] = (
-                [x * ui + y * uj for ui, uj in zip(u[row], u[r])],
-                [-qq * ui + pp * uj for ui, uj in zip(u[row], u[r])],
-            )
-        if h[row][col] < 0:
-            h[row] = [-x for x in h[row]]
-            u[row] = [-x for x in u[row]]
-        for r in range(row):
-            q = h[r][col] // h[row][col]
-            if q != 0:
-                h[r] = [hi - q * hj for hi, hj in zip(h[r], h[row])]
-                u[r] = [ui - q * uj for ui, uj in zip(u[r], u[row])]
-        row += 1
-        if row == m:
-            break
-    return h, u
+    w = [row + e for row, e in zip(_integer_copy(a), identity_matrix(m))]
+    _hermite_rows(w, n)
+    return [row[:n] for row in w], [row[n:] for row in w]
 
 
 def _integer_rows(a) -> list[list[int]]:
@@ -206,8 +206,7 @@ def integer_kernel(a) -> list[list[int]]:
     ker = [u[r] for r in range(len(h)) if all(x == 0 for x in h[r])]
     if not ker:
         return []
-    kh, _ = hermite_normal_form(ker)
-    return kh
+    return _hermite_rows(ker, len(ker[0]))
 
 
 def solve_rational(a, b) -> list[Fraction] | None:

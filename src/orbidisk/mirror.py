@@ -46,12 +46,16 @@ product for all but its last variable (cached by step counts, so a longer
 head costs one product), and that variable's entry, and the product loop
 adds -coefficient x head x entry straight into the residual.  On a chart
 with r' = 0 every variable is a sector, and the chart's lattice
-automorphisms permute the sectors (`_symmetries`); each is used only once
-the correction series confirm it.  A sector that is the image of one with a
-power list takes that list with its keys permuted, and the generating
+automorphisms permute the sectors (`_symmetries`).  One is used when it
+permutes the pairing columns as it permutes the vectors: a class and its
+image with moved keys then pair alike with each vector and its image, so
+the automorphism maps each omega set onto its image's, coefficient for
+coefficient.  A sector that is the image of a lower one (`_images`) takes
+that one's omega set, correction series and power list with their keys
+moved, with no walk, no coefficient and no product, and the generating
 function of the image of a solved class is the solved one with its tau
-keys permuted, with no product.  Generating functions of basic disk classes
-and the full disk potential are assembled from those X's.
+keys moved.  Generating functions of basic disk classes and the full disk
+potential are assembled from those X's.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from operator import add, attrgetter, itemgetter, mul
 from ._record import frozen
 from .lattice import (
     AmbiguousSolutionError,
-    hermite_normal_form,
+    _hermite_rows,
     identity_matrix,
     integer_inverse,
     solve_rational,
@@ -230,10 +234,13 @@ class ChartPipeline:
         self._heads: dict[tuple[int, ...], tuple] = {(): self._one}
         # per tau variable whose power list is another's image, (that
         # variable, the key order `_symmetries` gives); generating functions
-        # by the index of their symbol's vector; the accepted symmetries
+        # by the index of their symbol's vector; the accepted symmetries, the
+        # source of each image sector, and per key order the moved packed keys
         self._power_images: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._generated: dict[int, TruncatedSeries] = {}
         self._sector_symmetries: list[tuple] | None = None
+        self._sources: dict[int, tuple] | None = None
+        self._moved_keys: dict[tuple[int, ...], dict[int, int]] = {}
 
     # -- the coset walk and the omega sets -------------------------------------
 
@@ -312,7 +319,7 @@ class ChartPipeline:
             [m * (t == i) for t in range(n)] + [0] * r
             for i, (_, m) in enumerate(congruences)
         ]
-        return [row[n:] for row in hermite_normal_form(a)[0][n:]]
+        return [row[n:] for row in _hermite_rows(a, n + r)[n:]]
 
     def _classes(self, cone: _Cone, basis, starts, files) -> None:
         """Calls files[s](scaled key, pairing numerators over M^2) on every
@@ -484,9 +491,12 @@ class ChartPipeline:
         walked, each on one cone (`_targets`) and over the outside vectors
         its classes can use (`_usable`); the cosets that use the same
         vectors share one walk.  Each class is checked effective as it
-        joins its set.
+        joins its set.  An image sector (`_images`) is not walked: its set
+        is its source's, each key moved by src and the pairings permuted by
+        back.
         """
         if self._omegas is None:
+            images = self._images()
             sets: list[list[GridPoint]] = [[] for _ in range(self.fan.n_vectors)]
             for cone, (rays, sectors) in zip(self._cones(), self._targets()):
                 # (target, filer) of each coset walked here, by the outside
@@ -497,7 +507,7 @@ class ChartPipeline:
                     use = self._usable(cone, cone.cone, 2)
                     filer = self._ray_filer(cone, rays, sets)
                     walks.setdefault(use, []).append((None, filer))
-                for j in sectors:
+                for j in (j for j in sectors if j not in images):
                     carrier = self.duals[j - self.fan.n_rays][0]
                     signed = [i for i in cone.cone if i not in carrier]
                     filer = self._sector_filer(signed, sets[j])
@@ -513,6 +523,17 @@ class ChartPipeline:
                     self._classes(part, lattice, starts, [f for _, f in targets])
             for s in sets:
                 s.sort(key=attrgetter("key"))
+            # in index order, so a source that is itself an image is filled
+            for j, (source, back, src) in sorted(images.items()):
+                moved = [
+                    GridPoint(
+                        tuple(gp.key[a] for a in src),
+                        tuple(gp.nums[b] for b in back),
+                        True,
+                    )
+                    for gp in sets[source]
+                ]
+                sets[j] = sorted(moved, key=attrgetter("key"))
             self._omegas = sets
         return self._omegas
 
@@ -570,22 +591,29 @@ class ChartPipeline:
         Each coefficient is one integer numerator over one integer
         denominator: a ray term is (-1)^(-c_j-1) (-c_j-1)! / prod_i c_i!, a
         sector term is `_sector_ratio` of the class's pairing numerators.
+        An image sector (`_images`) takes its source's series with its keys
+        moved.
         """
         if j in self._a_series:
             return self._a_series[j]
-        m = self._den
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for gp in self._omega_sets()[j]:
-            ps = gp.nums
-            if j < self.fan.n_rays:
-                cj = ps[j] // m
-                num = (-1) ** (-cj - 1) * factorial(-cj - 1)
-                den = prod(factorial(p // m) for i, p in enumerate(ps) if i != j)
-            else:
-                num, den = _sector_ratio(ps, m, self._sector_factors)
-            if num:
-                terms[gp.key] = Fraction(num, den)
-        series = self.y_ring.from_scaled_terms(terms)
+        image = self._images().get(j)
+        if image is not None:
+            source, _, src = image
+            series = self._moved_series(self.a_series(source), src)
+        else:
+            m = self._den
+            terms: dict[tuple[int, ...], Fraction] = {}
+            for gp in self._omega_sets()[j]:
+                ps = gp.nums
+                if j < self.fan.n_rays:
+                    cj = ps[j] // m
+                    num = (-1) ** (-cj - 1) * factorial(-cj - 1)
+                    den = prod(factorial(p // m) for i, p in enumerate(ps) if i != j)
+                else:
+                    num, den = _sector_ratio(ps, m, self._sector_factors)
+                if num:
+                    terms[gp.key] = Fraction(num, den)
+            series = self.y_ring.from_scaled_terms(terms)
         if j >= self.fan.n_rays:
             self._check_sector_series(j, series)
         self._a_series[j] = series
@@ -685,47 +713,75 @@ class ChartPipeline:
         return list(out)
 
     def _symmetries(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(back, src) for every candidate automorphism (`_candidates`) that
-        the correction series confirm, on a chart with r' = 0; computed
-        once.  back[perm[i]] = i over the vectors, and src orders a key's
-        entries so that the entry of tau (or y) variable v moves to the
-        variable of its sector's image: the moved key is key[src[w]] over w.
+        """(back, src) for every candidate automorphism g (`_candidates`)
+        that permutes the pairing columns as it permutes the vectors, on a
+        chart with r' = 0; computed once.  back[perm[i]] = i over the
+        vectors, and src orders a key's entries so that the entry of tau (or
+        y) variable v moves to the variable of its sector's image: the moved
+        key is key[src[w]] over w.
 
-        With r' = 0 every variable is a sector, the window is the total
-        degree, which moving keys keeps, and the forward map sends tau_v to
-        A_j of v's vector j.  A candidate is accepted only when moving the
-        keys of A_i gives A_perm(i) for every vector i.  Moving keys is then
-        a ring automorphism s of both truncated rings that takes the
-        forward image of every (q, tau) series X to the forward image of
-        s X, so s X is the inverse of s f when X is that of f, and the power
+        With r' = 0 every variable is a sector, and a class with scaled key
+        k pairs with vector i to nums_i = sum_a k_a cols[i][a] over M^2,
+        cols = `_gamma_cols`.  A candidate is accepted when cols[perm[i]] ==
+        (cols[i][w] for w in src) for every vector i, an O(n r) integer test.
+        Then the moved key k' pairs with perm(i) as k pairs with i,
+        nums'_perm(i) = sum_w k_src[w] cols[i][src[w]] = nums_i, and k' is
+        the key of g d, the class whose pairings these are (g is a lattice
+        automorphism, and the r columns are independent, so the pairings fix
+        the key).  Everything that puts a class in omega_i and fixes its
+        term reads only the total degree, which moving keeps, and the
+        pairings: the coset (their fractional parts), the signs of the
+        integral ones, effectiveness (an anticone; perm maps maximal cones
+        to maximal cones) and the coefficient (a function of nums_i and of
+        the other pairings as a multiset).  So moving keys maps omega_i into
+        omega_perm(i), and onto it, as g^-1 passes the test too, coefficient
+        for coefficient: it takes A_i to A_perm(i).
+
+        Moving keys is then a ring automorphism s of both truncated rings,
+        and the forward map sends tau_v to A_j of v's vector j, so s takes
+        the forward image of every (q, tau) series X to the forward image of
+        s X: s X is the inverse of s f when X is that of f, and the power
         list of an image sector is s of the source's.  The target of a ray i
         is exp(-A_i), that of a sector y_j exp(-sum_k c_k A_k) over the
         minimal cone of v_j, and g maps that cone to the minimal cone of
         g(v_j) with the same coefficients: s takes each target to the
         target of its image.  A chart with r' > 0 gets none, as its q basis
-        is not known to be equivariant; a failing correction series gets
-        none either, and raises again where it is used.
+        is not known to be equivariant.
         """
         if self._sector_symmetries is None:
             out = []
             if not self.r_prime:
-                n_rays, n = self.fan.n_rays, self.fan.n_vectors
-                try:
-                    series = [self.a_series(i) for i in range(n)]
-                except ComputationError:
-                    series = None
-                for perm in self._candidates() if series else ():
+                n_rays, n, cols = self.fan.n_rays, self.fan.n_vectors, self._gamma_cols
+                for perm in self._candidates():
                     back = [0] * n
                     for i, p in enumerate(perm):
                         back[p] = i
                     src = tuple(back[j] - n_rays for j in self.extras)
                     if all(
-                        self._moved_series(series[i], src) == series[perm[i]]
+                        cols[perm[i]] == tuple(cols[i][w] for w in src)
                         for i in range(n)
                     ):
                         out.append((tuple(back), src))
             self._sector_symmetries = out
         return self._sector_symmetries
+
+    def _images(self) -> dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        """(source, back, src) for every image sector j, by j; computed once.
+
+        The source is the lowest sector that an accepted symmetry
+        (`_symmetries`) maps onto j, when it is below j, and (back, src) is
+        that symmetry.  With the chart's whole automorphism group accepted,
+        it is the lowest sector of j's orbit; otherwise it may be an image
+        itself, of a lower sector still, so each image's data are derived
+        from its source's.
+        """
+        if self._sources is None:
+            symmetries, self._sources = self._symmetries(), {}
+            for j in self.extras:
+                image = min(((b[j], b, src) for b, src in symmetries), default=None)
+                if image is not None and image[0] < j:
+                    self._sources[j] = image
+        return self._sources
 
     @staticmethod
     def _moved_series(series: TruncatedSeries, src) -> TruncatedSeries:
@@ -736,16 +792,21 @@ class ChartPipeline:
 
     def _moved_view(self, view, src) -> tuple[list[tuple[int, int, int]], int]:
         """The packed view with every key's entries moved by src, sorted as
-        a product's view: the same triples for a series with moved keys."""
+        a product's view: the same triples for a series with moved keys.
+        Each packed key is unpacked and moved once per src."""
         ring = self.y_ring
         radix, unpack = ring._radix, ring._unpack
+        keys = self._moved_keys.setdefault(src, {})
         terms, den = view
         moved = []
         for w, p, c in terms:
-            key = unpack(p)
-            q = w
-            for a in src:
-                q = q * radix + key[a]
+            q = keys.get(p)
+            if q is None:
+                key = unpack(p)
+                q = w
+                for a in src:
+                    q = q * radix + key[a]
+                keys[p] = q
             moved.append((w, q, c))
         moved.sort(key=itemgetter(1))
         return moved, den
@@ -757,10 +818,8 @@ class ChartPipeline:
         (q, tau) variable v: q_a^(1/M) maps to y_a^(1/M) exp(L_a/M), tau_j to
         A_j.
 
-        A tau variable whose sector is the image, under an accepted
-        symmetry, of one that already has a power list takes each entry
-        from that list by moving its keys, with no product; the symmetries
-        are found when a second tau variable needs a list."""
+        A tau variable whose sector is an image (`_images`) takes every
+        entry from its source's list by moving its keys, with no product."""
         powers = self._powers.get(v)
         if powers is None:
             ring = self.y_ring
@@ -769,14 +828,16 @@ class ChartPipeline:
                 step = ring.monomial(root) * exp_series(
                     self.log_corrections()[v] * Fraction(1, self.modulus)
                 )
+                powers = [self._one, step._packed_view()]
             else:
-                step = self.a_series(self.extras[v - self.r_prime])
-                if self._powers:
-                    for _, src in self._symmetries():
-                        if src[v] in self._powers:
-                            self._power_images[v] = (src[v], src)
-                            break
-            powers = self._powers[v] = [self._one, step._packed_view()]
+                j = self.extras[v - self.r_prime]
+                image = self._images().get(j)
+                if image is None:
+                    powers = [self._one, self.a_series(j)._packed_view()]
+                else:
+                    src = image[2]
+                    powers, self._power_images[v] = [self._one], (src[v], src)
+            self._powers[v] = powers
         image = self._power_images.get(v)
         while len(powers) <= k:
             if image is None:

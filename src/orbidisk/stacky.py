@@ -25,6 +25,7 @@ from operator import mul
 from ._record import frozen
 from .lattice import (
     _eliminate,
+    _hermite_rows,
     cone_contains,
     hermite_normal_form,
     identity_matrix,
@@ -186,7 +187,8 @@ def validate(fan: StackyFan) -> ValidationReport:
         f"extra vector {v} is listed more than once"
         for v in dict.fromkeys(v for k, v in enumerate(extras) if v in extras[:k])
     ]
-    if fan.n_vectors and hermite_normal_form(fan.vectors)[0][:n] != identity_matrix(n):
+    onto = _hermite_rows([list(v) for v in fan.vectors], n)[:n]
+    if fan.n_vectors and onto != identity_matrix(n):
         issues.append("vectors do not generate the lattice (fan map not onto)")
     return ValidationReport(not issues, tuple(issues))
 

@@ -705,6 +705,40 @@ def solve_against_by_images(pipe, f):
     return pipe.qt_ring.from_scaled_terms(x)
 
 
+def symmetries_by_series(pipe) -> list:
+    """(back, src) for every candidate automorphism of the chart
+    (`ChartPipeline._candidates`) under which moving the keys of each
+    correction series A_i gives A_perm(i), on a chart with r' = 0: the
+    series reference for the integer test on the pairing columns of
+    `ChartPipeline._symmetries`.  The series come from a pipeline of the
+    same chart with its symmetries switched off, so none is derived from a
+    symmetry; a correction series that fails its check accepts none."""
+    from orbidisk.mirror import ChartPipeline, ComputationError
+
+    if pipe.r_prime:
+        return []
+    plain = ChartPipeline(pipe.fan, pipe.order)
+    plain._symmetries = lambda: []
+    n_rays, n = pipe.fan.n_rays, pipe.fan.n_vectors
+    try:
+        series = [dict(plain.a_series(i).scaled_terms()) for i in range(n)]
+    except ComputationError:
+        return []
+    out = []
+    for perm in pipe._candidates():
+        back = [0] * n
+        for i, p in enumerate(perm):
+            back[p] = i
+        src = tuple(back[j] - n_rays for j in pipe.extras)
+        if all(
+            {tuple(key[a] for a in src): c for key, c in series[i].items()}
+            == series[perm[i]]
+            for i in range(n)
+        ):
+            out.append((tuple(back), src))
+    return out
+
+
 # Gaussian elimination over Fraction and the gcd of maximal minors: the
 # references for the fraction-free elimination and the Hermite form of
 # orbidisk.lattice.

@@ -51,8 +51,10 @@ def golden_commands(root: Path = Path(".")) -> dict[str, list[str]]:
     # 3D orbifolds: the sector term of P(1,1,1,3) is the inverse of the
     # [C^3/Z3] mirror map, tau + tau^4/648 - 29 tau^7/3674160 + ...; mq is
     # the one fan whose cone walk pins two coordinates and splits its cosets
-    # by the outside vectors they use
-    for name, order in (("p1113", "16"), ("p2z3xp1", "8"), ("mq", "5")):
+    # by the outside vectors they use; P(1,6,14,21) has no fan automorphism
+    for name, order in (
+        ("p1113", "16"), ("p2z3xp1", "8"), ("mq", "5"), ("p1_6_14_21", "4")
+    ):
         cmds[f"potential-{name}-order{order}.out"] = [
             "potential", str(fans / f"{name}.json"), "--order", order
         ]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from orbidisk.lattice import (
     AmbiguousSolutionError,
+    _hermite_rows,
     cone_contains,
     hermite_normal_form,
     identity_matrix,
@@ -100,6 +101,16 @@ def test_hnf_properties(a):
     assert matmul(u, a) == h
     assert abs(det(u)) == 1
     assert is_row_hnf(h)
+
+
+@settings(max_examples=200)
+@given(small_matrices)
+def test_hermite_rows_of_a_alone_are_the_normal_form(a):
+    # the callers that need no transform eliminate a alone, in place: its
+    # rows must be h of the elimination of [a | 1]
+    rows = [list(row) for row in a]
+    assert _hermite_rows(rows, len(a[0])) is rows
+    assert rows == hermite_normal_form(a)[0]
 
 
 def test_kernel_p1():

@@ -30,6 +30,7 @@ from conftest import (
     solve_against_by_fractions,
     solve_against_by_images,
     support_by_fractions,
+    symmetries_by_series,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -463,10 +464,12 @@ def test_chart_job_product_count(monkeypatch):
 # -- sector symmetries --------------------------------------------------------------
 
 
+@functools.cache
 def symmetry_charts() -> list[tuple[StackyFan, int]]:
     """Every chart with r' = 0 (as many rays as dimensions) of the example
-    fans and of the 163 census fans, and C^2/Z_n for n = 2..8: the 2D
-    charts at order 4, the 3D ones (mq's among them) at order 3."""
+    fans (P(1,6,14,21) among them) and of the 163 census fans, and C^2/Z_n
+    for n = 2..9: the 2D charts at order 4, the 3D ones (mq's among them) at
+    order 3."""
     from conftest import local_chart, partial_resolutions
 
     charts: dict[StackyFan, None] = {}
@@ -474,7 +477,7 @@ def symmetry_charts() -> list[tuple[StackyFan, int]]:
         for chart in basic_class_charts(fan):
             if chart.n_rays == chart.dim:
                 charts[chart] = None
-    for n in range(2, 9):
+    for n in range(2, 10):
         charts[local_chart(n)] = None
     return [(chart, 4 if chart.dim == 2 else 3) for chart in charts]
 
@@ -490,10 +493,12 @@ def chart_outputs(pipe) -> list:
 def test_sector_symmetries_change_no_power_list_or_generating_function(monkeypatch):
     # each chart's outputs and each entry of its power lists, with the
     # symmetries in use, equal those of a pipeline whose symmetry finder is
-    # switched off; the candidates are the chart's automorphisms found by
-    # the independent search of fan_automorphisms
+    # switched off, and so do each image sector's omega set and correction
+    # series, which are read off its source's; the candidates are the
+    # chart's automorphisms found by the independent search of
+    # fan_automorphisms
     charts = symmetry_charts()
-    accepted = images = 0
+    accepted = images = sectors = 0
     for chart, order in charts:
         on, off = ChartPipeline(chart, order), ChartPipeline(chart, order)
         monkeypatch.setattr(off, "_symmetries", lambda: [])
@@ -501,25 +506,79 @@ def test_sector_symmetries_change_no_power_list_or_generating_function(monkeypat
         for v, powers in on._powers.items():
             for k, entry in enumerate(powers):
                 assert entry == off._power(v, k), (chart, v, k)
+        for j in on._images():
+            assert on.omega(j) == off.omega(j), (chart, j)
+            assert on.a_series(j) == off.a_series(j), (chart, j)
         candidates = on._candidates()
         assert set(candidates) == {p for _, p in fan_automorphisms(chart)}, chart
-        # the A-series confirm every automorphism, as the mirror theorem
-        # says they must
+        # the pairing columns confirm every automorphism, as the mirror
+        # theorem says they must
         assert len(on._symmetries()) == len(candidates), chart
         accepted += bool(candidates)
         images += len(on._power_images)
+        sectors += len(on._images())
     assert len(charts) >= 70 and accepted >= 70 and images >= 50, (
         len(charts),
         accepted,
         images,
     )
+    assert sectors == images, (sectors, images)
+
+
+def test_column_test_accepts_what_the_series_accept():
+    # the integer test on the pairing columns accepts exactly the (back,
+    # src) under which the moved correction series of a pipeline without
+    # symmetries equal their images' (`symmetries_by_series`), on every r' = 0
+    # chart of the example fans and of the census and on C^2/Z_n, n = 2..9;
+    # the charts of P(1,6,14,21), whose fan has no automorphism, are among
+    # them
+    charts = symmetry_charts()
+    with_symmetry = 0
+    for chart, order in charts:
+        pipe = ChartPipeline(chart, order)
+        got = pipe._symmetries()
+        assert got == symmetries_by_series(pipe), chart
+        with_symmetry += bool(got)
+    assert len(charts) >= 70 and with_symmetry >= 70, (len(charts), with_symmetry)
+
+
+def test_image_sectors_are_neither_walked_nor_expanded(monkeypatch):
+    # on C^2/Z5 the reflection maps the sectors (1,1) and (2,1) onto (4,1)
+    # and (3,1); those two images take their omega sets, correction series
+    # and power lists from their sources by moving keys, so no class of an
+    # image reaches _sector_ratio and no image's coset is walked
+    from conftest import local_chart
+
+    from orbidisk import mirror
+
+    chart = local_chart(5)
+    pipe = ChartPipeline(chart, 6)
+    images = [chart.vectors.index(v) for v in ((4, 1), (3, 1))]
+    ratio, filer = mirror._sector_ratio, pipe._sector_filer
+    expanded, walked = [], []
+
+    def counted_ratio(nums, *args):
+        expanded.append(nums)
+        return ratio(nums, *args)
+
+    def counted_filer(signed, into):
+        walked.append(into)
+        return filer(signed, into)
+
+    monkeypatch.setattr(mirror, "_sector_ratio", counted_ratio)
+    monkeypatch.setattr(pipe, "_sector_filer", counted_filer)
+    chart_outputs(pipe)
+    sets = pipe._omega_sets()
+    assert all(sets[j] for j in images)
+    assert len(walked) == 2 and not any(s is sets[j] for s in walked for j in images)
+    assert expanded and not {gp.nums for j in images for gp in sets[j]} & set(expanded)
 
 
 def test_a_series_check_refuses_a_wrong_symmetry(monkeypatch):
     # on C^2/Z5 the reflection swaps the sectors (1,1) <-> (4,1) and (2,1)
     # <-> (3,1); a swap of (1,1) and (2,1) with the rays fixed is no
-    # automorphism, and the A-series check must refuse it, leaving every
-    # output as it is without symmetries
+    # automorphism, and the test on the pairing columns must refuse it, as
+    # the A-series do, leaving every output as it is without symmetries
     from conftest import local_chart
 
     chart = local_chart(5)
@@ -532,6 +591,7 @@ def test_a_series_check_refuses_a_wrong_symmetry(monkeypatch):
         monkeypatch.setattr(pipe, "_candidates", lambda: candidates)
         assert chart_outputs(pipe) == want
         assert [back for back, _ in pipe._symmetries()] == kept  # involutions
+        assert pipe._symmetries() == symmetries_by_series(pipe)
         assert bool(pipe._power_images) == bool(kept)
 
 
@@ -927,16 +987,24 @@ def test_mq_omega_sets_match_grid_filter():
 
 
 def test_omega_walk_files_each_class_by_its_coset():
-    # the omega sets come from walks over the cosets that have a target
+    # the omega sets come from walks over the cosets that have a target; with
+    # the chart symmetries in use, an image sector's coset is not walked
+    # (the reflection of c2z5 leaves 2 of its 4 sectors to walk, the
+    # symmetries of the mq chart 3 of its 12), and the sets stay the same
     from orbidisk.fanfile import parse_fan_file
 
     c2z5 = parse_fan_file(REPO / "perfbench" / "fans" / "c2z5.json").resolve_fan()
     mq = parse_fan_file(REPO / "fans" / "mq.json").resolve_fan()
-    for chart, order, walked, filed in (
-        (c2z5, 6, 169, 168),
-        (basic_class_charts(mq)[0], 4, 412, 411),
+    mq_chart = basic_class_charts(mq)[0]
+    for chart, order, symmetric, walked, filed in (
+        (c2z5, 6, False, 169, 168),
+        (c2z5, 6, True, 85, 168),
+        (mq_chart, 4, False, 412, 411),
+        (mq_chart, 4, True, 130, 411),
     ):
         pipe = ChartPipeline(chart, order)
+        if not symmetric:
+            pipe._symmetries = lambda: []
         yielded = []
         classes = pipe._classes
 
@@ -950,8 +1018,8 @@ def test_omega_walk_files_each_class_by_its_coset():
         # the walk yields only classes of the target cosets that can join
         # a set: on the mq chart 412 of the grid's 1,820, and files all but
         # the origin
-        assert len(yielded) == walked, chart
-        assert sum(map(len, sets)) == filed, chart
+        assert len(yielded) == walked, (chart, symmetric)
+        assert sum(map(len, sets)) == filed, (chart, symmetric)
 
 
 def test_omega_walk_keeps_the_sign_check():
@@ -1248,7 +1316,7 @@ def test_search_and_areas_read_only_the_cone_inverses(monkeypatch):
         except FanError:  # f3 is not semi-Fano
             continue
         runs.append((fan, seq, cache, entries))
-    assert len(runs) == 25
+    assert len(runs) == 26
 
     def refuse(name):
         def call(*args, **kwargs):
@@ -1270,7 +1338,7 @@ def test_search_and_areas_read_only_the_cone_inverses(monkeypatch):
             potential_entry(fan, seq, 0, sym, 2, cache)
             for sym in potential_symbols(fan)
         ] == entries
-    assert searched == 25
+    assert searched == 26
 
 
 def test_relabel_and_invariants_match_fraction_reference():

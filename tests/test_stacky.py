@@ -707,6 +707,9 @@ GOLDEN_BASES = {
     "p1cubed": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     "p2z3xp1": ((0, -1, 2, 0, 1, 2, 0, 1), (0, 0, 0, 1, 0, 0, 0, 0)),
     "mq": ((0,) + (1,) * 30,),
+    "p1_6_14_21": (
+        (-8, -2, 0, 1, -7, -6, -5, -5, -4, -3, -4, -3, -2, -2, -3, -2, -1, -1, -2, -1),
+    ),
     "c2z2": (),
     "c2z3": (),
     "c2z4": (),
@@ -929,12 +932,12 @@ def test_kahler_test_refuses_cones_without_n_independent_rays():
             kahler_by_anticone_rows(fan, divisors)
 
 
-# the grading data of every complete example fan: 10 in fans/ (5 of them
+# the grading data of every complete example fan: 11 in fans/ (6 of them
 # 3D), 16 reflexive
 COMPLETE_SEQUENCES = [
     fan_sequence(fan) for _, fan in example_fans() if is_complete(fan)
 ]
-assert len(COMPLETE_SEQUENCES) == 26
+assert len(COMPLETE_SEQUENCES) == 27
 
 
 @settings(max_examples=300, deadline=None)
