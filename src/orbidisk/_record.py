@@ -9,6 +9,13 @@ of the same class with equal fields, NotImplemented otherwise) and __hash__
 raises AttributeError.  Instances keep a __dict__, so
 functools.cached_property works on them.
 
+__hash__ is computed once per record: the first call stores it on the
+instance, outside the fields, so equality and repr never see it, and every
+later call (each lookup of a cache keyed by the record) returns it without
+hashing the fields again.  Fields never change, so the stored hash cannot
+go stale.  A string's hash differs between interpreter processes; the
+package pickles no record, so no stored hash crosses processes.
+
 The methods are closures over the class's field names; no source is
 compiled per class.  __init__ stores each field with object.__setattr__,
 not by a write to __dict__, which keeps the values inline, where attribute
@@ -98,7 +105,12 @@ def frozen(cls):
         return NotImplemented
 
     def __hash__(self):
-        return hash(values(self))
+        try:
+            return self._frozen_hash
+        except AttributeError:
+            h = hash(values(self))
+            _set(self, "_frozen_hash", h)
+            return h
 
     def __repr__(self):
         shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)

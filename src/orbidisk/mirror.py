@@ -1076,7 +1076,7 @@ def disk_generating_function(
         parent,
         symbol,
         sub.facet.vertices,
-        Fraction(order),
+        pipe.order,
         g,
         tuple(sub.fan.extra_vectors),
         q_classes,
@@ -1293,11 +1293,11 @@ def _relabel_to_parent(
     ring = SeriesRing(
         r_prime + len(dgf.tau_points),
         modulus,
-        Fraction(order),
+        order,
         names=tuple(f"q{a}" for a in range(r_prime))
         + tuple("t" + "".join(str(c) for c in p) for p in dgf.tau_points),
     )
-    base = [int(x * modulus) for x in area]
+    base = [x.numerator * (modulus // x.denominator) for x in area]
     out: dict[tuple[int, ...], Fraction] = {}
     for key, coeff in dgf.series.scaled_terms().items():
         q = base
@@ -1306,7 +1306,9 @@ def _relabel_to_parent(
                 q = [x + s * k * y for x, y in zip(q, img)]
         parent_key = tuple(q) + tuple(s * t for t in key[n_q:])
         if ring.in_bounds(parent_key):
-            out[parent_key] = out.get(parent_key, 0) + coeff
+            # only a true collision of two chart keys pays for an addition
+            old = out.get(parent_key)
+            out[parent_key] = coeff if old is None else old + coeff
     return ring.from_scaled_terms(out)
 
 

@@ -5,7 +5,10 @@ variable has degree 1, and a term is kept when its total degree (the sum of
 its exponents) is at most the ring's truncation order T.  Internally every
 exponent vector is stored as a tuple of integers scaled by M, so all
 exponent arithmetic is integral.  Coefficients are ``fractions.Fraction``;
-no floats anywhere.
+no floats anywhere: a float truncation, scalar or coefficient raises
+TypeError, because its binary value is not the rational it stands for.
+`terms()` reads its exponents as Fractions from one table per (M, radix),
+shared by every ring with that modulus and bound.
 
 Products run on a second, private view of a series: each key packed into one
 int (its scaled degree above one base-R digit per variable) and each
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -37,6 +41,23 @@ class NoConvergenceError(RuntimeError):
     """Fixed-point iteration exceeded its contraction bound."""
 
 
+_ONE = Fraction(1)
+
+
+def _exact(x, what: str) -> Fraction:
+    """x as a Fraction; a float is refused, since its binary value is not
+    the rational it was meant to be."""
+    if isinstance(x, float):
+        raise TypeError(f"{what} must be exact, not the float {x!r}")
+    return x if type(x) is Fraction else Fraction(x)
+
+
+@lru_cache(maxsize=128)
+def _exponent_table(modulus: int, radix: int) -> tuple[Fraction, ...]:
+    """Fraction(x, modulus) for x from 0 to radix - 1."""
+    return tuple(Fraction(x, modulus) for x in range(radix))
+
+
 class SeriesRing:
     """Ambient ring data: variable count, modulus, truncation.
 
@@ -48,10 +69,10 @@ class SeriesRing:
             raise ValueError("modulus must be a positive integer")
         self.nvars = nvars
         self.modulus = modulus
-        self.truncation = Fraction(truncation)
-        if self.truncation < 0:
+        self.truncation = t = _exact(truncation, "truncation")
+        if t < 0:
             raise ValueError("truncation must be >= 0")
-        self.weights = (Fraction(1),) * nvars
+        self.weights = (_ONE,) * nvars
         self.names = tuple(names) if names is not None else tuple(
             f"x{i}" for i in range(nvars)
         )
@@ -59,15 +80,13 @@ class SeriesRing:
             raise ValueError("need one name per variable")
         # the scaled degree of a stored key k is sum(k); keep the term iff
         # that is <= T * M
-        bound = self.truncation * modulus
-        self._bound = bound.numerator // bound.denominator
+        self._bound = t.numerator * modulus // t.denominator
         # one digit per variable: an in-bound key has every component at most
         # the bound, so the sum of two packed keys whose degrees add up to at
         # most the bound carries no digit into the next; the scaled degree
         # sits above the digits, at _top, and adds along with them
         self._radix = self._bound + 1
         self._top = self._radix**nvars
-        self._fractions: tuple[Fraction, ...] | None = None
 
     def __eq__(self, other):
         return (
@@ -100,11 +119,8 @@ class SeriesRing:
 
     def _exponent_fractions(self) -> tuple[Fraction, ...]:
         """Fraction(x, M) for every scaled exponent x from 0 to the bound,
-        built once per ring."""
-        if self._fractions is None:
-            m = self.modulus
-            self._fractions = tuple(Fraction(x, m) for x in range(self._radix))
-        return self._fractions
+        one table shared by every ring with this M and bound."""
+        return _exponent_table(self.modulus, self._radix)
 
     def _unpack(self, p: int) -> tuple[int, ...]:
         key = [0] * self.nvars
@@ -138,13 +154,13 @@ class SeriesRing:
         return self.scalar(1)
 
     def scalar(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
+        c = _exact(c, "coefficient")
         if c == 0:
             return self.zero()
         return TruncatedSeries(self, {(0,) * self.nvars: c})
 
     def monomial(self, exponents, coeff=1) -> "TruncatedSeries":
-        c = Fraction(coeff)
+        c = _exact(coeff, "coefficient")
         key = self.scale_exponents(exponents)
         if c == 0 or not self.in_bounds(key):
             return self.zero()
@@ -260,7 +276,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            c = Fraction(other)
+            c = _exact(other, "coefficient")
             if c == 0:
                 return self.ring.zero()
             return TruncatedSeries(

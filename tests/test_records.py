@@ -65,6 +65,30 @@ def test_record_semantics(cls):
     assert tuple(getattr(rec, n) for n in names) == values
 
 
+def test_hash_is_computed_once_per_record():
+    class Counted:
+        calls = 0
+
+        def __hash__(self):
+            self.calls += 1
+            return 7
+
+    @_record.frozen
+    class Pair:
+        a: object
+        b: int
+
+    field = Counted()
+    rec = Pair(field, 1)
+    first = hash(rec)
+    assert hash(rec) == first
+    assert field.calls == 1
+    assert first == hash((field, 1))
+    # the stored hash is not a field: equality and repr ignore it
+    assert rec == Pair(field, 1)
+    assert repr(rec) == repr(Pair(field, 1))
+
+
 def test_records_of_different_classes_never_equal():
     for a, b in combinations(RECORDS, 2):
         if len(fields(a)) == len(fields(b)):

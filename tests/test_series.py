@@ -214,13 +214,44 @@ def test_terms_are_sorted_and_exact():
 @settings(max_examples=40)
 @given(series_in(SeriesRing(2, 3, 4)))
 def test_terms_match_fraction_exponents(f):
-    # terms() reads its exponents from one table per ring
+    # terms() reads its exponents from one table per (M, radix)
     m = f.ring.modulus
     want = [
         (tuple(Fraction(x, m) for x in key), f.scaled_terms()[key])
         for key in sorted(f.scaled_terms(), key=lambda k: (sum(k), k))
     ]
     assert list(f.terms()) == want
+
+
+def test_exponent_table_is_shared_per_modulus_and_bound():
+    a = SeriesRing(2, 6, Fraction(5, 2), names=("u", "v"))
+    b = SeriesRing(2, 6, Fraction(5, 2))
+    assert a == b and a is not b
+    table = a._exponent_fractions()
+    assert b._exponent_fractions() is table
+    assert table == tuple(Fraction(x, 6) for x in range(16))
+    assert SeriesRing(2, 6, 3)._exponent_fractions() == table + (
+        Fraction(16, 6), Fraction(17, 6), Fraction(18, 6)
+    )
+
+
+FLOAT_ENTRY_POINTS = {
+    "ring_truncation": lambda x: SeriesRing(2, 1, 0.1),
+    "scalar": lambda x: x.ring.scalar(0.1),
+    "monomial_coefficient": lambda x: x.ring.monomial((1, 0), 0.1),
+    "add": lambda x: x + 0.1,
+    "sub": lambda x: x - 0.1,
+    "mul": lambda x: x * 0.1,
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_ENTRY_POINTS.values(), ids=FLOAT_ENTRY_POINTS)
+def test_floats_are_refused(call):
+    # 0.1 is 3602879701896397/36028797018963968 in binary; no entry point
+    # may take that for the rational 1/10
+    x = R2.variable(0)
+    with pytest.raises(TypeError, match="float 0.1"):
+        call(x)
 
 
 def test_scale_exponents_integer_fast_path():
